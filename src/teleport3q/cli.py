@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .feasibility import build_feasibility_report, haar_scan
-from .linalg import HADAMARD, IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, haar_random_unitary
+from .feasibility import SCAN_TOL, build_feasibility_report, haar_scan
+from .linalg import ATOL, HADAMARD, IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, haar_random_unitary
 from .protocols import (
     MeasurementBasis,
     TeleportProtocol,
@@ -44,7 +47,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
-_BELL_SPEC_RE = re.compile(r"^bell\(\s*[01]\s*,\s*[01]\s*\)$")
 _HAAR_BASIS_RE = re.compile(r"^haar:(\d+)$")
 _DIAG_RE = re.compile(r"^diag\((.+)\)$")
 _NAMED_S = {"I": IDENTITY, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z, "H": HADAMARD}
@@ -72,36 +74,54 @@ def _parse_w_like_params(text: str) -> WLikeParams:
     return WLikeParams(gamma=gamma, phi=phi, omega=omega)
 
 
-def _load_state_file(path: str) -> PureState:
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
+    return value
+
+
+def _read_json(path: str, what: str):
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ValueError(f"unreadable state file {path!r}: {exc}") from exc
+        raise ValueError(f"unreadable {what} file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"state file {path!r} is not valid JSON: {exc}") from exc
-    return state_from_jsonable(data)
+        raise ValueError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
 
 
-def _resolve_state(args) -> tuple[PureState, str, str, WLikeParams | None]:
-    """Returns (state, label, kind, w_like_params); kind names the state family."""
+# Canonical perfect protocol of each named state family that has one; every
+# bell(m,n) pair is measured in the bell(0,0) protocol's basis.
+_CANONICAL = {
+    "ghz": lambda state: ghz_protocol(),
+    "bell": lambda state: protocol_from_basis(state, bell_protocol().basis),
+}
+
+
+def _resolve_state(args) -> tuple[PureState, str, Callable[[], TeleportProtocol] | None]:
+    """Returns (state, label, canonical); canonical() builds the state's known
+    perfect protocol, and is None for states without one."""
     if args.state_file and args.shared:
         raise ValueError("pass either --shared or --state-file, not both")
     if args.state_file:
-        return _load_state_file(args.state_file), args.state_file, "file", None
+        return state_from_jsonable(_read_json(args.state_file, "state")), args.state_file, None
     if not args.shared:
         raise ValueError("a shared state is required: --shared or --state-file")
     spec = args.shared.strip()
     lowered = spec.lower()
-    if lowered in ("ghz", "w") or _BELL_SPEC_RE.match(lowered):
-        return make_named_state(lowered), lowered, lowered if lowered in ("ghz", "w") else "bell", None
     if lowered.startswith("w-like:"):
         params = _parse_w_like_params(spec[len("w-like:"):])
-        return w_like_from_params(params), spec, "w-like", params
-    if Path(spec).exists():
-        return _load_state_file(spec), spec, "file", None
-    raise ValueError(
-        f"unrecognized state spec {spec!r}; expected ghz, w, bell(m,n), w-like:g,p,o, or a file path"
-    )
+        return w_like_from_params(params), spec, partial(w_like_protocol, params)
+    try:
+        state = make_named_state(lowered)
+    except ValueError:
+        if Path(spec).exists():
+            return state_from_jsonable(_read_json(spec, "state")), spec, None
+        raise ValueError(
+            f"unrecognized state spec {spec!r}; expected ghz, w, bell(m,n), w-like:g,p,o, or a file path"
+        ) from None
+    canonical = _CANONICAL.get(lowered.partition("(")[0])
+    return state, lowered, canonical and partial(canonical, state)
 
 
 def _resolve_message(args) -> tuple[PureState, str]:
@@ -114,45 +134,25 @@ def _resolve_message(args) -> tuple[PureState, str]:
     return bloch_qubit(args.theta, args.phi), f"theta={_fmt(args.theta)}, phi={_fmt(args.phi)}"
 
 
-def _known_basis(kind: str, params: WLikeParams | None) -> MeasurementBasis:
-    if kind == "ghz":
-        return ghz_protocol().basis
-    if kind == "w-like":
-        return w_like_protocol(params).basis
-    raise ValueError(f"no known perfect basis for state kind {kind!r}")
-
-
 def _resolve_protocol(args) -> tuple[TeleportProtocol, str]:
     if args.protocol_file:
         if args.shared or args.state_file:
             raise ValueError("--protocol-file excludes --shared and --state-file")
         if args.basis:
             raise ValueError("--protocol-file excludes --basis")
-        try:
-            data = json.loads(Path(args.protocol_file).read_text())
-        except OSError as exc:
-            raise ValueError(f"unreadable protocol file {args.protocol_file!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"protocol file is not valid JSON: {exc}") from exc
-        return protocol_from_jsonable(data), args.protocol_file
-    state, label, kind, params = _resolve_state(args)
+        return protocol_from_jsonable(_read_json(args.protocol_file, "protocol")), args.protocol_file
+    state, label, canonical = _resolve_state(args)
     if args.basis:
         match = _HAAR_BASIS_RE.match(args.basis.strip())
         if not match:
             raise ValueError(f"unrecognized basis spec {args.basis!r}; expected haar:SEED")
         u = haar_random_unitary(2**state.n_qubits, int(match.group(1)))
         return protocol_from_basis(state, MeasurementBasis.from_unitary_columns(u)), label
-    if kind == "ghz":
-        return ghz_protocol(), label
-    if kind == "w-like":
-        return w_like_protocol(params), label
-    if kind == "bell":
-        if label == "bell(0,0)":
-            return bell_protocol(), label
-        return protocol_from_basis(state, bell_protocol().basis), label
-    raise ValueError(
-        f"no canonical protocol for {label!r}; pass --basis haar:SEED or --protocol-file"
-    )
+    if canonical is None:
+        raise ValueError(
+            f"no canonical protocol for {label!r}; pass --basis haar:SEED or --protocol-file"
+        )
+    return canonical(), label
 
 
 def _entry_to_complex(value) -> complex:
@@ -173,13 +173,9 @@ def _parse_s_operator(spec: str) -> np.ndarray:
         if len(parts) != 2:
             raise ValueError(f"diag(...) needs two entries, got {text!r}")
         return np.diag([complex(float(p)) for p in parts])
-    if text.startswith("["):
-        data = json.loads(text)
-    else:
-        try:
-            data = json.loads(Path(text).read_text())
-        except OSError as exc:
-            raise ValueError(f"unreadable S operator file {text!r}: {exc}") from exc
+    data = json.loads(text) if text.startswith("[") else _read_json(text, "S operator")
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError("S must be a JSON list of rows")
     matrix = np.array([[_entry_to_complex(v) for v in row] for row in data])
     if matrix.shape != (2, 2):
         raise ValueError(f"S must be 2x2, got shape {matrix.shape}")
@@ -249,7 +245,7 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    state, label, _, _ = _resolve_state(args)
+    state, label, _ = _resolve_state(args)
     if state.n_qubits != 3:
         raise ValueError(f"analyze expects a 3-qubit shared state, got {state.n_qubits} qubits")
     report = build_feasibility_report(state, label, args.scan_trials, args.seed)
@@ -275,8 +271,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    state, label, kind, params = _resolve_state(args)
-    inject = _known_basis(kind, params) if args.inject_known_basis else None
+    state, label, canonical = _resolve_state(args)
+    if args.inject_known_basis and canonical is None:
+        raise ValueError(f"no known perfect basis for {label!r}")
+    inject = canonical().basis if args.inject_known_basis else None
     result = haar_scan(state, args.trials, args.seed, inject=inject, tol=args.tolerance)
 
     if args.format == "json":
@@ -351,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=100000, help="sampling trials (default 100000)"
     )
     p.add_argument(
-        "--tolerance", type=float, default=1e-10,
-        help="fidelity tolerance for the perfect verdict (default 1e-10)",
+        "--tolerance", type=_tolerance, default=ATOL,
+        help=f"fidelity tolerance for the perfect verdict (default {ATOL:g})",
     )
     _add_common_options(p, "text")
     p.set_defaults(handler=cmd_teleport)
@@ -371,11 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100000, help="bases to try (default 100000)")
     p.add_argument(
         "--inject-known-basis", action="store_true",
-        help="replace trial 0 with the state's known perfect basis (ghz / w-like only)",
+        help="replace trial 0 with the state's known perfect basis (ghz, bell(m,n), w-like)",
     )
     p.add_argument(
-        "--tolerance", type=float, default=1e-8,
-        help="branch unitarity tolerance for the verdict (default 1e-8)",
+        "--tolerance", type=_tolerance, default=SCAN_TOL,
+        help=f"branch unitarity tolerance for the verdict (default {SCAN_TOL:g})",
     )
     _add_common_options(p, "text")
     p.set_defaults(handler=cmd_scan)

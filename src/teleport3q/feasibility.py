@@ -21,7 +21,7 @@ from .linalg import (
     _haar_from_rng,
 )
 from .protocols import MeasurementBasis, branch_operators
-from .states import DensityMatrix, PureState, entanglement_entropy, partial_trace
+from .states import DensityMatrix, PureState, entanglement_entropy, partial_trace, shannon_entropy
 
 ENTROPY_ATOL = 1e-9
 SUM_RULE_ATOL = 1e-9
@@ -117,15 +117,18 @@ def sum_rule(shared: PureState, basis: MeasurementBasis) -> tuple[float, float]:
     return row0, row1
 
 
-def entropy_criterion(shared: PureState) -> tuple[float, bool]:
-    """Entropy in bits of the receiver's reduced state; feasible iff exactly one ebit."""
-    rho_b = partial_trace(shared.density(), keep=(shared.n_qubits - 1,))
+def bob_reduced_state(shared: PureState) -> DensityMatrix:
+    return partial_trace(shared.density(), keep=(shared.n_qubits - 1,))
+
+
+def _entropy_verdict(rho_b: DensityMatrix) -> tuple[float, bool]:
     entropy = entanglement_entropy(rho_b)
     return entropy, abs(entropy - 1.0) <= ENTROPY_ATOL
 
 
-def bob_reduced_state(shared: PureState) -> DensityMatrix:
-    return partial_trace(shared.density(), keep=(shared.n_qubits - 1,))
+def entropy_criterion(shared: PureState) -> tuple[float, bool]:
+    """Entropy in bits of the receiver's reduced state; feasible iff exactly one ebit."""
+    return _entropy_verdict(bob_reduced_state(shared))
 
 
 def componentwise_disentangler(shared: PureState) -> DisentanglerResult:
@@ -172,14 +175,11 @@ def schmidt_disentangler(shared: PureState) -> SchmidtDisentangler:
     residual = np.zeros(4, dtype=complex)
     for k in range(form.coefficients.size):
         residual[2 * k : 2 * k + 2] = form.coefficients[k] * form.right_factors[k]
-    probs = np.clip(form.coefficients**2, 0.0, 1.0)
-    positive = probs[probs > 0.0]
-    entropy = float(-np.sum(positive * np.log2(positive)))
     return SchmidtDisentangler(
         unitary=unitary,
         residual=PureState(2, residual),
         coefficients=form.coefficients.copy(),
-        residual_entropy=entropy,
+        residual_entropy=shannon_entropy(form.coefficients**2),
     )
 
 
@@ -231,20 +231,20 @@ def build_feasibility_report(
 ) -> FeasibilityReport:
     """Assemble every diagnostic for one shared state.
 
-    The sum rule is evaluated on the computational basis; the rows are
-    basis-independent, so any fixed orthonormal choice gives the same report.
-    The componentwise and Schmidt disentanglers answer different questions
+    The sum-rule rows are basis-independent and equal 2 diag(rho_B), so they
+    are read off the receiver's reduced state directly. The componentwise
+    and Schmidt disentanglers answer different questions
     (existence of a ket-permutation style move versus an unconstrained local
     unitary) and are reported side by side.
     """
     if shared.n_qubits != 3:
         raise ValueError("feasibility report expects a 3-qubit shared state")
-    entropy, entropy_ok = entropy_criterion(shared)
-    computational = MeasurementBasis.from_unitary_columns(np.eye(8, dtype=complex))
-    row0, row1 = sum_rule(shared, computational)
+    rho_b = bob_reduced_state(shared)
+    entropy, entropy_ok = _entropy_verdict(rho_b)
+    row0, row1 = (2.0 * np.diag(rho_b.matrix).real).tolist()
     return FeasibilityReport(
         state_label=label,
-        bob_reduced_state=bob_reduced_state(shared),
+        bob_reduced_state=rho_b,
         entropy_bits=entropy,
         entropy_feasible=entropy_ok,
         sum_rule_row0=row0,

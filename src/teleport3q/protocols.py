@@ -4,7 +4,8 @@ A protocol pairs a shared resource state (sender holds every qubit but the
 last, receiver the last) with an orthonormal measurement basis on the
 (message + sender) register. Every outcome induces a 2x2 branch operator
 mapping the message qubit onto the receiver's qubit; the stored correction
-is the unitary the receiver inverts to recover the message.
+is the unitary the receiver inverts to recover the message. Branch
+magnitudes are derived from the basis and the state, never stored.
 
 The Pauli index map used by the twirl and the S-parameterized builder is
 fixed as 00 -> I, 01 -> X, 10 -> Y, 11 -> Z.
@@ -101,12 +102,11 @@ class BranchOperatorFamily:
 
 @dataclass(frozen=True)
 class TeleportProtocol:
-    """Shared state, measurement basis, per-outcome corrections and branch magnitudes."""
+    """Shared state, measurement basis and per-outcome corrections."""
 
     shared: PureState
     basis: MeasurementBasis
     corrections: tuple[np.ndarray, ...]
-    coefficients: np.ndarray
 
     def __post_init__(self) -> None:
         if self.basis.n_qubits != self.shared.n_qubits:
@@ -114,13 +114,6 @@ class TeleportProtocol:
         n_out = len(self.basis.elements)
         if len(self.corrections) != n_out:
             raise ValueError(f"expected {n_out} corrections, got {len(self.corrections)}")
-        coeffs = np.array(self.coefficients, dtype=float).reshape(-1)
-        if coeffs.size != n_out:
-            raise ValueError(f"expected {n_out} coefficients, got {coeffs.size}")
-        if np.any(coeffs < 0):
-            raise ValueError("coefficients must be non-negative")
-        if abs(float(np.sum(coeffs**2)) - 1.0) > ATOL:
-            raise ValueError("squared coefficients must sum to 1")
         frozen = []
         for k, u in enumerate(self.corrections):
             u = np.array(u, dtype=complex)
@@ -128,13 +121,22 @@ class TeleportProtocol:
                 raise ValueError(f"correction {k} is not a 2x2 unitary")
             u.setflags(write=False)
             frozen.append(u)
-        coeffs.setflags(write=False)
         object.__setattr__(self, "corrections", tuple(frozen))
-        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def n_outcomes(self) -> int:
         return len(self.basis.elements)
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Branch magnitudes sqrt(tr(T†T)/2); their squares sum to 1.
+
+        A branch whose weight tr(T†T)/2 is at or below PROB_FLOOR gets exactly
+        0, so rounding residue on dead branches never reaches the output.
+        """
+        ops = branch_operators(self.basis, self.shared).ops
+        weights = np.array([np.trace(dagger(t) @ t).real / 2.0 for t in ops])
+        return np.where(weights > PROB_FLOOR, np.sqrt(weights), 0.0)
 
 
 @dataclass(frozen=True)
@@ -244,10 +246,7 @@ def bell_protocol() -> TeleportProtocol:
     # element order is 00, 01, 10, 11
     corrections = (IDENTITY, PAULI_X, PAULI_Z, -1j * PAULI_Y)
     return TeleportProtocol(
-        shared=make_named_state("bell(0,0)"),
-        basis=basis,
-        corrections=corrections,
-        coefficients=np.full(4, 0.5),
+        shared=make_named_state("bell(0,0)"), basis=basis, corrections=corrections
     )
 
 
@@ -272,13 +271,10 @@ def ghz_protocol() -> TeleportProtocol:
     corrections[1] = PAULI_Z
     corrections[4] = PAULI_X
     corrections[5] = -1j * PAULI_Y
-    coefficients = np.zeros(8)
-    coefficients[[0, 1, 4, 5]] = 0.5
     return TeleportProtocol(
         shared=make_named_state("ghz"),
         basis=_basis_with_completion(live, 8),
         corrections=tuple(corrections),
-        coefficients=coefficients,
     )
 
 
@@ -305,13 +301,10 @@ def w_like_protocol(params: WLikeParams) -> TeleportProtocol:
     corrections[1] = PAULI_Z
     corrections[2] = PAULI_X
     corrections[3] = PAULI_Y
-    coefficients = np.zeros(8)
-    coefficients[:4] = 0.5
     return TeleportProtocol(
         shared=w_like_from_params(params),
         basis=_basis_with_completion(live, 8),
         corrections=tuple(corrections),
-        coefficients=coefficients,
     )
 
 
@@ -354,27 +347,17 @@ def basis_from_S(params: WLikeParams, s: np.ndarray) -> TeleportProtocol:
         # element[4a+2b+c] = v[4b+2c+a]
         live[mn] = v.reshape(2, 2, 2).transpose(2, 0, 1).reshape(8)
         corrections[mn] = sigma @ s
-    coefficients = np.zeros(8)
-    coefficients[:4] = 0.5
     return TeleportProtocol(
-        shared=shared,
-        basis=_basis_with_completion(live, 8),
-        corrections=tuple(corrections),
-        coefficients=coefficients,
+        shared=shared, basis=_basis_with_completion(live, 8), corrections=tuple(corrections)
     )
 
 
 def protocol_from_basis(shared: PureState, basis: MeasurementBasis) -> TeleportProtocol:
     """Best-effort protocol for an arbitrary basis.
 
-    Corrections are the polar unitary factors of the branch operators and the
-    branch magnitudes are sqrt(tr(T†T)/2), so the squared magnitudes always
-    sum to 1. Fidelity reaches 1 only when every branch operator is
-    proportional to a unitary.
+    Corrections are the polar unitary factors of the branch operators.
+    Fidelity reaches 1 only when every branch operator is proportional to a
+    unitary.
     """
-    family = branch_operators(basis, shared)
-    corrections = tuple(closest_unitary(t) for t in family.ops)
-    coefficients = np.array([np.sqrt(np.trace(dagger(t) @ t).real / 2.0) for t in family.ops])
-    return TeleportProtocol(
-        shared=shared, basis=basis, corrections=corrections, coefficients=coefficients
-    )
+    corrections = tuple(closest_unitary(t) for t in branch_operators(basis, shared).ops)
+    return TeleportProtocol(shared=shared, basis=basis, corrections=corrections)

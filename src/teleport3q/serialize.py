@@ -13,6 +13,7 @@ import numpy as np
 
 from . import __version__
 from .feasibility import FeasibilityReport
+from .linalg import ATOL, max_abs
 from .protocols import MeasurementBasis, TeleportProtocol
 from .states import DensityMatrix, PureState
 
@@ -69,22 +70,33 @@ def protocol_to_jsonable(protocol: TeleportProtocol) -> dict:
 
 
 def protocol_from_jsonable(data: dict) -> TeleportProtocol:
+    """Load a protocol; its coefficients must match the ones derived from it."""
     required = ("sharedState", "basisElements", "corrections", "coefficients")
+    if not isinstance(data, dict):
+        raise ValueError("protocol must be a JSON object")
     missing = [key for key in required if key not in data]
     if missing:
         raise ValueError(f"protocol object is missing fields: {', '.join(missing)}")
+    not_lists = [key for key in required[1:] if not isinstance(data[key], list)]
+    if not_lists:
+        raise ValueError(f"protocol fields must be lists: {', '.join(not_lists)}")
     try:
         coefficients = np.array([float(c) for c in data["coefficients"]])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed coefficients: {exc}") from exc
-    return TeleportProtocol(
+    protocol = TeleportProtocol(
         shared=state_from_jsonable(data["sharedState"]),
         basis=MeasurementBasis(
             tuple(state_from_jsonable(e) for e in data["basisElements"])
         ),
         corrections=tuple(operator_from_jsonable(u) for u in data["corrections"]),
-        coefficients=coefficients,
     )
+    derived = protocol.coefficients
+    # `not <=` also rejects NaN
+    if coefficients.shape != derived.shape or not max_abs(coefficients - derived) <= ATOL:
+        derived_text = ", ".join(f"{c:.12g}" for c in derived)
+        raise ValueError(f"coefficients differ from the derived branch magnitudes [{derived_text}]")
+    return protocol
 
 
 def report_to_jsonable(report: FeasibilityReport, input_hash: str) -> dict:

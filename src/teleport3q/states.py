@@ -215,16 +215,22 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(len(kept), reduced)
 
 
-def entanglement_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy in bits, with 0 log 0 := 0.
+def shannon_entropy(probs: np.ndarray) -> float:
+    """Entropy in bits of a probability vector, with 0 log 0 := 0.
 
-    Eigenvalues are clipped to [0, 1] before the logarithm; construction
-    already bounds any violation at 1e-10, and raw negatives would poison
-    the log.
+    Entries are clipped to [0, 1] first; raw negatives would poison the log.
     """
-    eigs = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, 1.0)
-    positive = eigs[eigs > 0.0]
+    p = np.clip(probs, 0.0, 1.0)
+    positive = p[p > 0.0]
     return float(-np.sum(positive * np.log2(positive)))
+
+
+def entanglement_entropy(rho: DensityMatrix) -> float:
+    """Von Neumann entropy in bits: the Shannon entropy of the eigenvalues.
+
+    Construction already bounds any eigenvalue outside [0, 1] at 1e-10.
+    """
+    return shannon_entropy(np.linalg.eigvalsh(rho.matrix))
 
 
 def haar_random_state(n_qubits: int, seed: int) -> PureState:

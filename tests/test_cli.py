@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from teleport3q.serialize import dumps_canonical, state_to_jsonable
 from teleport3q.states import make_named_state
 
 HALF_PI = "1.5707963267948966"
+BASIS_GEN_PROTOCOL = Path(__file__).parent / "golden" / "inputs" / "basis_gen_protocol.json"
 
 
 def run_cli(*args):
@@ -106,11 +108,12 @@ def test_scan_single_trial_deterministic():
 
 
 def test_scan_inject_known_basis():
-    proc = run_cli(
-        "scan", "--shared", "ghz", "--trials", "10", "--inject-known-basis", "--format", "json"
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["feasibleCount"] >= 1
+    for spec in ("ghz", "bell(1,0)"):
+        proc = run_cli(
+            "scan", "--shared", spec, "--trials", "10", "--inject-known-basis", "--format", "json"
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["feasibleCount"] >= 1
 
 
 def test_scan_inject_rejected_for_w():
@@ -134,6 +137,38 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
     data = json.loads(gen.stdout)
     assert len(data["basisElements"]) == 8
     assert data["coefficients"][:4] == [0.5, 0.5, 0.5, 0.5]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [None, {"basisElements": 5}, {"corrections": 5}, {"coefficients": [1.0] + [0.0] * 7}],
+    ids=["S-not-nested", "basisElements-not-list", "corrections-not-list", "coefficients-edited"],
+)
+def test_malformed_input_exits_2(tmp_path, edit):
+    if edit is None:
+        args = ["basis-gen", "--params", "0.5,0.2,0.9", "--S", "[1,2]"]
+    else:
+        path = tmp_path / "protocol.json"
+        path.write_text(json.dumps(json.loads(BASIS_GEN_PROTOCOL.read_text()) | edit))
+        args = ["teleport", "--protocol-file", str(path), "--random", "--expect-perfect"]
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("scan", "--shared", "w", "--trials", "1", "--tolerance", "-1"),
+        ("scan", "--shared", "w", "--trials", "1", "--tolerance", "nan"),
+        ("teleport", "--shared", "ghz", "--theta", "1", "--tolerance", "-1", "--expect-perfect"),
+        ("teleport", "--shared", "ghz", "--theta", "1", "--tolerance", "inf"),
+    ],
+)
+def test_bad_tolerance_exits_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "tolerance must be finite and non-negative" in proc.stderr
 
 
 def test_basis_gen_rejects_non_unitary_S():

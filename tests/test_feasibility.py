@@ -144,7 +144,8 @@ def test_sum_rule_ghz_balanced():
 def test_sum_rule_basis_independent():
     state = haar_random_state(3, 55)
     rows = [sum_rule(state, haar_basis(seed)) for seed in range(50)]
-    for row0, row1 in rows[1:]:
+    report = build_feasibility_report(state, "random", scan_trials=1, seed=0)
+    for row0, row1 in [*rows[1:], (report.sum_rule_row0, report.sum_rule_row1)]:
         assert row0 == pytest.approx(rows[0][0], abs=1e-9)
         assert row1 == pytest.approx(rows[0][1], abs=1e-9)
 

@@ -168,6 +168,9 @@ def test_w_like_branch_scales():
 
 def test_ghz_protocol_perfect_on_live_branches():
     protocol = ghz_protocol()
+    coefficients = protocol.coefficients
+    np.testing.assert_allclose(coefficients[list(LIVE_GHZ)], 0.5, atol=1e-12)
+    assert np.all(coefficients[[2, 3, 6, 7]] == 0.0)  # dead branches are exactly 0
     for psi in random_messages(20):
         result = run_teleport(psi, protocol)
         assert result.total_fidelity == pytest.approx(1.0, abs=1e-10)
