@@ -117,10 +117,6 @@ def sum_rule(shared: PureState, basis: MeasurementBasis) -> tuple[float, float]:
     return row0, row1
 
 
-def bob_reduced_state(shared: PureState) -> DensityMatrix:
-    return partial_trace(shared.density(), keep=(shared.n_qubits - 1,))
-
-
 def _entropy_verdict(rho_b: DensityMatrix) -> tuple[float, bool]:
     entropy = entanglement_entropy(rho_b)
     return entropy, abs(entropy - 1.0) <= ENTROPY_ATOL
@@ -129,6 +125,10 @@ def _entropy_verdict(rho_b: DensityMatrix) -> tuple[float, bool]:
 def entropy_criterion(shared: PureState) -> tuple[float, bool]:
     """Entropy in bits of the receiver's reduced state; feasible iff exactly one ebit."""
     return _entropy_verdict(bob_reduced_state(shared))
+
+
+def bob_reduced_state(shared: PureState) -> DensityMatrix:
+    return partial_trace(shared.density(), keep=(shared.n_qubits - 1,))
 
 
 def componentwise_disentangler(shared: PureState) -> DisentanglerResult:

@@ -129,11 +129,7 @@ class TeleportProtocol:
 
     @property
     def coefficients(self) -> np.ndarray:
-        """Branch magnitudes sqrt(tr(T†T)/2); their squares sum to 1.
-
-        A branch whose weight tr(T†T)/2 is at or below PROB_FLOOR gets exactly
-        0, so rounding residue on dead branches never reaches the output.
-        """
+        """Branch magnitudes sqrt(tr(T†T)/2), exactly 0 where that weight is <= PROB_FLOOR."""
         ops = branch_operators(self.basis, self.shared).ops
         weights = np.array([np.trace(dagger(t) @ t).real / 2.0 for t in ops])
         return np.where(weights > PROB_FLOOR, np.sqrt(weights), 0.0)

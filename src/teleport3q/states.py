@@ -226,10 +226,7 @@ def shannon_entropy(probs: np.ndarray) -> float:
 
 
 def entanglement_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy in bits: the Shannon entropy of the eigenvalues.
-
-    Construction already bounds any eigenvalue outside [0, 1] at 1e-10.
-    """
+    """Von Neumann entropy in bits: the Shannon entropy of the eigenvalues."""
     return shannon_entropy(np.linalg.eigvalsh(rho.matrix))
 
 

@@ -140,11 +140,16 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edit",
-    [None, {"basisElements": 5}, {"corrections": 5}, {"coefficients": [1.0] + [0.0] * 7}],
+    "edit, message",
+    [
+        (None, "S must be a JSON list of rows"),
+        ({"basisElements": 5}, "must be lists: basisElements"),
+        ({"corrections": 5}, "must be lists: corrections"),
+        ({"coefficients": [1.0] + [0.0] * 7}, "coefficients differ from the derived"),
+    ],
     ids=["S-not-nested", "basisElements-not-list", "corrections-not-list", "coefficients-edited"],
 )
-def test_malformed_input_exits_2(tmp_path, edit):
+def test_malformed_input_exits_2(tmp_path, edit, message):
     if edit is None:
         args = ["basis-gen", "--params", "0.5,0.2,0.9", "--S", "[1,2]"]
     else:
@@ -153,7 +158,7 @@ def test_malformed_input_exits_2(tmp_path, edit):
         args = ["teleport", "--protocol-file", str(path), "--random", "--expect-perfect"]
     proc = run_cli(*args)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
 
 
 @pytest.mark.parametrize(
