@@ -78,6 +78,13 @@ CASES = {
         "scan", "--state-file", "inputs/random_state.json", "--trials", "20", "--seed", "3", "--format", "json",
     ],
     "scan_w_inject_rejected": ["scan", "--shared", "w", "--trials", "1", "--inject-known-basis"],
+    # scans longer than one 256-trial kernel chunk
+    "scan_w_600_text": ["scan", "--shared", "w", "--trials", "600", "--seed", "4"],
+    "scan_random_state_300_json": [
+        "scan", "--state-file", "inputs/random_state.json", "--trials", "300", "--seed", "8", "--format", "json",
+    ],
+    "scan_bell00_inject_257_text": ["scan", "--shared", "bell(0,0)", "--trials", "257", "--inject-known-basis"],
+    "analyze_w_300_json": ["analyze", "--shared", "w", "--scan-trials", "300", "--format", "json"],
     # basis-gen: exit 0 / 2
     "basis_gen_h": ["basis-gen", "--params", "0.5,0.2,0.9", "--S", "H"],
     "basis_gen_identity": ["basis-gen", "--params", "0.7854,0,0", "--S", "I"],
