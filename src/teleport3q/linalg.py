@@ -25,8 +25,8 @@ def qubit_count(size: int) -> int:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack (..., m, n)."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def max_abs(a) -> float:
@@ -52,13 +52,29 @@ def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool:
     return max_abs(dagger(u) @ u - np.eye(u.shape[0])) <= tol
 
 
-def _haar_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:
+def _haar_from_rngs(dim: int, rngs: Sequence[np.random.Generator | None]) -> np.ndarray:
+    """Stack of Haar unitaries, one per generator (real Gaussian part drawn
+    first). A None slot gets the identity, a placeholder for the caller to
+    overwrite, so the batched QR never reads uninitialised memory."""
+    parts = np.empty((2, len(rngs), dim, dim))
+    for i, rng in enumerate(rngs):
+        if rng is None:
+            parts[0, i], parts[1, i] = np.eye(dim), 0.0
+        else:
+            rng.standard_normal(out=parts[0, i])
+            rng.standard_normal(out=parts[1, i])
+    z = parts[0] + 1j * parts[1]
+    z /= np.sqrt(2.0)
     # QR of a complex Gaussian is not Haar until the R diagonal phases are
     # absorbed into Q (Mezzadri construction).
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (d / np.abs(d))[..., None, :]
+    return q
+
+
+def _haar_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return _haar_from_rngs(dim, [rng])[0]
 
 
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:

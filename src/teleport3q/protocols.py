@@ -29,7 +29,7 @@ from .linalg import (
     is_unitary,
     max_abs,
 )
-from .states import PureState, WLikeParams, fidelity, make_named_state, w_like_from_params
+from .states import PureState, WLikeParams, check_unit_norm, fidelity, make_named_state, w_like_from_params
 
 SIGMA_BY_INDEX = (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z)
 
@@ -44,6 +44,41 @@ def outcome_bits(index: int, n_bits: int) -> tuple[int, ...]:
 
 def _apply_to_last_qubit(amplitudes: np.ndarray, op: np.ndarray) -> np.ndarray:
     return (amplitudes.reshape(-1, 2) @ op.T).reshape(-1)
+
+
+def check_basis_rows(rows: np.ndarray) -> None:
+    """Raise unless each (d, d) matrix of the stack (..., d, d) has orthonormal rows.
+
+    Every row must be finite with unit norm (the PureState checks), and the
+    Gram matrix must be the identity within ATOL.
+    """
+    check_unit_norm(rows)
+    deviation = max_abs(rows.conj() @ rows.swapaxes(-1, -2) - np.eye(rows.shape[-1]))
+    if deviation > ATOL:
+        raise ValueError(f"basis is not orthonormal: Gram deviation {deviation:.3e}")
+
+
+def branch_tensor(rows: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """Branch operators of a stack of bases, shape (..., outcomes, 2, 2).
+
+    rows[..., k, :] is basis element k on the (message + sender) register and
+    `amplitudes` the shared state. T_k[b, j] = sum_s conj(e_k[j, s]) shared[s, b],
+    i.e. column j of T_k is <e_k|(|j> (x) shared); j is the message bit, s the
+    sender kets and b the receiver's.
+    """
+    d = rows.shape[-1]
+    # one (rows * 2, d/2) x (d/2, 2) product: each row half is (element k, message j)
+    flat = rows.conj().reshape(-1, d // 2) @ amplitudes.reshape(d // 2, 2)
+    return flat.reshape(*rows.shape[:-1], 2, 2).swapaxes(-1, -2)
+
+
+def check_complete(ops: np.ndarray) -> None:
+    """Raise unless sum_k T_k†T_k = I within ATOL for each family (..., outcomes, 2, 2)."""
+    # stacking the branches as rows gives sum_k T_k†T_k = M†M in one product
+    stacked = ops.reshape(*ops.shape[:-3], -1, 2)
+    deviation = max_abs(dagger(stacked) @ stacked - np.eye(2))
+    if deviation > ATOL:
+        raise ValueError(f"branch operators are not complete: deviation {deviation:.3e}")
 
 
 @dataclass(frozen=True)
@@ -64,10 +99,7 @@ class MeasurementBasis:
             raise ValueError("basis elements must share a qubit count")
         if len(self.elements) != 2**n:
             raise ValueError(f"expected {2 ** n} elements on {n} qubits, got {len(self.elements)}")
-        rows = self.as_matrix()
-        deviation = max_abs(rows.conj() @ rows.T - np.eye(len(self.elements)))
-        if deviation > ATOL:
-            raise ValueError(f"basis is not orthonormal: Gram deviation {deviation:.3e}")
+        check_basis_rows(self.as_matrix())
 
     @property
     def n_qubits(self) -> int:
@@ -94,10 +126,7 @@ class BranchOperatorFamily:
     ops: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        total = sum(dagger(t) @ t for t in self.ops)
-        deviation = max_abs(total - np.eye(2))
-        if deviation > ATOL:
-            raise ValueError(f"branch operators are not complete: deviation {deviation:.3e}")
+        check_complete(np.asarray(self.ops))
 
 
 @dataclass(frozen=True)
@@ -130,8 +159,9 @@ class TeleportProtocol:
     @property
     def coefficients(self) -> np.ndarray:
         """Branch magnitudes sqrt(tr(T†T)/2), exactly 0 where that weight is <= PROB_FLOOR."""
-        ops = branch_operators(self.basis, self.shared).ops
-        weights = np.array([np.trace(dagger(t) @ t).real / 2.0 for t in ops])
+        from .feasibility import scale_and_deviation  # feasibility imports this module
+
+        weights, _ = scale_and_deviation(branch_operators(self.basis, self.shared).ops)
         return np.where(weights > PROB_FLOOR, np.sqrt(weights), 0.0)
 
 
@@ -158,18 +188,7 @@ class SampleResult:
 
 def branch_operators(basis: MeasurementBasis, shared: PureState) -> BranchOperatorFamily:
     """Extract the 2x2 branch operators; column j is <basis_k|(|j> (x) shared)."""
-    k = shared.n_qubits
-    rows = basis.as_matrix().conj()
-    columns = []
-    for j in (0, 1):
-        message = np.zeros(2, dtype=complex)
-        message[j] = 1.0
-        joint = np.kron(message, shared.amplitudes).reshape(2**k, 2)
-        columns.append(rows @ joint)
-    ops = tuple(
-        np.column_stack([columns[0][i], columns[1][i]]) for i in range(len(basis.elements))
-    )
-    return BranchOperatorFamily(ops)
+    return BranchOperatorFamily(tuple(branch_tensor(basis.as_matrix(), shared.amplitudes)))
 
 
 def run_teleport(psi: PureState, protocol: TeleportProtocol) -> TeleportResult:

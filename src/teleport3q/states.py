@@ -27,6 +27,14 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains non-finite entries")
 
 
+def check_unit_norm(amplitudes: np.ndarray) -> None:
+    """Raise unless every row (..., 2**n) is finite with unit squared norm within NORM_ATOL."""
+    _require_finite(amplitudes, "amplitudes")
+    deviation = max_abs(np.sum(np.abs(amplitudes) ** 2, axis=-1) - 1.0)
+    if deviation > NORM_ATOL:
+        raise ValueError(f"squared norm deviates from 1 by {deviation:.3e} (> {NORM_ATOL:g})")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit-norm complex amplitude vector over the 2**n computational basis."""
@@ -40,12 +48,7 @@ class PureState:
             raise ValueError("n_qubits must be at least 1")
         if amps.size != 2**self.n_qubits:
             raise ValueError(f"expected {2 ** self.n_qubits} amplitudes, got {amps.size}")
-        _require_finite(amps, "amplitudes")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_ATOL:
-            raise ValueError(
-                f"squared norm deviates from 1 by {abs(norm_sq - 1.0):.3e} (> {NORM_ATOL:g})"
-            )
+        check_unit_norm(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -1,9 +1,14 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from teleport3q import feasibility
 from teleport3q.feasibility import (
+    SCAN_CHUNK,
+    SCAN_TOL,
+    ScanResult,
     build_feasibility_report,
     componentwise_disentangler,
     entropy_criterion,
@@ -15,6 +20,7 @@ from teleport3q.feasibility import (
 )
 from teleport3q.linalg import (
     PAULI_X,
+    _haar_from_rng,
     dagger,
     haar_random_unitary,
     is_unitary,
@@ -23,7 +29,11 @@ from teleport3q.linalg import (
 )
 from teleport3q.protocols import (
     MeasurementBasis,
+    bell_protocol,
     branch_operators,
+    branch_tensor,
+    check_basis_rows,
+    check_complete,
     ghz_protocol,
     w_like_protocol,
 )
@@ -319,3 +329,110 @@ def test_feasibility_report_ghz():
 def test_feasibility_report_rejects_wrong_size():
     with pytest.raises(ValueError):
         build_feasibility_report(haar_random_state(2, 1), "pair", scan_trials=1, seed=0)
+
+
+# ---------------------------------------------------------------- batched scan kernel
+
+
+def reference_scan_ops(shared, trials, seed, inject):
+    """Branch operators of each trial, from the per-trial loop the batched
+    haar_scan replaced: one spawned child, Haar draw and MeasurementBasis per trial."""
+    dim = 2**shared.n_qubits
+    ops = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        if inject is not None and i == 0:
+            basis = inject
+        else:
+            basis = MeasurementBasis.from_unitary_columns(_haar_from_rng(dim, np.random.default_rng(child)))
+        ops.append(branch_operators(basis, shared).ops)
+    return ops
+
+
+def reference_passing(trial_ops, tol):
+    """Per trial, how many branches pass a per-branch unitarity_verdict."""
+    return [sum(unitarity_verdict(t, tol).is_proportional_unitary for t in ops) for ops in trial_ops]
+
+
+def _w_like_case():
+    protocol = w_like_protocol(WLikeParams(0.5, 0.2, 0.9))
+    return protocol.shared, protocol.basis
+
+
+SCAN_CASES = {
+    "w": lambda: (make_named_state("w"), None),
+    "random": lambda: (haar_random_state(3, 11), None),
+    "ghz-injected": lambda: (make_named_state("ghz"), ghz_protocol().basis),
+    "w-like-injected": _w_like_case,
+    "bell00-injected": lambda: (make_named_state("bell(0,0)"), bell_protocol().basis),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_haar_scan_matches_per_trial_reference(case, seed):
+    # The trial counts sit on both sides of the chunk boundaries. At SCAN_TOL
+    # every random branch fails; 0.05 passes some random branches and 0.3
+    # nearly all, so the feasible and max-passing counts are exercised too.
+    # At 0 only exact zeros pass, such as the dead branches of injected bases.
+    shared, inject = SCAN_CASES[case]()
+    counts = sorted({1, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 255, 256, 257, 513})
+    # spawn keys are indices, so a shorter scan uses a prefix of the trials
+    trial_ops = reference_scan_ops(shared, max(counts), seed, inject)
+    outcomes = len(trial_ops[0])
+    for tol in (0.0, SCAN_TOL, 0.05, 0.3):
+        passing = reference_passing(trial_ops, tol)
+        for trials in counts:
+            expected = ScanResult(
+                trials=trials,
+                feasible_count=passing[:trials].count(outcomes),
+                max_passing_branches=max(passing[:trials]),
+                tolerance=tol,
+                injected=inject is not None,
+            )
+            assert haar_scan(shared, trials, seed, inject=inject, tol=tol) == expected
+
+
+def test_kernel_checks_reject_bad_rows():
+    rows = np.stack([haar_random_unitary(8, seed).T for seed in (1, 2)])
+    check_basis_rows(rows)
+    repeated = rows.copy()
+    repeated[1, 3] = repeated[1, 2]
+    with pytest.raises(ValueError, match="not orthonormal"):
+        check_basis_rows(repeated)
+    stretched = rows.copy()
+    stretched[0, 5] *= 1.001
+    with pytest.raises(ValueError, match="squared norm deviates"):
+        check_basis_rows(stretched)
+    broken = rows.copy()
+    broken[1, 0, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        check_basis_rows(broken)
+
+
+def test_kernel_checks_reject_unnormalised_state():
+    rows = np.stack([haar_random_unitary(8, seed).T for seed in (1, 2)])
+    w = make_named_state("w").amplitudes
+    check_complete(branch_tensor(rows, w))
+    with pytest.raises(ValueError, match="not complete"):
+        check_complete(branch_tensor(rows, 1.001 * w))
+
+
+def test_haar_scan_runs_the_checks(monkeypatch):
+    w = make_named_state("w")
+    with pytest.raises(ValueError, match="not complete"):
+        haar_scan(SimpleNamespace(n_qubits=3, amplitudes=1.001 * w.amplitudes), 3, seed=0)
+
+    def equal_rows(dim, rngs):
+        return np.full((len(rngs), dim, dim), 1.0 / math.sqrt(dim), dtype=complex)
+
+    monkeypatch.setattr(feasibility, "_haar_from_rngs", equal_rows)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        haar_scan(w, 3, seed=0)
+
+
+def test_branch_tensor_matches_branch_operators_on_a_stack():
+    shared = haar_random_state(3, 4)
+    bases = [haar_basis(seed) for seed in range(3)]
+    stacked = branch_tensor(np.stack([b.as_matrix() for b in bases]), shared.amplitudes)
+    for basis, ops in zip(bases, stacked):
+        assert np.array_equal(np.array(branch_operators(basis, shared).ops), ops)
