@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import complete_orthonormal, dagger, schmidt_decompose, _haar_from_rngs
-from .protocols import MeasurementBasis, branch_operators, branch_tensor, check_basis_rows, check_complete
+from .linalg import complete_orthonormal, schmidt_decompose, _haar_from_rngs
+from .protocols import (
+    MeasurementBasis, branch_operators, branch_tensor, check_basis_rows, check_complete, scale_and_deviation
+)
 from .states import DensityMatrix, PureState, entanglement_entropy, partial_trace, shannon_entropy
 
 ENTROPY_ATOL = 1e-9
@@ -78,19 +80,6 @@ class FeasibilityReport:
     schmidt: SchmidtDisentangler
 
 
-def scale_and_deviation(ops) -> tuple[np.ndarray, np.ndarray]:
-    """Scale tr(T†T)/2 of each 2x2 operator of a stack (..., 2, 2), and its
-    deviation: the larger max-abs entry of T†T - scale I and TT† - scale I."""
-    ops = np.asarray(ops, dtype=complex)
-    adj = dagger(ops)
-    left, right = adj @ ops, ops @ adj
-    scale = (left[..., 0, 0] + left[..., 1, 1]).real / 2.0
-    shifted = scale[..., None, None] * np.eye(2)
-    left -= shifted
-    right -= shifted
-    return scale, np.maximum(np.abs(left).max(axis=(-2, -1)), np.abs(right).max(axis=(-2, -1)))
-
-
 def unitarity_verdict(t: np.ndarray, tol: float) -> UnitarityVerdict:
     """Test proportionality to a unitary; the zero operator passes with scale 0.
 
@@ -119,7 +108,7 @@ def sum_rule(shared: PureState, basis: MeasurementBasis) -> tuple[float, float]:
     reduced state, for any orthonormal basis; perfect teleportation requires
     the two rows to balance.
     """
-    weights = np.abs(np.asarray(branch_operators(basis, shared).ops)) ** 2
+    weights = np.abs(branch_operators(basis, shared).ops) ** 2
     row0, row1 = weights.sum(axis=(0, 2)).tolist()
     return row0, row1
 
@@ -226,7 +215,7 @@ def haar_scan(
         # basis element k is column k of the unitary
         rows = np.ascontiguousarray(_haar_from_rngs(dim, rngs).swapaxes(-1, -2))
         if injected:
-            rows[0] = inject.as_matrix()
+            rows[0] = inject.rows
         check_basis_rows(rows)
         ops = branch_tensor(rows, shared.amplitudes)
         check_complete(ops)

@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 ATOL = 1e-10
+PIVOT_TOL = 1e-8
 
 IDENTITY = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -45,11 +46,12 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool:
-    """True iff the max-abs entry of u†u - I is within tol."""
+    """True iff u is finite and the max-abs entry of u†u - I is within tol."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"operator must be square, got shape {u.shape}")
-    return max_abs(dagger(u) @ u - np.eye(u.shape[0])) <= tol
+    # checked first: inf * 0 in the product is NaN, with a RuntimeWarning
+    return bool(np.isfinite(u).all()) and max_abs(dagger(u) @ u - np.eye(u.shape[0])) <= tol
 
 
 def _haar_from_rngs(dim: int, rngs: Sequence[np.random.Generator | None]) -> np.ndarray:
@@ -117,11 +119,12 @@ def schmidt_decompose(amplitudes: np.ndarray, cut_qubits: Sequence[int]) -> Schm
     return SchmidtForm(coefficients=s, left_factors=u.T.copy(), right_factors=vh.copy())
 
 
-def complete_orthonormal(rows: np.ndarray, dim: int, pivot_tol: float = 1e-8) -> np.ndarray:
+def complete_orthonormal(rows: np.ndarray, dim: int) -> np.ndarray:
     """Extend orthonormal rows to a full orthonormal basis of C^dim.
 
     Candidates are the computational-basis kets taken in index order, so the
-    completion is reproducible without any randomness. Each accepted vector is
+    completion is reproducible without any randomness; a candidate whose
+    residual norm is at most PIVOT_TOL is skipped. Each accepted vector is
     orthogonalized twice; a single Gram-Schmidt pass loses digits when the
     pivot norm is small.
     """
@@ -135,7 +138,7 @@ def complete_orthonormal(rows: np.ndarray, dim: int, pivot_tol: float = 1e-8) ->
             for b in basis:
                 v = v - np.vdot(b, v) * b
         norm = float(np.linalg.norm(v))
-        if norm > pivot_tol:
+        if norm > PIVOT_TOL:
             basis.append(v / norm)
     if len(basis) != dim:
         raise RuntimeError(f"could not complete basis: got {len(basis)} of {dim} vectors")

@@ -28,8 +28,9 @@ from .linalg import (
     dagger,
     is_unitary,
     max_abs,
+    qubit_count,
 )
-from .states import PureState, WLikeParams, check_unit_norm, fidelity, make_named_state, w_like_from_params
+from .states import PureState, WLikeParams, check_unit_norm, make_named_state, w_like_from_params
 
 SIGMA_BY_INDEX = (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z)
 
@@ -81,52 +82,62 @@ def check_complete(ops: np.ndarray) -> None:
         raise ValueError(f"branch operators are not complete: deviation {deviation:.3e}")
 
 
+def scale_and_deviation(ops) -> tuple[np.ndarray, np.ndarray]:
+    """Scale tr(T†T)/2 of each 2x2 operator of a stack (..., 2, 2), and its
+    deviation: the larger max-abs entry of T†T - scale I and TT† - scale I."""
+    ops = np.asarray(ops, dtype=complex)
+    adj = dagger(ops)
+    left, right = adj @ ops, ops @ adj
+    scale = (left[..., 0, 0] + left[..., 1, 1]).real / 2.0
+    shifted = scale[..., None, None] * np.eye(2)
+    left -= shifted
+    right -= shifted
+    return scale, np.maximum(np.abs(left).max(axis=(-2, -1)), np.abs(right).max(axis=(-2, -1)))
+
+
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Full orthonormal basis on the measured register, one element per outcome.
+    """Full orthonormal basis on the measured register, one row per outcome.
 
-    Element k corresponds to the outcome whose bits are the big-endian binary
-    digits of k.
+    `rows` is a read-only (2**n, 2**n) matrix; row k is the element for the
+    outcome whose bits are the big-endian binary digits of k.
     """
 
-    elements: tuple[PureState, ...]
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.elements:
-            raise ValueError("basis needs at least one element")
-        n = self.elements[0].n_qubits
-        if any(e.n_qubits != n for e in self.elements):
-            raise ValueError("basis elements must share a qubit count")
-        if len(self.elements) != 2**n:
-            raise ValueError(f"expected {2 ** n} elements on {n} qubits, got {len(self.elements)}")
-        check_basis_rows(self.as_matrix())
+        rows = np.array(self.rows, dtype=complex, order="C")
+        if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or qubit_count(len(rows)) < 1:
+            raise ValueError(f"basis must be a 2**n x 2**n matrix with n >= 1, got shape {rows.shape}")
+        check_basis_rows(rows)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n_qubits(self) -> int:
-        return self.elements[0].n_qubits
-
-    def as_matrix(self) -> np.ndarray:
-        """Row k holds element k's amplitudes."""
-        return np.stack([e.amplitudes for e in self.elements])
+        return qubit_count(len(self.rows))
 
     @classmethod
     def from_unitary_columns(cls, u: np.ndarray) -> "MeasurementBasis":
-        u = np.asarray(u, dtype=complex)
-        return cls(tuple(PureState.from_array(u[:, k]) for k in range(u.shape[1])))
+        return cls(np.asarray(u).T)
 
 
 @dataclass(frozen=True)
 class BranchOperatorFamily:
     """The per-outcome 2x2 operators induced by a basis and a shared state.
 
-    For any orthonormal basis and normalized shared state the family is
-    complete: sum of T†T equals the identity.
+    `ops` is a read-only (outcomes, 2, 2) array. For any orthonormal basis and
+    normalized shared state the family is complete: sum of T†T equals the
+    identity.
     """
 
-    ops: tuple[np.ndarray, ...]
+    ops: np.ndarray
 
     def __post_init__(self) -> None:
-        check_complete(np.asarray(self.ops))
+        ops = np.array(self.ops, dtype=complex, order="C")
+        check_complete(ops)
+        ops.setflags(write=False)
+        object.__setattr__(self, "ops", ops)
 
 
 @dataclass(frozen=True)
@@ -140,7 +151,7 @@ class TeleportProtocol:
     def __post_init__(self) -> None:
         if self.basis.n_qubits != self.shared.n_qubits:
             raise ValueError("basis must act on as many qubits as the shared state")
-        n_out = len(self.basis.elements)
+        n_out = len(self.basis.rows)
         if len(self.corrections) != n_out:
             raise ValueError(f"expected {n_out} corrections, got {len(self.corrections)}")
         frozen = []
@@ -153,14 +164,8 @@ class TeleportProtocol:
         object.__setattr__(self, "corrections", tuple(frozen))
 
     @property
-    def n_outcomes(self) -> int:
-        return len(self.basis.elements)
-
-    @property
     def coefficients(self) -> np.ndarray:
         """Branch magnitudes sqrt(tr(T†T)/2), exactly 0 where that weight is <= PROB_FLOOR."""
-        from .feasibility import scale_and_deviation  # feasibility imports this module
-
         weights, _ = scale_and_deviation(branch_operators(self.basis, self.shared).ops)
         return np.where(weights > PROB_FLOOR, np.sqrt(weights), 0.0)
 
@@ -169,7 +174,6 @@ class TeleportProtocol:
 class BranchOutcome:
     index: tuple[int, ...]
     probability: float
-    bob_state: PureState | None
     branch_fidelity: float | None
 
 
@@ -188,7 +192,7 @@ class SampleResult:
 
 def branch_operators(basis: MeasurementBasis, shared: PureState) -> BranchOperatorFamily:
     """Extract the 2x2 branch operators; column j is <basis_k|(|j> (x) shared)."""
-    return BranchOperatorFamily(tuple(branch_tensor(basis.as_matrix(), shared.amplitudes)))
+    return BranchOperatorFamily(branch_tensor(basis.rows, shared.amplitudes))
 
 
 def run_teleport(psi: PureState, protocol: TeleportProtocol) -> TeleportResult:
@@ -208,12 +212,12 @@ def run_teleport(psi: PureState, protocol: TeleportProtocol) -> TeleportResult:
         branch = t @ psi.amplitudes
         prob = float(np.sum(np.abs(branch) ** 2))
         if prob <= PROB_FLOOR:
-            outcomes.append(BranchOutcome(outcome_bits(k, n_bits), prob, None, None))
+            outcomes.append(BranchOutcome(outcome_bits(k, n_bits), prob, None))
             continue
-        bob = PureState(1, dagger(protocol.corrections[k]) @ (branch / np.sqrt(prob)))
-        fid = fidelity(psi, bob)
+        bob = dagger(protocol.corrections[k]) @ (branch / np.sqrt(prob))
+        fid = float(abs(np.vdot(psi.amplitudes, bob)) ** 2)
         total += prob * fid
-        outcomes.append(BranchOutcome(outcome_bits(k, n_bits), prob, bob, fid))
+        outcomes.append(BranchOutcome(outcome_bits(k, n_bits), prob, fid))
     return TeleportResult(tuple(outcomes), total)
 
 
@@ -244,19 +248,15 @@ def sample_teleport(
 
 
 def _basis_with_completion(live: dict[int, np.ndarray], dim: int) -> MeasurementBasis:
-    live_rows = np.stack([live[i] for i in sorted(live)])
-    full = complete_orthonormal(live_rows, dim)
+    full = complete_orthonormal(np.stack([live[i] for i in sorted(live)]), dim)
     extras = iter(full[len(live) :])
-    elements = []
-    for i in range(dim):
-        elements.append(PureState.from_array(live[i] if i in live else next(extras)))
-    return MeasurementBasis(tuple(elements))
+    return MeasurementBasis(np.stack([live[i] if i in live else next(extras) for i in range(dim)]))
 
 
 def bell_protocol() -> TeleportProtocol:
     """Baseline 2-qubit protocol over the bell(0,0) shared pair; four live branches."""
     basis = MeasurementBasis(
-        tuple(make_named_state(f"bell({m},{n})") for m in (0, 1) for n in (0, 1))
+        np.stack([make_named_state(f"bell({m},{n})").amplitudes for m in (0, 1) for n in (0, 1)])
     )
     # element order is 00, 01, 10, 11
     corrections = (IDENTITY, PAULI_X, PAULI_Z, -1j * PAULI_Y)
@@ -352,7 +352,7 @@ def basis_from_S(params: WLikeParams, s: np.ndarray) -> TeleportProtocol:
     """
     s = np.asarray(s, dtype=complex)
     if s.shape != (2, 2) or not is_unitary(s, ATOL):
-        raise ValueError("S is not unitary (2x2 within tolerance 1e-10 required)")
+        raise ValueError(f"S is not unitary (2x2 within tolerance {ATOL:g} required)")
     shared = w_like_from_params(params)
     live = {}
     corrections = [IDENTITY] * 8

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__
 from .feasibility import FeasibilityReport
-from .linalg import ATOL, max_abs
+from .linalg import ATOL, max_abs, qubit_count
 from .protocols import MeasurementBasis, TeleportProtocol
 from .states import DensityMatrix, PureState
 
@@ -27,19 +27,22 @@ def _pair(z: complex) -> list[float]:
     return [round12(z.real), round12(z.imag)]
 
 
+def _amplitudes_to_jsonable(amplitudes: np.ndarray) -> dict:
+    return {"nQubits": qubit_count(amplitudes.size), "amplitudes": [_pair(z) for z in amplitudes]}
+
+
 def state_to_jsonable(state: PureState) -> dict:
-    return {
-        "nQubits": state.n_qubits,
-        "amplitudes": [_pair(z) for z in state.amplitudes],
-    }
+    return _amplitudes_to_jsonable(state.amplitudes)
 
 
 def state_from_jsonable(data: dict) -> PureState:
     if not isinstance(data, dict) or "nQubits" not in data or "amplitudes" not in data:
         raise ValueError("state object must have nQubits and amplitudes fields")
+    n_qubits = data["nQubits"]
+    if type(n_qubits) is not int:  # rejects bool, float and string, never truncates
+        raise ValueError(f"nQubits must be an integer, got {n_qubits!r}")
     try:
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        n_qubits = int(data["nQubits"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed state object: {exc}") from exc
     return PureState(n_qubits, amps)
@@ -63,7 +66,7 @@ def matrix_to_jsonable(matrix: DensityMatrix) -> dict:
 def protocol_to_jsonable(protocol: TeleportProtocol) -> dict:
     return {
         "sharedState": state_to_jsonable(protocol.shared),
-        "basisElements": [state_to_jsonable(e) for e in protocol.basis.elements],
+        "basisElements": [_amplitudes_to_jsonable(row) for row in protocol.basis.rows],
         "corrections": [operator_to_jsonable(u) for u in protocol.corrections],
         "coefficients": [round12(c) for c in protocol.coefficients],
     }
@@ -84,11 +87,13 @@ def protocol_from_jsonable(data: dict) -> TeleportProtocol:
         coefficients = np.array([float(c) for c in data["coefficients"]])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed coefficients: {exc}") from exc
+    shared = state_from_jsonable(data["sharedState"])
+    rows = [state_from_jsonable(e).amplitudes for e in data["basisElements"]]
+    if len({row.size for row in rows}) > 1:
+        raise ValueError("basis elements must share a qubit count")
     protocol = TeleportProtocol(
-        shared=state_from_jsonable(data["sharedState"]),
-        basis=MeasurementBasis(
-            tuple(state_from_jsonable(e) for e in data["basisElements"])
-        ),
+        shared=shared,
+        basis=MeasurementBasis(np.array(rows)),
         corrections=tuple(operator_from_jsonable(u) for u in data["corrections"]),
     )
     derived = protocol.coefficients

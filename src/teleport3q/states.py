@@ -46,8 +46,9 @@ class PureState:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be at least 1")
-        if amps.size != 2**self.n_qubits:
-            raise ValueError(f"expected {2 ** self.n_qubits} amplitudes, got {amps.size}")
+        # compare qubit counts: 2**n_qubits of an unchecked n_qubits may be huge
+        if qubit_count(amps.size) != self.n_qubits:
+            raise ValueError(f"expected 2**{self.n_qubits} amplitudes, got {amps.size}")
         check_unit_norm(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -84,13 +85,13 @@ class DensityMatrix:
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
         _require_finite(m, "density matrix")
         if max_abs(m - m.conj().T) > NORM_ATOL:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
+            raise ValueError(f"density matrix is not Hermitian within {NORM_ATOL:g}")
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > NORM_ATOL:
             raise ValueError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
         eigs = np.linalg.eigvalsh(m)
         if float(eigs.min()) < -NORM_ATOL:
-            raise ValueError(f"negative eigenvalue {eigs.min():.3e} below -1e-10")
+            raise ValueError(f"negative eigenvalue {eigs.min():.3e} below {-NORM_ATOL:g}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -28,6 +28,7 @@ from teleport3q.protocols import (
     w_like_protocol,
 )
 from teleport3q.states import (
+    PureState,
     WLikeParams,
     entanglement_entropy,
     fidelity,
@@ -75,7 +76,7 @@ def test_criterion_03_free_unitary_generality():
         params = _random_params(rng)
         s = haar_random_unitary(2, 30_000 + k)
         protocol = basis_from_S(params, s)
-        live = np.stack([protocol.basis.elements[i].amplitudes for i in range(4)])
+        live = protocol.basis.rows[:4]
         assert max_abs(live.conj() @ live.T - np.eye(4)) <= 1e-10
         psi = haar_random_state(1, 31_000 + k)
         assert abs(run_teleport(psi, protocol).total_fidelity - 1.0) <= 1e-10
@@ -86,10 +87,8 @@ def test_criterion_03_free_unitary_generality():
     canonical = w_like_protocol(params)
     slot_map = {0: 0, 1: 2, 2: 3, 3: 1}
     for src, dst in slot_map.items():
-        assert (
-            fidelity(generated.basis.elements[src], canonical.basis.elements[dst])
-            >= 1.0 - 1e-10
-        )
+        generated_row = PureState.from_array(generated.basis.rows[src])
+        assert fidelity(generated_row, PureState.from_array(canonical.basis.rows[dst])) >= 1.0 - 1e-10
     _passed(3, "20 params x 20 Haar S orthonormal and perfect; S=I matches canonical")
 
 

@@ -142,19 +142,27 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (None, "S must be a JSON list of rows"),
+        ("[1,2]", "S must be a JSON list of rows"),
+        ("[[1,0],[0,1e400]]", "S is not unitary"),
         ({"basisElements": 5}, "must be lists: basisElements"),
         ({"corrections": 5}, "must be lists: corrections"),
         ({"coefficients": [1.0] + [0.0] * 7}, "coefficients differ from the derived"),
+        ({"corrections": [[[[1e400, 0], [0, 0]], [[0, 0], [1, 0]]]] * 8}, "correction 0 is not a 2x2 unitary"),
     ],
-    ids=["S-not-nested", "basisElements-not-list", "corrections-not-list", "coefficients-edited"],
+    ids=[
+        "S-not-nested", "S-non-finite", "basisElements-not-list", "corrections-not-list",
+        "coefficients-edited", "correction-non-finite",
+    ],
 )
 def test_malformed_input_exits_2(tmp_path, edit, message):
-    if edit is None:
-        args = ["basis-gen", "--params", "0.5,0.2,0.9", "--S", "[1,2]"]
+    """A string edit is a basis-gen --S spec; a dict edit overrides protocol-file fields."""
+    if isinstance(edit, str):
+        args = ["basis-gen", "--params", "0.5,0.2,0.9", "--S", edit]
     else:
         path = tmp_path / "protocol.json"
-        path.write_text(json.dumps(json.loads(BASIS_GEN_PROTOCOL.read_text()) | edit))
+        # json writes an infinite float as Infinity; the file spells it 1e400
+        text = json.dumps(json.loads(BASIS_GEN_PROTOCOL.read_text()) | edit).replace("Infinity", "1e400")
+        path.write_text(text)
         args = ["teleport", "--protocol-file", str(path), "--random", "--expect-perfect"]
     proc = run_cli(*args)
     assert proc.returncode == 2
@@ -188,6 +196,16 @@ def test_state_file_input(tmp_path):
     proc = run_cli("analyze", "--state-file", str(path), "--scan-trials", "3")
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["entropyVerdict"] is False
+
+
+@pytest.mark.parametrize("n_qubits", ["1e400", "3.7", '"3"', str(10**12)])
+def test_state_file_n_qubits_must_be_the_integer_qubit_count(tmp_path, n_qubits):
+    path = tmp_path / "w.json"
+    text = dumps_canonical(state_to_jsonable(make_named_state("w")))
+    path.write_text(text.replace('"nQubits": 3', f'"nQubits": {n_qubits}'))
+    proc = run_cli("analyze", "--state-file", str(path), "--scan-trials", "3")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_unreadable_state_file():

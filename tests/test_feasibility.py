@@ -433,6 +433,6 @@ def test_haar_scan_runs_the_checks(monkeypatch):
 def test_branch_tensor_matches_branch_operators_on_a_stack():
     shared = haar_random_state(3, 4)
     bases = [haar_basis(seed) for seed in range(3)]
-    stacked = branch_tensor(np.stack([b.as_matrix() for b in bases]), shared.amplitudes)
+    stacked = branch_tensor(np.stack([b.rows for b in bases]), shared.amplitudes)
     for basis, ops in zip(bases, stacked):
-        assert np.array_equal(np.array(branch_operators(basis, shared).ops), ops)
+        assert np.array_equal(branch_operators(basis, shared).ops, ops)

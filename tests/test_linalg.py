@@ -59,6 +59,13 @@ def test_is_unitary_rejects_zero_and_scaling():
     assert not is_unitary(np.diag([1.0, 2.0]), 1e-10)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1j * np.inf])
+def test_is_unitary_rejects_non_finite_entries(bad):
+    u = np.eye(2, dtype=complex)
+    u[1, 1] = bad
+    assert not is_unitary(u)
+
+
 def test_is_unitary_rejects_non_square():
     with pytest.raises(ValueError):
         is_unitary(np.zeros((2, 3)))

@@ -25,7 +25,6 @@ from teleport3q.protocols import (
     w_like_protocol,
 )
 from teleport3q.states import (
-    PureState,
     WLikeParams,
     bloch_qubit,
     haar_random_state,
@@ -90,12 +89,28 @@ def test_measurement_basis_rejects_non_orthonormal():
     for k, e in enumerate(kets):
         e[k % 4] = 1.0  # duplicates
     with pytest.raises(ValueError, match="orthonormal"):
-        MeasurementBasis(tuple(PureState.from_array(e) for e in kets))
+        MeasurementBasis(np.stack(kets))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (6, 6), (8, 4), (8,)])
+def test_measurement_basis_rejects_bad_shapes(shape):
+    with pytest.raises(ValueError):
+        MeasurementBasis(np.eye(*shape) if len(shape) == 2 else np.ones(shape))
+
+
+def test_basis_rows_and_branch_operators_are_read_only():
+    protocol = ghz_protocol()
+    family = branch_operators(protocol.basis, protocol.shared)
+    assert family.ops.shape == (8, 2, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        family.ops[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        protocol.basis.rows[0, 0] = 1.0
 
 
 def test_measurement_basis_completeness():
     basis = ghz_protocol().basis
-    total = sum(np.outer(e.amplitudes, e.amplitudes.conj()) for e in basis.elements)
+    total = sum(np.outer(e, e.conj()) for e in basis.rows)
     assert max_abs(total - np.eye(8)) <= 1e-10
 
 
@@ -107,8 +122,8 @@ def test_branch_operators_match_oracle_on_ghz_basis():
     live = ghz_live_basis_arrays()
     protocol = ghz_protocol()
     family = branch_operators(protocol.basis, shared)
-    for k, element in enumerate(protocol.basis.elements):
-        expected = oracle_branch_op(element.amplitudes, shared.amplitudes)
+    for k, element in enumerate(protocol.basis.rows):
+        expected = oracle_branch_op(element, shared.amplitudes)
         assert max_abs(family.ops[k] - expected) <= 1e-12
     # live branches carry the scaled corrections; dead branches vanish
     assert max_abs(family.ops[0] - 0.5 * IDENTITY) <= 1e-12
@@ -121,7 +136,7 @@ def test_branch_operators_match_oracle_on_ghz_basis():
         assert max_abs(family.ops[k]) <= 1e-12
     # the hand-written live arrays agree with the protocol's live slots
     for k, e in live.items():
-        assert max_abs(protocol.basis.elements[k].amplitudes - e) <= 1e-12
+        assert max_abs(protocol.basis.rows[k] - e) <= 1e-12
 
 
 def test_branch_operators_match_oracle_on_haar_bases():
@@ -129,8 +144,8 @@ def test_branch_operators_match_oracle_on_haar_bases():
     for seed in range(5):
         basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, seed))
         family = branch_operators(basis, shared)
-        for k, element in enumerate(basis.elements):
-            expected = oracle_branch_op(element.amplitudes, shared.amplitudes)
+        for k, element in enumerate(basis.rows):
+            expected = oracle_branch_op(element, shared.amplitudes)
             assert max_abs(family.ops[k] - expected) <= 1e-12
 
 
@@ -196,12 +211,12 @@ def test_w_like_live_basis_at_gamma_zero():
     protocol = w_like_protocol(WLikeParams(0.0, 0.0, 0.0))
     expected = np.zeros(8, dtype=complex)
     expected[1] = expected[4] = 1 / SQRT2
-    assert max_abs(protocol.basis.elements[0].amplitudes - expected) <= 1e-12
+    assert max_abs(protocol.basis.rows[0] - expected) <= 1e-12
 
 
 def test_w_like_live_gram_identity():
     protocol = w_like_protocol(WLikeParams(1.1, 0.4, -0.9))
-    live = np.stack([protocol.basis.elements[k].amplitudes for k in range(4)])
+    live = protocol.basis.rows[:4]
     gram = live.conj() @ live.T
     assert max_abs(gram - np.eye(4)) <= 1e-10
 
@@ -278,8 +293,8 @@ def test_basis_from_identity_matches_canonical_live_elements():
     slot_map = {0: 0, 1: 2, 2: 3, 3: 1}
     for src, dst in slot_map.items():
         assert_equal_up_to_phase(
-            generated.basis.elements[src].amplitudes,
-            canonical.basis.elements[dst].amplitudes,
+            generated.basis.rows[src],
+            canonical.basis.rows[dst],
         )
 
 
@@ -295,7 +310,7 @@ def test_basis_from_S_perfect_for_random_unitaries():
 
 def test_basis_from_S_live_gram():
     protocol = basis_from_S(WLikeParams(0.5, 0.2, 0.9), haar_random_unitary(2, 8))
-    live = np.stack([protocol.basis.elements[k].amplitudes for k in range(4)])
+    live = protocol.basis.rows[:4]
     assert max_abs(live.conj() @ live.T - np.eye(4)) <= 1e-10
 
 
