@@ -12,7 +12,7 @@ import json
 import math
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -33,6 +33,8 @@ from .protocols import (
 )
 from .serialize import (
     dumps_canonical,
+    json_complex,
+    json_number,
     protocol_from_jsonable,
     protocol_to_jsonable,
     report_to_jsonable,
@@ -156,11 +158,8 @@ def _resolve_protocol(args) -> tuple[TeleportProtocol, str]:
 
 
 def _entry_to_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ValueError("matrix entries must be numbers or [re, im] pairs")
+    """An S entry: a JSON number or an [re, im] pair of them."""
+    return json_complex(value) if isinstance(value, list) else complex(json_number(value))
 
 
 def _parse_s_operator(spec: str) -> np.ndarray:
@@ -390,8 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process. Parsing keeps no state on the parser:
+    each parse_args call fills a fresh Namespace from the declared defaults."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import complete_orthonormal, schmidt_decompose, _haar_from_rngs
+from .linalg import _haar_from_states, complete_orthonormal, schmidt_decompose, spawned_pcg64_states
 from .protocols import (
     MeasurementBasis, branch_operators, branch_tensor, check_basis_rows, check_complete, scale_and_deviation
 )
@@ -194,26 +194,34 @@ def haar_scan(
     control. The scan tolerance is looser than construction tolerances because
     random bases miss proportional-unitarity by O(1), not by rounding.
 
-    Trials run in chunks of SCAN_CHUNK as one array computation: the children
-    of a chunk are spawned when it starts (the same keys as spawning all at
-    once), its unitaries come from one batched QR, its branch operators from
-    one contraction and its verdicts from batched deviations. Each chunk gets
-    the checks a MeasurementBasis and a BranchOperatorFamily make: finite
-    unit-norm elements, orthonormality and completeness, with the same errors.
+    Trials run in chunks of SCAN_CHUNK as one array computation. No child
+    SeedSequence or Generator is built: `spawned_pcg64_states` computes the
+    PCG64 state default_rng(child) would start from for every child of the
+    chunk at once, and one Generator set to each state in turn draws that
+    trial's Gaussians. numpy's stream-compatibility policy (NEP 19) fixes
+    SeedSequence and PCG64 seeding, so the draws, and every result, are those
+    of default_rng(child); the tests check this bit for bit. Spawn keys are one
+    word, hence at most 2**32 trials. A chunk's unitaries come from one batched
+    QR, its branch operators from one contraction and its verdicts from the
+    closed-form deviations. Each chunk gets the checks a MeasurementBasis and a
+    BranchOperatorFamily make: finite unit-norm elements, orthonormality and
+    completeness, with the same errors.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > 2**32:
+        raise ValueError("trials must be <= 2**32")
     dim = 2**shared.n_qubits
-    seeds = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(0)  # its state is replaced before every draw
     feasible_count = 0
     max_passing = 0
     for start in range(0, trials, SCAN_CHUNK):
-        rngs = [np.random.default_rng(child) for child in seeds.spawn(min(SCAN_CHUNK, trials - start))]
+        states = spawned_pcg64_states(seed, start, min(SCAN_CHUNK, trials - start))
         injected = inject is not None and start == 0
         if injected:
-            rngs[0] = None
+            states[0] = None
         # basis element k is column k of the unitary
-        rows = np.ascontiguousarray(_haar_from_rngs(dim, rngs).swapaxes(-1, -2))
+        rows = np.ascontiguousarray(_haar_from_states(dim, rng, states).swapaxes(-1, -2))
         if injected:
             rows[0] = inject.rows
         check_basis_rows(rows)

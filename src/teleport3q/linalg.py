@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,15 +55,86 @@ def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool:
     return bool(np.isfinite(u).all()) and max_abs(dagger(u) @ u - np.eye(u.shape[0])) <= tol
 
 
-def _haar_from_rngs(dim: int, rngs: Sequence[np.random.Generator | None]) -> np.ndarray:
-    """Stack of Haar unitaries, one per generator (real Gaussian part drawn
-    first). A None slot gets the identity, a placeholder for the caller to
-    overwrite, so the batched QR never reads uninitialised memory."""
-    parts = np.empty((2, len(rngs), dim, dim))
-    for i, rng in enumerate(rngs):
-        if rng is None:
+# SeedSequence hashing constants, from numpy/random/bit_generator.pyx.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG_DEFAULT_MULTIPLIER_128, from numpy/random/src/pcg64/pcg64.h.
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = 2**128 - 1
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """SeedSequence's hash constant at each of `steps` + 1 points: init, then
+    multiplied by `mult` modulo 2**32 at each step; shape (steps + 1, 1)."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult % 2**32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashing step (hashmix, or one generate_state word) on the
+    uint32 rows of `values`, row i xored with consts[i] and multiplied by
+    consts[i + 1]."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> np.uint32(16))
+
+
+# generate_state(4, np.uint64) draws 8 words with these constants
+_GENERATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def spawned_pcg64_states(seed: int, start: int, count: int) -> list[dict]:
+    """PCG64 states of default_rng(child) for the children start..start+count-1
+    of SeedSequence(seed), computed for all of them at once.
+
+    numpy's stream-compatibility policy (NEP 19) fixes SeedSequence and PCG64
+    seeding, and this follows their source. A child's entropy is the seed's
+    uint32 words, zero-padded to the pool size, then its spawn key, one word
+    while start + count <= 2**32. Up to that last word the child mixes exactly
+    what its parent mixes, so it starts from the parent's pool and from the
+    hash constant after the parent's 16 + 4 * (words beyond the pool) hashmix
+    calls; the key is then hashmixed into each pool word. generate_state(4,
+    uint64) yields PCG64's seed and sequence words, which pcg64_set_seed turns
+    into (state, inc).
+    """
+    seed = operator.index(seed)
+    parent = np.random.SeedSequence(seed)
+    words = max(1, -(-seed.bit_length() // 32))
+    calls = _POOL_SIZE**2 + _POOL_SIZE * max(0, words - _POOL_SIZE)
+    keys = np.arange(start, start + count, dtype=np.uint64).astype(np.uint32)
+    mixed = _hash(keys, _hash_constants(_INIT_A * pow(_MULT_A, calls, 2**32) % 2**32, _MULT_A, _POOL_SIZE))
+    # mix(pool word, hashmix(key)): MIX_MULT_L * x - MIX_MULT_R * y, folded
+    pool = np.uint32(_MIX_MULT_L) * parent.pool[:, None] - np.uint32(_MIX_MULT_R) * mixed
+    pool ^= pool >> np.uint32(16)
+    # 8 words cycling over the pool, read as little-endian pairs
+    out = _hash(np.tile(pool, (2, 1)), _GENERATE_CONSTANTS).astype(np.uint64)
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in (out[0::2] | out[1::2] << np.uint64(32)).T.tolist():
+        # pcg64_set_seed: inc = 2 * initseq + 1; an LCG step from 0, add
+        # initstate, another LCG step
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        )
+    return states
+
+
+def _haar_from_states(dim: int, rng: np.random.Generator, states: Sequence[dict | None]) -> np.ndarray:
+    """Stack of Haar unitaries, one per bit-generator state: `rng` is set to
+    each state in turn and draws the real, then the imaginary Gaussian part. A
+    None slot gets the identity, a placeholder for the caller to overwrite, so
+    the batched QR never reads uninitialised memory."""
+    parts = np.empty((2, len(states), dim, dim))
+    bit_generator = rng.bit_generator
+    for i, state in enumerate(states):
+        if state is None:
             parts[0, i], parts[1, i] = np.eye(dim), 0.0
         else:
+            bit_generator.state = state
             rng.standard_normal(out=parts[0, i])
             rng.standard_normal(out=parts[1, i])
     z = parts[0] + 1j * parts[1]
@@ -76,7 +148,7 @@ def _haar_from_rngs(dim: int, rngs: Sequence[np.random.Generator | None]) -> np.
 
 
 def _haar_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return _haar_from_rngs(dim, [rng])[0]
+    return _haar_from_states(dim, rng, [rng.bit_generator.state])[0]
 
 
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:

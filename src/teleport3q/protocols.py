@@ -84,15 +84,22 @@ def check_complete(ops: np.ndarray) -> None:
 
 def scale_and_deviation(ops) -> tuple[np.ndarray, np.ndarray]:
     """Scale tr(T†T)/2 of each 2x2 operator of a stack (..., 2, 2), and its
-    deviation: the larger max-abs entry of T†T - scale I and TT† - scale I."""
+    deviation: the larger max-abs entry of T†T - scale I and TT† - scale I.
+
+    Computed in closed form for T = [[a, b], [c, d]]: the scale is
+    (|a|^2 + |b|^2 + |c|^2 + |d|^2) / 2, the diagonals of T†T and TT† are the
+    column sums |a|^2 + |c|^2, |b|^2 + |d|^2 and the row sums |a|^2 + |b|^2,
+    |c|^2 + |d|^2, and their off-diagonal entries are conj(a) b + conj(c) d and
+    a conj(c) + b conj(d), each with its conjugate.
+    """
     ops = np.asarray(ops, dtype=complex)
-    adj = dagger(ops)
-    left, right = adj @ ops, ops @ adj
-    scale = (left[..., 0, 0] + left[..., 1, 1]).real / 2.0
-    shifted = scale[..., None, None] * np.eye(2)
-    left -= shifted
-    right -= shifted
-    return scale, np.maximum(np.abs(left).max(axis=(-2, -1)), np.abs(right).max(axis=(-2, -1)))
+    a, b, c, d = ops[..., 0, 0], ops[..., 0, 1], ops[..., 1, 0], ops[..., 1, 1]
+    weights = ops.real**2 + ops.imag**2
+    columns = weights.sum(axis=-2)
+    scale = (columns[..., 0] + columns[..., 1]) / 2.0
+    diagonals = np.concatenate([columns, weights.sum(axis=-1)], axis=-1) - scale[..., None]
+    off_diagonal = np.maximum(np.abs(a.conj() * b + c.conj() * d), np.abs(a * c.conj() + b * d.conj()))
+    return scale, np.maximum(np.abs(diagonals).max(axis=-1), off_diagonal)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,23 @@ def round12(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
+def json_number(value) -> float:
+    """A JSON number read as a float: an int or a float, never a bool or a string."""
+    if type(value) not in (int, float):  # bool is a subclass of int
+        raise ValueError(f"expected a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("JSON integer too large for a float") from None
+
+
+def json_complex(pair) -> complex:
+    """An [re, im] pair of JSON numbers read as a complex number."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"expected an [re, im] pair, got {pair!r}")
+    return complex(json_number(pair[0]), json_number(pair[1]))
+
+
 def _pair(z: complex) -> list[float]:
     return [round12(z.real), round12(z.imag)]
 
@@ -42,7 +59,7 @@ def state_from_jsonable(data: dict) -> PureState:
     if type(n_qubits) is not int:  # rejects bool, float and string, never truncates
         raise ValueError(f"nQubits must be an integer, got {n_qubits!r}")
     try:
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+        amps = np.array([json_complex(pair) for pair in data["amplitudes"]])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed state object: {exc}") from exc
     return PureState(n_qubits, amps)
@@ -54,7 +71,7 @@ def operator_to_jsonable(op: np.ndarray) -> list:
 
 def operator_from_jsonable(data) -> np.ndarray:
     try:
-        return np.array([[complex(re, im) for re, im in row] for row in data])
+        return np.array([[json_complex(pair) for pair in row] for row in data])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed operator entries: {exc}") from exc
 
@@ -84,8 +101,8 @@ def protocol_from_jsonable(data: dict) -> TeleportProtocol:
     if not_lists:
         raise ValueError(f"protocol fields must be lists: {', '.join(not_lists)}")
     try:
-        coefficients = np.array([float(c) for c in data["coefficients"]])
-    except (TypeError, ValueError) as exc:
+        coefficients = np.array([json_number(c) for c in data["coefficients"]])
+    except ValueError as exc:
         raise ValueError(f"malformed coefficients: {exc}") from exc
     shared = state_from_jsonable(data["sharedState"])
     rows = [state_from_jsonable(e).amplitudes for e in data["basisElements"]]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from teleport3q import cli, feasibility
 from teleport3q.serialize import dumps_canonical, state_to_jsonable
 from teleport3q.states import make_named_state
 
@@ -148,10 +149,17 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
         ({"corrections": 5}, "must be lists: corrections"),
         ({"coefficients": [1.0] + [0.0] * 7}, "coefficients differ from the derived"),
         ({"corrections": [[[[1e400, 0], [0, 0]], [[0, 0], [1, 0]]]] * 8}, "correction 0 is not a 2x2 unitary"),
+        # a JSON number is an int or a float, never a string or a bool
+        ('[[1,0],[0,["1",1]]]', "expected a JSON number, got '1'"),
+        ("[[1,0],[0,true]]", "expected a JSON number, got True"),
+        ("[[1,0],[0,1" + "0" * 400 + "]]", "JSON integer too large for a float"),
+        ({"coefficients": ["0.5"] * 4 + [0.0] * 4}, "malformed coefficients: expected a JSON number"),
+        ({"corrections": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]] * 8}, "malformed operator entries"),
     ],
     ids=[
         "S-not-nested", "S-non-finite", "basisElements-not-list", "corrections-not-list",
         "coefficients-edited", "correction-non-finite",
+        "S-string-entry", "S-bool-entry", "S-huge-integer", "coefficients-strings", "correction-bool",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, edit, message):
@@ -206,6 +214,45 @@ def test_state_file_n_qubits_must_be_the_integer_qubit_count(tmp_path, n_qubits)
     proc = run_cli("analyze", "--state-file", str(path), "--scan-trials", "3")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", ["[true, false]", '["1", 0]', "[1, 0, 0]", "1"])
+def test_state_file_amplitudes_must_be_number_pairs(tmp_path, entry):
+    # |000> with its first amplitude spelled `entry`; [true, false] loaded as 1 before
+    path = tmp_path / "zero.json"
+    amplitudes = ", ".join([entry] + ["[0, 0]"] * 7)
+    path.write_text(f'{{"nQubits": 3, "amplitudes": [{amplitudes}]}}')
+    proc = run_cli("analyze", "--state-file", str(path), "--scan-trials", "3")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: malformed state object") and proc.stderr.count("\n") == 1
+
+
+def test_scan_trials_capped_at_one_word_spawn_keys(monkeypatch, capsys):
+    # in process, with the keying removed: a scan that started fails at once
+    # instead of running for a day
+    monkeypatch.setattr(feasibility, "spawned_pcg64_states", None)
+    assert cli.main(["scan", "--shared", "w", "--trials", str(2**32 + 1)]) == 2
+    assert capsys.readouterr().err == "error: trials must be <= 2**32\n"
+
+
+def test_in_process_main_calls_share_no_options(tmp_path, capsys):
+    """The parser is built once per process; options given in one call must
+    not reach the next, which sees the declared defaults."""
+    out = tmp_path / "scan.json"
+    calls = [
+        ["scan", "--shared", "w", "--trials", "3", "--seed", "9", "--format", "json", "--out", str(out)],
+        ["scan", "--shared", "w", "--trials", "3"],
+        ["teleport", "--shared", "ghz", "--theta", "1", "--expect-perfect", "--tolerance", "0.5",
+         "--sample", "--trials", "10", "--format", "json", "--seed", "4"],
+        ["teleport", "--shared", "ghz", "--theta", "1"],
+        ["analyze", "--shared", "ghz", "--scan-trials", "2", "--format", "text"],
+        ["analyze", "--shared", "ghz", "--scan-trials", "2"],
+    ]
+    for args in calls:
+        code = cli.main(args)
+        fresh = run_cli(*args)
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout)
+    assert json.loads(out.read_text())["seed"] == 9
 
 
 def test_unreadable_state_file():

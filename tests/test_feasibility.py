@@ -305,6 +305,13 @@ def test_haar_scan_rejects_zero_trials():
         haar_scan(make_named_state("w"), 0, seed=1)
 
 
+def test_haar_scan_caps_trials_at_one_word_spawn_keys(monkeypatch):
+    # checked before any work: a scan that started would fail here, not run for a day
+    monkeypatch.setattr(feasibility, "spawned_pcg64_states", None)
+    with pytest.raises(ValueError, match=r"trials must be <= 2\*\*32"):
+        haar_scan(make_named_state("w"), 2**32 + 1, seed=0)
+
+
 def test_feasibility_report_w():
     report = build_feasibility_report(make_named_state("w"), "w", scan_trials=20, seed=0)
     assert not report.entropy_feasible
@@ -422,10 +429,10 @@ def test_haar_scan_runs_the_checks(monkeypatch):
     with pytest.raises(ValueError, match="not complete"):
         haar_scan(SimpleNamespace(n_qubits=3, amplitudes=1.001 * w.amplitudes), 3, seed=0)
 
-    def equal_rows(dim, rngs):
-        return np.full((len(rngs), dim, dim), 1.0 / math.sqrt(dim), dtype=complex)
+    def equal_rows(dim, rng, states):
+        return np.full((len(states), dim, dim), 1.0 / math.sqrt(dim), dtype=complex)
 
-    monkeypatch.setattr(feasibility, "_haar_from_rngs", equal_rows)
+    monkeypatch.setattr(feasibility, "_haar_from_states", equal_rows)
     with pytest.raises(ValueError, match="not orthonormal"):
         haar_scan(w, 3, seed=0)
 

@@ -11,6 +11,7 @@ from teleport3q.linalg import (
     is_unitary,
     max_abs,
     schmidt_decompose,
+    spawned_pcg64_states,
     tensor_product,
 )
 
@@ -167,3 +168,28 @@ def test_closest_unitary():
     rng = np.random.default_rng(5)
     t = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     assert is_unitary(closest_unitary(t), 1e-10)
+
+
+# ---------------------------------------------------------------- scan keying
+
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**200]
+KEY_STARTS = [0, 63, 64, 65, 99_990, 2**32 - 3]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_spawned_pcg64_states_match_numpy(seed):
+    """The computed states are default_rng(child)'s, and so are the draws.
+
+    Seeds of one to seven uint32 words cover the zero-padded pool and the
+    seed words mixed in after it; the starts cross chunk edges and reach the
+    largest one-word spawn key. A numpy stream change would fail here first.
+    """
+    rng = np.random.default_rng(123)
+    for start in KEY_STARTS:
+        states = spawned_pcg64_states(seed, start, 3)
+        for i, state in enumerate(states):
+            child = np.random.SeedSequence(seed, spawn_key=(start + i,))
+            assert state == np.random.PCG64(child).state
+            rng.bit_generator.state = state
+            assert np.array_equal(rng.standard_normal((2, 8, 8)), np.random.default_rng(child).standard_normal((2, 8, 8)))
+

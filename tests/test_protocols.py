@@ -17,10 +17,12 @@ from teleport3q.protocols import (
     basis_from_S,
     bell_protocol,
     branch_operators,
+    branch_tensor,
     ghz_protocol,
     protocol_from_basis,
     run_teleport,
     sample_teleport,
+    scale_and_deviation,
     sigma_twirl_states,
     w_like_protocol,
 )
@@ -168,6 +170,38 @@ def test_branch_reduced_state_identity():
         psi = messages[seed].amplitudes
         total = sum(t @ np.outer(psi, psi.conj()) @ dagger(t) for t in ops)
         assert max_abs(total - rho_b) <= 1e-10
+
+
+def reference_scale_and_deviation(t: np.ndarray) -> tuple[float, float]:
+    """The definition: scale tr(T†T)/2, deviation the larger max-abs entry of
+    T†T - scale I and TT† - scale I."""
+    left, right = dagger(t) @ t, t @ dagger(t)
+    scale = float(np.trace(left).real) / 2.0
+    return scale, max(max_abs(left - scale * np.eye(2)), max_abs(right - scale * np.eye(2)))
+
+
+def test_scale_and_deviation_matches_definition_on_haar_branches():
+    shared = haar_random_state(3, 17)
+    rows = np.stack([haar_random_unitary(8, seed).T for seed in range(512)])
+    ops = branch_tensor(rows, shared.amplitudes).reshape(-1, 2, 2)
+    assert ops.shape == (4096, 2, 2)
+    scales, deviations = scale_and_deviation(ops)
+    for t, scale, deviation in zip(ops, scales, deviations):
+        ref_scale, ref_deviation = reference_scale_and_deviation(t)
+        assert abs(scale - ref_scale) <= 1e-15
+        assert abs(deviation - ref_deviation) <= 1e-15
+    # a non-normal operator deviates, and a single operator gives scalars
+    scale, deviation = scale_and_deviation(np.array([[1.0, 2.0], [0.0, 1.0j]]))
+    assert (scale, deviation) == reference_scale_and_deviation(np.array([[1.0, 2.0], [0.0, 1.0j]]))
+
+
+@pytest.mark.parametrize("sigma", [np.zeros((2, 2)), IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, -1j * PAULI_Y])
+def test_scale_and_deviation_exact_on_half_paulis(sigma):
+    # tolerance-0 scans count exactly these as passing: dead branches (zero)
+    # and the live branches of the canonical bases
+    scale, deviation = scale_and_deviation(0.5 * sigma)
+    assert deviation == 0.0
+    assert scale == (0.0 if not sigma.any() else 0.25)
 
 
 def test_w_like_branch_scales():
