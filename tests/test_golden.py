@@ -88,6 +88,9 @@ CASES = {
     # basis-gen: exit 0 / 2
     "basis_gen_h": ["basis-gen", "--params", "0.5,0.2,0.9", "--S", "H"],
     "basis_gen_identity": ["basis-gen", "--params", "0.7854,0,0", "--S", "I"],
+    # complex and Pauli S: pins the (S† sigma) element and sigma S correction arithmetic
+    "basis_gen_complex_S": ["basis-gen", "--params", "1.1,0.4,-0.9", "--S", "[[0.6,[0,0.8]],[[0,0.8],0.6]]"],
+    "basis_gen_y": ["basis-gen", "--params", "0.3,1.0,-2.0", "--S", "Y"],
     "basis_gen_non_unitary": ["basis-gen", "--params", "0.5,0.2,0.9", "--S", "diag(1,2)"],
 }
 
@@ -109,6 +112,12 @@ def run_case(argv: list[str]) -> str:
 def test_golden(name):
     expected = (GOLDEN_DIR / f"{name}.out").read_text()
     assert run_case(CASES[name]) == expected
+
+
+def test_golden_files_match_cases():
+    """Every expected file has a case and every case a file, so a renamed case
+    cannot leave a stale file that no test reads."""
+    assert sorted(path.stem for path in GOLDEN_DIR.glob("*.out")) == sorted(CASES)
 
 
 def test_golden_covers_every_exit_code():
