@@ -254,79 +254,55 @@ def sample_teleport(
     return SampleResult(counts=counts, empirical_fidelity=fidelity_sum / trials, trials=trials)
 
 
-def _basis_with_completion(live: dict[int, np.ndarray], dim: int) -> MeasurementBasis:
-    full = complete_orthonormal(np.stack([live[i] for i in sorted(live)]), dim)
-    extras = iter(full[len(live) :])
-    return MeasurementBasis(np.stack([live[i] if i in live else next(extras) for i in range(dim)]))
+def _protocol_from_corrections(
+    shared: PureState, live: dict[int, np.ndarray], s: np.ndarray = IDENTITY
+) -> TeleportProtocol:
+    """Perfect protocol over `shared` whose live outcome k is corrected by C_k = P_k S.
+
+    `live` maps an outcome k to a 2x2 unitary P_k. Basis element k is
+    v = (I (x) S†P_k)|shared> with the receiver's slot moved onto the message
+    slot, element[2**(n-1) j + a] = v[2 a + j], so its branch operator is
+    T_k = rho_B P_k† S. The receiver must hold one ebit (rho_B = I/2): the live
+    elements are then orthonormal and T_k = P_k† S / 2, which is +C_k/2 for
+    Hermitian P_k and -C_k/2 for P_k = ±iY. Every other outcome is dead: its
+    element completes the basis deterministically and its correction is I.
+    """
+    elements = {
+        k: _apply_to_last_qubit(shared.amplitudes, dagger(s) @ p).reshape(-1, 2).T.reshape(-1)
+        for k, p in live.items()
+    }
+    dim = len(shared.amplitudes)
+    full = complete_orthonormal(np.stack([elements[k] for k in sorted(elements)]), dim)
+    extras = iter(full[len(elements) :])
+    rows = np.stack([elements[k] if k in elements else next(extras) for k in range(dim)])
+    corrections = tuple(live[k] @ s if k in live else IDENTITY for k in range(dim))
+    return TeleportProtocol(shared=shared, basis=MeasurementBasis(rows), corrections=corrections)
 
 
 def bell_protocol() -> TeleportProtocol:
-    """Baseline 2-qubit protocol over the bell(0,0) shared pair; four live branches."""
-    basis = MeasurementBasis(
-        np.stack([make_named_state(f"bell({m},{n})").amplitudes for m in (0, 1) for n in (0, 1)])
-    )
-    # element order is 00, 01, 10, 11
-    corrections = (IDENTITY, PAULI_X, PAULI_Z, -1j * PAULI_Y)
-    return TeleportProtocol(
-        shared=make_named_state("bell(0,0)"), basis=basis, corrections=corrections
+    """Baseline 2-qubit protocol over bell(0,0) (_protocol_from_corrections):
+    outcomes 00, 01, 10, 11 have corrections C_k = I, X, Z, iY, elements
+    bell(0,0)..bell(1,1) and branch operators ±C_k/2 = I/2, X/2, Z/2, -iY/2."""
+    return _protocol_from_corrections(
+        make_named_state("bell(0,0)"), {0: IDENTITY, 1: PAULI_X, 2: PAULI_Z, 3: 1j * PAULI_Y}
     )
 
 
 def ghz_protocol() -> TeleportProtocol:
-    """Perfect protocol over the GHZ state.
-
-    Live outcomes are 000, 001, 100, 101 with corrections I, Z, X, -iY and
-    branch magnitude 1/2 each; the four dead outcomes get probability 0 and
-    identity corrections, with basis elements completed deterministically.
-    """
-    s = 1.0 / np.sqrt(2.0)
-    live = {}
-    for third, sign in ((0, 1.0), (1, -1.0)):
-        e = np.zeros(8, dtype=complex)
-        e[0], e[7] = s, sign * s
-        live[third] = e  # outcomes 000 and 001
-        e = np.zeros(8, dtype=complex)
-        e[4], e[3] = s, sign * s
-        live[4 + third] = e  # outcomes 100 and 101
-    corrections = [IDENTITY] * 8
-    corrections[0] = IDENTITY
-    corrections[1] = PAULI_Z
-    corrections[4] = PAULI_X
-    corrections[5] = -1j * PAULI_Y
-    return TeleportProtocol(
-        shared=make_named_state("ghz"),
-        basis=_basis_with_completion(live, 8),
-        corrections=tuple(corrections),
+    """Perfect protocol over GHZ (_protocol_from_corrections): outcomes 000,
+    001, 100, 101 are live with corrections C_k = I, Z, X, -iY and branch
+    operators ±C_k/2 = I/2, Z/2, X/2, iY/2; the other four are dead."""
+    return _protocol_from_corrections(
+        make_named_state("ghz"), {0: IDENTITY, 1: PAULI_Z, 4: PAULI_X, 5: -1j * PAULI_Y}
     )
 
 
 def w_like_protocol(params: WLikeParams) -> TeleportProtocol:
-    """Perfect protocol over a W-like state.
-
-    The live basis elements for outcomes 000..011 carry the state's own
-    weights on shifted kets; corrections are I, Z, X, Y and the magnitudes
-    are 1/2. Outcomes 100..111 are dead.
-    """
-    y = np.exp(1j * params.phi) * np.cos(params.gamma) / np.sqrt(2.0)
-    z = np.exp(1j * params.omega) * np.sin(params.gamma) / np.sqrt(2.0)
-    s = 1.0 / np.sqrt(2.0)
-    live = {}
-    for third, sign in ((0, 1.0), (1, -1.0)):
-        e = np.zeros(8, dtype=complex)
-        e[1], e[2], e[4] = y, z, sign * s
-        live[third] = e  # outcomes 000 and 001
-        e = np.zeros(8, dtype=complex)
-        e[5], e[6], e[0] = y, z, sign * s
-        live[2 + third] = e  # outcomes 010 and 011
-    corrections = [IDENTITY] * 8
-    corrections[0] = IDENTITY
-    corrections[1] = PAULI_Z
-    corrections[2] = PAULI_X
-    corrections[3] = PAULI_Y
-    return TeleportProtocol(
-        shared=w_like_from_params(params),
-        basis=_basis_with_completion(live, 8),
-        corrections=tuple(corrections),
+    """Perfect protocol over a W-like state (_protocol_from_corrections):
+    outcomes 000..011 are live with corrections C_k = I, Z, X, -iY and branch
+    operators ±C_k/2 = I/2, Z/2, X/2, iY/2; 100..111 are dead."""
+    return _protocol_from_corrections(
+        w_like_from_params(params), {0: IDENTITY, 1: PAULI_Z, 2: PAULI_X, 3: -1j * PAULI_Y}
     )
 
 
@@ -352,26 +328,15 @@ def sigma_twirl_states(shared: PureState) -> tuple[tuple[PureState, ...], np.nda
 def basis_from_S(params: WLikeParams, s: np.ndarray) -> TeleportProtocol:
     """Protocol over a W-like state with corrections sigma^{(mn)} S.
 
-    The receiver fixes one free unitary S; the four live basis elements are
-    then determined by contracting (S† sigma^{(mn)}) applied to the receiver
-    slot of the shared state back onto the message slot. Live outcomes sit at
-    000..011 in (m,n) order.
+    The receiver fixes one free unitary S; live outcome mn (000..011, in the
+    Pauli index order) then has the element (I (x) S† sigma^{(mn)})|shared>
+    re-slotted onto the message qubit (_protocol_from_corrections) and, every
+    sigma being Hermitian, the branch operator +C_mn/2 = sigma^{(mn)} S / 2.
     """
     s = np.asarray(s, dtype=complex)
     if s.shape != (2, 2) or not is_unitary(s, ATOL):
         raise ValueError(f"S is not unitary (2x2 within tolerance {ATOL:g} required)")
-    shared = w_like_from_params(params)
-    live = {}
-    corrections = [IDENTITY] * 8
-    for mn, sigma in enumerate(SIGMA_BY_INDEX):
-        v = _apply_to_last_qubit(shared.amplitudes, dagger(s) @ sigma)
-        # re-slot the receiver contraction onto the message qubit:
-        # element[4a+2b+c] = v[4b+2c+a]
-        live[mn] = v.reshape(2, 2, 2).transpose(2, 0, 1).reshape(8)
-        corrections[mn] = sigma @ s
-    return TeleportProtocol(
-        shared=shared, basis=_basis_with_completion(live, 8), corrections=tuple(corrections)
-    )
+    return _protocol_from_corrections(w_like_from_params(params), dict(enumerate(SIGMA_BY_INDEX)), s)
 
 
 def protocol_from_basis(shared: PureState, basis: MeasurementBasis) -> TeleportProtocol:

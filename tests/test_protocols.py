@@ -265,6 +265,38 @@ def test_bell_protocol_baseline():
         assert run_teleport(psi, protocol).total_fidelity == pytest.approx(1.0, abs=1e-10)
 
 
+def random_w_like_params(count: int, seed: int) -> list[WLikeParams]:
+    rng = np.random.default_rng(seed)
+    return [WLikeParams(*(float(x) for x in rng.uniform(-math.pi, math.pi, 3))) for _ in range(count)]
+
+
+# live outcome -> sign of T_k = ±C_k/2: minus exactly where the builder's P_k is ±iY
+CANONICAL_SIGNS = {
+    "bell": {0: 1, 1: 1, 2: 1, 3: -1},
+    "ghz": {0: 1, 1: 1, 4: 1, 5: -1},
+    "w_like": {0: 1, 1: 1, 2: 1, 3: -1},
+    "basis_from_S": {0: 1, 1: 1, 2: 1, 3: 1},
+}
+
+
+@pytest.mark.parametrize("builder", sorted(CANONICAL_SIGNS))
+def test_canonical_branch_operators_are_half_corrections(builder):
+    protocols = {
+        "bell": lambda: [bell_protocol()],
+        "ghz": lambda: [ghz_protocol()],
+        "w_like": lambda: [w_like_protocol(p) for p in random_w_like_params(10, 31)],
+        "basis_from_S": lambda: [
+            basis_from_S(p, haar_random_unitary(2, 600 + k)) for k, p in enumerate(random_w_like_params(10, 32))
+        ],
+    }[builder]()
+    signs = CANONICAL_SIGNS[builder]
+    for protocol in protocols:
+        ops = branch_operators(protocol.basis, protocol.shared).ops
+        for k, t in enumerate(ops):
+            expected = signs[k] * protocol.corrections[k] / 2 if k in signs else 0.0
+            assert max_abs(t - expected) <= 1e-12, (builder, k)
+
+
 def test_protocol_probabilities_sum_to_one():
     shared = haar_random_state(3, 9)
     basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, 77))
