@@ -83,13 +83,22 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _loads_json(text: str, what: str):
+    """Parse JSON text; invalid or too deeply nested text is a ValueError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to parse") from None
+
+
 def _read_json(path: str, what: str):
     try:
-        return json.loads(Path(path).read_text())
+        text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"unreadable {what} file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
+    return _loads_json(text, f"{what} file {path!r}")
 
 
 # Canonical perfect protocol of each named state family that has one; every
@@ -172,7 +181,7 @@ def _parse_s_operator(spec: str) -> np.ndarray:
         if len(parts) != 2:
             raise ValueError(f"diag(...) needs two entries, got {text!r}")
         return np.diag([complex(float(p)) for p in parts])
-    data = json.loads(text) if text.startswith("[") else _read_json(text, "S operator")
+    data = _loads_json(text, "S operator") if text.startswith("[") else _read_json(text, "S operator")
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError("S must be a JSON list of rows")
     matrix = np.array([[_entry_to_complex(v) for v in row] for row in data])

@@ -180,6 +180,27 @@ def test_malformed_input_exits_2(tmp_path, edit, message):
 @pytest.mark.parametrize(
     "args",
     [
+        ["analyze", "--state-file", "{path}", "--scan-trials", "3"],
+        ["teleport", "--protocol-file", "{path}", "--random"],
+        ["basis-gen", "--params", "0.5,0.2,0.9", "--S", "{path}"],
+        ["basis-gen", "--params", "0.5,0.2,0.9", "--S", "{text}"],
+    ],
+    ids=["state-file", "protocol-file", "S-file", "S-inline"],
+)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, args):
+    # in process: one argument this long is more than execve passes on
+    text = "[" * 200_000 + "]" * 200_000
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    argv = [arg.replace("{path}", str(path)).replace("{text}", text) for arg in args]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ("scan", "--shared", "w", "--trials", "1", "--tolerance", "-1"),
         ("scan", "--shared", "w", "--trials", "1", "--tolerance", "nan"),
         ("teleport", "--shared", "ghz", "--theta", "1", "--tolerance", "-1", "--expect-perfect"),
