@@ -101,18 +101,6 @@ def protocol_feasible(
     return all(v.is_proportional_unitary for v in verdicts), verdicts
 
 
-def sum_rule(shared: PureState, basis: MeasurementBasis) -> tuple[float, float]:
-    """Row sums of |T entries|^2 over all branches.
-
-    Each row equals twice the matching diagonal entry of the receiver's
-    reduced state, for any orthonormal basis; perfect teleportation requires
-    the two rows to balance.
-    """
-    weights = np.abs(branch_operators(basis, shared).ops) ** 2
-    row0, row1 = weights.sum(axis=(0, 2)).tolist()
-    return row0, row1
-
-
 def _entropy_verdict(rho_b: DensityMatrix) -> tuple[float, bool]:
     entropy = entanglement_entropy(rho_b)
     return entropy, abs(entropy - 1.0) <= ENTROPY_ATOL

@@ -16,7 +16,6 @@ from teleport3q.feasibility import (
     entropy_criterion,
     haar_scan,
     schmidt_disentangler,
-    sum_rule,
 )
 from teleport3q.linalg import IDENTITY, dagger, haar_random_unitary, max_abs
 from teleport3q.protocols import (
@@ -47,6 +46,15 @@ def _passed(number: int, text: str) -> None:
 
 def _random_params(rng) -> WLikeParams:
     return WLikeParams(*(float(x) for x in rng.uniform(-2 * math.pi, 2 * math.pi, 3)))
+
+
+def sum_rule(shared: PureState, basis: MeasurementBasis) -> tuple[float, float]:
+    """Row sums of |T entries|^2 over all branches. Each row is twice the
+    matching diagonal entry of rho_B for any orthonormal basis, so the rows
+    balance exactly when the receiver's qubit is maximally mixed."""
+    weights = np.abs(branch_operators(basis, shared).ops) ** 2
+    row0, row1 = weights.sum(axis=(0, 2)).tolist()
+    return row0, row1
 
 
 def test_criterion_01_ghz_perfect_teleportation():

@@ -15,7 +15,6 @@ from teleport3q.feasibility import (
     haar_scan,
     protocol_feasible,
     schmidt_disentangler,
-    sum_rule,
     unitarity_verdict,
 )
 from teleport3q.linalg import (
@@ -59,6 +58,15 @@ def random_w_like(rng) -> PureState:
     return w_like_from_params(
         WLikeParams(*(float(x) for x in rng.uniform(-math.pi, math.pi, 3)))
     )
+
+
+def sum_rule(shared: PureState, basis: MeasurementBasis) -> tuple[float, float]:
+    """Row sums of |T entries|^2 over all branches. Each row is twice the
+    matching diagonal entry of rho_B for any orthonormal basis, so the rows
+    balance exactly when the receiver's qubit is maximally mixed."""
+    weights = np.abs(branch_operators(basis, shared).ops) ** 2
+    row0, row1 = weights.sum(axis=(0, 2)).tolist()
+    return row0, row1
 
 
 # ---------------------------------------------------------------- unitarity verdicts
