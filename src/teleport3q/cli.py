@@ -395,6 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the protocol JSON to this path")
     p.set_defaults(handler=cmd_basis_gen)
 
+    # Python 3.13's rule, so `--theta -1e-3` and `--params -1.2,0.3,0.4` parse:
+    # '-' then a digit, or '-.' then a digit, is a value; no option looks like one
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

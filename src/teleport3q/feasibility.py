@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _haar_from_states, complete_orthonormal, schmidt_decompose, spawned_pcg64_states
+from .linalg import ZERO_ATOL, _haar_from_states, complete_orthonormal, schmidt_decompose, spawned_pcg64_states
 from .protocols import (
     MeasurementBasis, branch_operators, branch_tensor, check_basis_rows, check_complete, scale_and_deviation
 )
@@ -22,7 +22,6 @@ from .states import DensityMatrix, PureState, entanglement_entropy, partial_trac
 ENTROPY_ATOL = 1e-9
 SUM_RULE_ATOL = 1e-9
 SCAN_TOL = 1e-8
-SUPPORT_THRESHOLD = 1e-12
 # Trials per batched kernel call in haar_scan. Larger chunks only raise peak
 # memory, at the same speed: an 8 000-trial W scan peaks at 36.1 MB with 64,
 # 38.4 MB with 256 and 68.4 MB with 4 096 (38.8 MB for the per-trial loop).
@@ -118,7 +117,7 @@ def bob_reduced_state(shared: PureState) -> DensityMatrix:
 def componentwise_disentangler(shared: PureState) -> DisentanglerResult:
     """Permutation-style unitary on the sender pair, when the support allows one.
 
-    Collects the sender-pair kets carrying amplitude above 1e-12 (separating
+    Collects the sender-pair kets carrying amplitude above ZERO_ATOL (separating
     exact zeros from rounding noise). At most two distinct kets can be mapped
     into |0> (x) {|0>, |1>}; three or more orthonormal preimages cannot fit in
     a two-dimensional slice of a unitary, so the construction fails.
@@ -126,19 +125,14 @@ def componentwise_disentangler(shared: PureState) -> DisentanglerResult:
     if shared.n_qubits != 3:
         raise ValueError("disentangler expects a 3-qubit shared state")
     amps = shared.amplitudes.reshape(4, 2)
-    support = [a for a in range(4) if float(np.max(np.abs(amps[a]))) > SUPPORT_THRESHOLD]
+    support = np.flatnonzero(np.abs(amps).max(axis=1) > ZERO_ATOL).tolist()
     if len(support) > 2:
         return DisentanglerResult(False, None, None)
-    targets = list(range(len(support)))
-    remaining_targets = [t for t in range(4) if t not in targets]
-    remaining_sources = [a for a in range(4) if a not in support]
-    unitary = np.zeros((4, 4), dtype=complex)
-    for target, source in zip(targets, support):
-        unitary[target, source] = 1.0
-    for target, source in zip(remaining_targets, remaining_sources):
-        unitary[target, source] = 1.0
-    transformed = unitary @ amps
-    residual = transformed[:2].reshape(-1)
+    order = support + [a for a in range(4) if a not in support]
+    unitary = np.eye(4, dtype=complex)[order]
+    # the product, not amps[order[:2]]: adding its zero terms turns each -0.0
+    # part into the 0.0 that the pinned outputs print
+    residual = (unitary @ amps)[:2].reshape(-1)
     residual = residual / np.linalg.norm(residual)
     return DisentanglerResult(True, unitary, PureState(2, residual))
 
@@ -156,12 +150,10 @@ def schmidt_disentangler(shared: PureState) -> SchmidtDisentangler:
     form = schmidt_decompose(shared.amplitudes, cut_qubits=(0, 1))
     rows = form.left_factors.conj()
     unitary = complete_orthonormal(rows, 4)
-    residual = np.zeros(4, dtype=complex)
-    for k in range(form.coefficients.size):
-        residual[2 * k : 2 * k + 2] = form.coefficients[k] * form.right_factors[k]
     return SchmidtDisentangler(
         unitary=unitary,
-        residual=PureState(2, residual),
+        # a (4 x 2) state has two Schmidt terms, filling both halves
+        residual=PureState(2, (form.coefficients[:, None] * form.right_factors).reshape(-1)),
         coefficients=form.coefficients.copy(),
         residual_entropy=shannon_entropy(form.coefficients**2),
     )
@@ -178,9 +170,11 @@ def haar_scan(
 
     Trial i draws its basis from default_rng of the i-th child spawned from
     SeedSequence(seed), so batches may run concurrently and still aggregate
-    identically. When `inject` is given it replaces trial 0 as a positive
-    control. The scan tolerance is looser than construction tolerances because
-    random bases miss proportional-unitarity by O(1), not by rounding.
+    identically. When `inject` is given its rows overwrite trial 0's drawn
+    basis, a positive control; every other trial keeps its draw, because each
+    trial's generator state is set on its own. The scan tolerance is looser
+    than construction tolerances because random bases miss
+    proportional-unitarity by O(1), not by rounding.
 
     Trials run in chunks of SCAN_CHUNK as one array computation. No child
     SeedSequence or Generator is built: `spawned_pcg64_states` computes the
@@ -205,12 +199,9 @@ def haar_scan(
     max_passing = 0
     for start in range(0, trials, SCAN_CHUNK):
         states = spawned_pcg64_states(seed, start, min(SCAN_CHUNK, trials - start))
-        injected = inject is not None and start == 0
-        if injected:
-            states[0] = None
         # basis element k is column k of the unitary
         rows = np.ascontiguousarray(_haar_from_states(dim, rng, states).swapaxes(-1, -2))
-        if injected:
+        if inject is not None and start == 0:
             rows[0] = inject.rows
         check_basis_rows(rows)
         ops = branch_tensor(rows, shared.amplitudes)

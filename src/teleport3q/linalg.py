@@ -10,6 +10,8 @@ import numpy as np
 
 ATOL = 1e-10
 PIVOT_TOL = 1e-8
+# An array whose entries are all below this in magnitude is numerically zero.
+ZERO_ATOL = 1e-12
 
 IDENTITY = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -123,20 +125,17 @@ def spawned_pcg64_states(seed: int, start: int, count: int) -> list[dict]:
     return states
 
 
-def _haar_from_states(dim: int, rng: np.random.Generator, states: Sequence[dict | None]) -> np.ndarray:
+def _haar_from_states(dim: int, rng: np.random.Generator, states: Sequence[dict]) -> np.ndarray:
     """Stack of Haar unitaries, one per bit-generator state: `rng` is set to
-    each state in turn and draws the real, then the imaginary Gaussian part. A
-    None slot gets the identity, a placeholder for the caller to overwrite, so
-    the batched QR never reads uninitialised memory."""
+    each state in turn and draws the real, then the imaginary Gaussian part.
+    Unitary i depends on states[i] alone, so a caller may overwrite any of
+    them without moving the others."""
     parts = np.empty((2, len(states), dim, dim))
     bit_generator = rng.bit_generator
     for i, state in enumerate(states):
-        if state is None:
-            parts[0, i], parts[1, i] = np.eye(dim), 0.0
-        else:
-            bit_generator.state = state
-            rng.standard_normal(out=parts[0, i])
-            rng.standard_normal(out=parts[1, i])
+        bit_generator.state = state
+        rng.standard_normal(out=parts[0, i])
+        rng.standard_normal(out=parts[1, i])
     z = parts[0] + 1j * parts[1]
     z /= np.sqrt(2.0)
     # QR of a complex Gaussian is not Haar until the R diagonal phases are
@@ -218,9 +217,10 @@ def complete_orthonormal(rows: np.ndarray, dim: int) -> np.ndarray:
 
 
 def closest_unitary(t: np.ndarray) -> np.ndarray:
-    """Polar unitary factor of t; identity for (numerically) zero input."""
+    """Polar unitary factor W V† of a matrix, or of each matrix in a stack
+    (..., n, n), from one batched SVD; the identity where a matrix is
+    numerically zero (every entry below ZERO_ATOL)."""
     t = np.asarray(t, dtype=complex)
-    if max_abs(t) < 1e-12:
-        return np.eye(t.shape[0], dtype=complex)
     w, _, vh = np.linalg.svd(t)
-    return w @ vh
+    zero = np.abs(t).max(axis=(-2, -1)) < ZERO_ATOL
+    return np.where(zero[..., None, None], np.eye(t.shape[-1]), w @ vh)

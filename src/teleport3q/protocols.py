@@ -37,6 +37,8 @@ SIGMA_BY_INDEX = (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z)
 # Branch probabilities below this are treated as unreachable: their fidelity
 # is reported as None so averages are never polluted by dead branches.
 PROB_FLOOR = 1e-24
+# Outcomes drawn per call in sample_teleport: 16 bytes each.
+SAMPLE_CHUNK = 2**16
 
 
 def outcome_bits(index: int, n_bits: int) -> tuple[int, ...]:
@@ -149,11 +151,11 @@ class BranchOperatorFamily:
 
 @dataclass(frozen=True)
 class TeleportProtocol:
-    """Shared state, measurement basis and per-outcome corrections."""
+    """Shared state, measurement basis and per-outcome corrections, a read-only (outcomes, 2, 2) array."""
 
     shared: PureState
     basis: MeasurementBasis
-    corrections: tuple[np.ndarray, ...]
+    corrections: np.ndarray
 
     def __post_init__(self) -> None:
         if self.basis.n_qubits != self.shared.n_qubits:
@@ -161,14 +163,12 @@ class TeleportProtocol:
         n_out = len(self.basis.rows)
         if len(self.corrections) != n_out:
             raise ValueError(f"expected {n_out} corrections, got {len(self.corrections)}")
-        frozen = []
         for k, u in enumerate(self.corrections):
-            u = np.array(u, dtype=complex)
-            if u.shape != (2, 2) or not is_unitary(u, ATOL):
+            if np.shape(u) != (2, 2) or not is_unitary(u, ATOL):
                 raise ValueError(f"correction {k} is not a 2x2 unitary")
-            u.setflags(write=False)
-            frozen.append(u)
-        object.__setattr__(self, "corrections", tuple(frozen))
+        corrections = np.array(self.corrections, dtype=complex, order="C")
+        corrections.setflags(write=False)
+        object.__setattr__(self, "corrections", corrections)
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -203,7 +203,7 @@ def branch_operators(basis: MeasurementBasis, shared: PureState) -> BranchOperat
 
 
 def run_teleport(psi: PureState, protocol: TeleportProtocol) -> TeleportResult:
-    """Exact branch-by-branch execution.
+    """Exact execution of every branch at once.
 
     Probability of outcome k is ||T_k psi||^2; the receiver applies the
     inverse of the stored correction, so a perfect protocol returns psi on
@@ -211,19 +211,19 @@ def run_teleport(psi: PureState, protocol: TeleportProtocol) -> TeleportResult:
     """
     if psi.n_qubits != 1:
         raise ValueError("message must be a single qubit")
-    family = branch_operators(protocol.basis, protocol.shared)
+    branches = branch_operators(protocol.basis, protocol.shared).ops @ psi.amplitudes
+    probs = np.sum(np.abs(branches) ** 2, axis=-1)
+    live = probs > PROB_FLOOR
+    # dead branches are divided by 1, not by their vanishing norm
+    normalized = branches / np.sqrt(np.where(live, probs, 1.0))[:, None]
+    received = dagger(protocol.corrections) @ normalized[..., None]
+    overlaps = (psi.amplitudes.conj() @ received)[:, 0]
     n_bits = protocol.basis.n_qubits
-    outcomes = []
-    total = 0.0
-    for k, t in enumerate(family.ops):
-        branch = t @ psi.amplitudes
-        prob = float(np.sum(np.abs(branch) ** 2))
-        if prob <= PROB_FLOOR:
-            outcomes.append(BranchOutcome(outcome_bits(k, n_bits), prob, None))
-            continue
-        bob = dagger(protocol.corrections[k]) @ (branch / np.sqrt(prob))
-        fid = float(abs(np.vdot(psi.amplitudes, bob)) ** 2)
-        total += prob * fid
+    outcomes, total = [], 0.0
+    for k, (prob, overlap) in enumerate(zip(probs.tolist(), overlaps.tolist())):
+        # Python's abs and ** call C's hypot and pow, as numpy scalars do; array loops may round otherwise
+        fid = abs(overlap) ** 2 if prob > PROB_FLOOR else None
+        total += 0.0 if fid is None else prob * fid
         outcomes.append(BranchOutcome(outcome_bits(k, n_bits), prob, fid))
     return TeleportResult(tuple(outcomes), total)
 
@@ -236,21 +236,22 @@ def sample_teleport(
     The sender draws outcomes from the exact branch distribution; each drawn
     outcome is delivered as a classical bit string to a receiver that applies
     its correction. Philox keying makes trial batches reproducible and
-    splittable.
+    splittable. Outcomes are drawn SAMPLE_CHUNK at a time, so memory does not
+    grow with `trials`; the draws, and the counts, are those of one call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     exact = run_teleport(psi, protocol)
     probs = np.array([o.probability for o in exact.outcomes])
     rng = np.random.Generator(np.random.Philox(key=seed))
-    drawn = rng.choice(len(probs), size=trials, p=probs / probs.sum())
-    counts = np.bincount(drawn, minlength=len(probs))
+    p = probs / probs.sum()
+    counts = np.zeros(len(probs), dtype=np.intp)
+    for start in range(0, trials, SAMPLE_CHUNK):
+        drawn = rng.choice(len(probs), size=min(SAMPLE_CHUNK, trials - start), p=p)
+        counts += np.bincount(drawn, minlength=len(probs))
     fidelity_sum = 0.0
-    for k, count in enumerate(counts):
-        if count == 0:
-            continue
-        branch_fid = exact.outcomes[k].branch_fidelity
-        fidelity_sum += count * (branch_fid if branch_fid is not None else 0.0)
+    for count, outcome in zip(counts.tolist(), exact.outcomes):
+        fidelity_sum += count * (outcome.branch_fidelity or 0.0)
     return SampleResult(counts=counts, empirical_fidelity=fidelity_sum / trials, trials=trials)
 
 
@@ -267,15 +268,13 @@ def _protocol_from_corrections(
     Hermitian P_k and -C_k/2 for P_k = ±iY. Every other outcome is dead: its
     element completes the basis deterministically and its correction is I.
     """
-    elements = {
-        k: _apply_to_last_qubit(shared.amplitudes, dagger(s) @ p).reshape(-1, 2).T.reshape(-1)
-        for k, p in live.items()
-    }
-    dim = len(shared.amplitudes)
-    full = complete_orthonormal(np.stack([elements[k] for k in sorted(elements)]), dim)
-    extras = iter(full[len(elements) :])
-    rows = np.stack([elements[k] if k in elements else next(extras) for k in range(dim)])
-    corrections = tuple(live[k] @ s if k in live else IDENTITY for k in range(dim))
+    dim, keys = len(shared.amplitudes), sorted(live)
+    moved = [_apply_to_last_qubit(shared.amplitudes, dagger(s) @ live[k]).reshape(-1, 2).T for k in keys]
+    full = complete_orthonormal(np.reshape(moved, (len(keys), dim)), dim)
+    # the completion lists the live elements first, in key order, then the extras
+    rows = np.empty_like(full)
+    rows[keys + [k for k in range(dim) if k not in live]] = full
+    corrections = [live[k] @ s if k in live else IDENTITY for k in range(dim)]
     return TeleportProtocol(shared=shared, basis=MeasurementBasis(rows), corrections=corrections)
 
 
@@ -319,10 +318,8 @@ def sigma_twirl_states(shared: PureState) -> tuple[tuple[PureState, ...], np.nda
         PureState.from_array(_apply_to_last_qubit(shared.amplitudes, dagger(sigma)))
         for sigma in SIGMA_BY_INDEX
     )
-    gram = np.array(
-        [[np.vdot(a.amplitudes, b.amplitudes) for b in twirled] for a in twirled]
-    )
-    return twirled, gram
+    amplitudes = np.array([state.amplitudes for state in twirled])
+    return twirled, amplitudes.conj() @ amplitudes.T
 
 
 def basis_from_S(params: WLikeParams, s: np.ndarray) -> TeleportProtocol:
@@ -346,5 +343,5 @@ def protocol_from_basis(shared: PureState, basis: MeasurementBasis) -> TeleportP
     Fidelity reaches 1 only when every branch operator is proportional to a
     unitary.
     """
-    corrections = tuple(closest_unitary(t) for t in branch_operators(basis, shared).ops)
+    corrections = closest_unitary(branch_operators(basis, shared).ops)
     return TeleportProtocol(shared=shared, basis=basis, corrections=corrections)

@@ -23,10 +23,16 @@ def round12(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
+def _echo(value) -> str:
+    """repr(value) cut after 40 characters, so an error line stays short."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def json_number(value) -> float:
     """A JSON number read as a float: an int or a float, never a bool or a string."""
     if type(value) not in (int, float):  # bool is a subclass of int
-        raise ValueError(f"expected a JSON number, got {value!r}")
+        raise ValueError(f"expected a JSON number, got {_echo(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -36,7 +42,7 @@ def json_number(value) -> float:
 def json_complex(pair) -> complex:
     """An [re, im] pair of JSON numbers read as a complex number."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"expected an [re, im] pair, got {pair!r}")
+        raise ValueError(f"expected an [re, im] pair, got {_echo(pair)}")
     return complex(json_number(pair[0]), json_number(pair[1]))
 
 
@@ -57,7 +63,7 @@ def state_from_jsonable(data: dict) -> PureState:
         raise ValueError("state object must have nQubits and amplitudes fields")
     n_qubits = data["nQubits"]
     if type(n_qubits) is not int:  # rejects bool, float and string, never truncates
-        raise ValueError(f"nQubits must be an integer, got {n_qubits!r}")
+        raise ValueError(f"nQubits must be an integer, got {_echo(n_qubits)}")
     try:
         amps = np.array([json_complex(pair) for pair in data["amplitudes"]])
     except (TypeError, ValueError) as exc:
@@ -111,7 +117,7 @@ def protocol_from_jsonable(data: dict) -> TeleportProtocol:
     protocol = TeleportProtocol(
         shared=shared,
         basis=MeasurementBasis(np.array(rows)),
-        corrections=tuple(operator_from_jsonable(u) for u in data["corrections"]),
+        corrections=[operator_from_jsonable(u) for u in data["corrections"]],
     )
     derived = protocol.coefficients
     # `not <=` also rejects NaN

@@ -155,11 +155,16 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
         ("[[1,0],[0,1" + "0" * 400 + "]]", "JSON integer too large for a float"),
         ({"coefficients": ["0.5"] * 4 + [0.0] * 4}, "malformed coefficients: expected a JSON number"),
         ({"corrections": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]] * 8}, "malformed operator entries"),
+        (
+            {"corrections": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 7 + [[[[1, 0]]]]},
+            "correction 7 is not a 2x2 unitary",
+        ),
     ],
     ids=[
         "S-not-nested", "S-non-finite", "basisElements-not-list", "corrections-not-list",
         "coefficients-edited", "correction-non-finite",
         "S-string-entry", "S-bool-entry", "S-huge-integer", "coefficients-strings", "correction-bool",
+        "correction-not-2x2",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, edit, message):
@@ -196,6 +201,51 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, args):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nested too deeply" in err and err.count("\n") == 1
+
+
+def _main(argv, capsys):
+    """Exit code and stdout of an in-process run; argparse errors exit too."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, option, value",
+    [
+        (["basis-gen", "--S", "H"], "--params", "-1.2,0.3,0.4"),
+        (["teleport", "--shared", "ghz", "--phi", "0.5"], "--theta", "-1e-3"),
+        (["teleport", "--shared", "ghz", "--theta", "1"], "--phi", "-2e-1"),
+        (["teleport", "--shared", "ghz", "--phi", "0.5"], "--theta", "-.25"),
+    ],
+)
+def test_negative_values_parse_as_in_the_equals_form(capsys, args, option, value):
+    joined = _main(args + [f"{option}={value}"], capsys)
+    assert joined[0] == 0
+    assert _main(args + [option, value], capsys) == joined
+
+
+@pytest.mark.parametrize("where", ["S", "amplitude", "nQubits"])
+def test_echoed_input_is_bounded(tmp_path, capsys, where):
+    """An error echoes a fixed-length prefix of the offending value."""
+    lengths = set()
+    for depth in (300, 900):
+        nested = "[" * depth + "1" + "]" * depth
+        if where == "S":
+            argv = ["basis-gen", "--params", "0.5,0.2,0.9", "--S", f"[[{nested}, 0], [0, 1]]"]
+        else:
+            path = tmp_path / "deep.json"
+            amplitudes = ", ".join([nested if where == "amplitude" else "[1, 0]"] + ["[0, 0]"] * 7)
+            n_qubits = nested if where == "nQubits" else "3"
+            path.write_text(f'{{"nQubits": {n_qubits}, "amplitudes": [{amplitudes}]}}')
+            argv = ["analyze", "--state-file", str(path), "--scan-trials", "1"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        lengths.add(len(err))
+    assert len(lengths) == 1 and lengths.pop() < 150
 
 
 @pytest.mark.parametrize(

@@ -170,6 +170,24 @@ def test_closest_unitary():
     assert is_unitary(closest_unitary(t), 1e-10)
 
 
+def test_closest_unitary_on_a_stack():
+    """Each matrix of a (..., n, n) stack gets its own polar factor U, with
+    U†T Hermitian and positive semidefinite; numerically zero ones get I."""
+    rng = np.random.default_rng(6)
+    t = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+    t[1, 2] = 0.0
+    t[0, 3] = 1e-13
+    u = closest_unitary(t)
+    assert u.shape == t.shape
+    for idx in np.ndindex(3, 4):
+        if idx in ((1, 2), (0, 3)):
+            assert np.array_equal(u[idx], IDENTITY)
+            continue
+        assert is_unitary(u[idx], 1e-12)
+        h = dagger(u[idx]) @ t[idx]
+        assert max_abs(h - dagger(h)) <= 1e-12 and np.linalg.eigvalsh(h).min() >= -1e-12
+
+
 # ---------------------------------------------------------------- scan keying
 
 KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**200]

@@ -12,7 +12,9 @@ from teleport3q.linalg import (
     haar_random_unitary,
     max_abs,
 )
+from teleport3q import protocols
 from teleport3q.protocols import (
+    PROB_FLOOR,
     MeasurementBasis,
     basis_from_S,
     bell_protocol,
@@ -27,6 +29,7 @@ from teleport3q.protocols import (
     w_like_protocol,
 )
 from teleport3q.states import (
+    PureState,
     WLikeParams,
     bloch_qubit,
     haar_random_state,
@@ -103,11 +106,14 @@ def test_measurement_basis_rejects_bad_shapes(shape):
 def test_basis_rows_and_branch_operators_are_read_only():
     protocol = ghz_protocol()
     family = branch_operators(protocol.basis, protocol.shared)
-    assert family.ops.shape == (8, 2, 2)
+    assert family.ops.shape == protocol.corrections.shape == (8, 2, 2)
+    assert protocol.corrections.flags.c_contiguous
     with pytest.raises(ValueError, match="read-only"):
         family.ops[0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         protocol.basis.rows[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        protocol.corrections[0, 0, 0] = 1.0
 
 
 def test_measurement_basis_completeness():
@@ -385,6 +391,78 @@ def test_basis_from_S_rejects_non_unitary():
         basis_from_S(WLikeParams(0.5, 0.0, 0.0), np.diag([1.0, 2.0]))
 
 
+# ---------------------------------------------------------------- per-branch reference
+
+
+def reference_corrections(basis, shared):
+    """protocol_from_basis's corrections as a per-branch loop: one SVD each."""
+    corrections = []
+    for t in branch_operators(basis, shared).ops:
+        if max_abs(t) < 1e-12:
+            corrections.append(np.eye(2, dtype=complex))
+        else:
+            w, _, vh = np.linalg.svd(t)
+            corrections.append(w @ vh)
+    return np.array(corrections)
+
+
+def reference_run(psi, protocol):
+    """run_teleport as a per-branch loop: [(probability, fidelity)] and the total."""
+    branches, total = [], 0.0
+    for k, t in enumerate(branch_operators(protocol.basis, protocol.shared).ops):
+        branch = t @ psi.amplitudes
+        prob = float(np.sum(np.abs(branch) ** 2))
+        if prob <= PROB_FLOOR:
+            branches.append((prob, None))
+            continue
+        bob = dagger(protocol.corrections[k]) @ (branch / np.sqrt(prob))
+        fid = float(abs(np.vdot(psi.amplitudes, bob)) ** 2)
+        total += prob * fid
+        branches.append((prob, fid))
+    return branches, total
+
+
+def one_ebit_state(seed):
+    """Two orthonormal sender kets, each paired with one receiver ket."""
+    u = haar_random_unitary(4, seed)
+    return PureState.from_array((np.kron(u[:, 0], [1, 0]) + np.kron(u[:, 1], [0, 1])) / SQRT2)
+
+
+REFERENCE_STATES = {
+    "w": lambda: make_named_state("w"),
+    "ghz": lambda: make_named_state("ghz"),
+    "haar": lambda: haar_random_state(3, 17),
+    "one-ebit": lambda: one_ebit_state(3),
+}
+
+
+@pytest.mark.parametrize("state", sorted(REFERENCE_STATES))
+def test_array_execution_is_bitwise_the_per_branch_loop(state):
+    shared = REFERENCE_STATES[state]()
+    messages = [haar_random_state(1, 40 + m) for m in range(3)] + [bloch_qubit(0.0, 0.0)]
+    for seed in range(4):
+        basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, 100 * seed + 9))
+        protocol = protocol_from_basis(shared, basis)
+        assert protocol.corrections.tobytes() == reference_corrections(basis, shared).tobytes()
+        for psi in messages:
+            result = run_teleport(psi, protocol)
+            branches, total = reference_run(psi, protocol)
+            assert [(o.probability, o.branch_fidelity) for o in result.outcomes] == branches
+            assert result.total_fidelity == total
+
+
+@pytest.mark.parametrize(
+    "builder", [ghz_protocol, bell_protocol, lambda: w_like_protocol(WLikeParams(0.7, 0.3, 1.1))]
+)
+def test_array_execution_is_bitwise_the_loop_with_dead_branches(builder):
+    protocol = builder()
+    for m in range(4):
+        psi = haar_random_state(1, m)
+        result = run_teleport(psi, protocol)
+        branches = [(o.probability, o.branch_fidelity) for o in result.outcomes]
+        assert (branches, result.total_fidelity) == reference_run(psi, protocol)
+
+
 # ---------------------------------------------------------------- sampling
 
 
@@ -413,6 +491,34 @@ def test_sample_teleport_deterministic():
     b = sample_teleport(psi, ghz_protocol(), 5000, seed=123)
     assert np.array_equal(a.counts, b.counts)
     assert a.empirical_fidelity == b.empirical_fidelity
+
+
+@pytest.mark.parametrize("chunk", [1000, None])
+def test_sample_teleport_draws_in_chunks_with_the_one_call_counts(monkeypatch, chunk):
+    """Counts equal one rng.choice over every trial, and no draw exceeds the chunk."""
+    one_call = np.random.Generator
+    sizes = []
+
+    class SpyGenerator(one_call):
+        def choice(self, a, size=None, **kwargs):
+            sizes.append(size)
+            return super().choice(a, size=size, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", SpyGenerator)
+    if chunk is not None:
+        monkeypatch.setattr(protocols, "SAMPLE_CHUNK", chunk)
+    chunk = protocols.SAMPLE_CHUNK
+    psi = bloch_qubit(1.1, 0.4)
+    basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, 2))
+    protocol = protocol_from_basis(make_named_state("w"), basis)
+    probs = np.array([o.probability for o in run_teleport(psi, protocol).outcomes])
+    for trials in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 17):
+        sizes.clear()
+        sample = sample_teleport(psi, protocol, trials, seed=7)
+        assert max(sizes) <= chunk and sum(sizes) == trials
+        drawn = one_call(np.random.Philox(key=7)).choice(8, size=trials, p=probs / probs.sum())
+        counts = np.bincount(drawn, minlength=8)
+        assert sample.counts.tobytes() == counts.tobytes()
 
 
 def test_sample_teleport_rejects_zero_trials():
