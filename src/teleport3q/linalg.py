@@ -127,16 +127,15 @@ def spawned_pcg64_states(seed: int, start: int, count: int) -> list[dict]:
 
 def _haar_from_states(dim: int, rng: np.random.Generator, states: Sequence[dict]) -> np.ndarray:
     """Stack of Haar unitaries, one per bit-generator state: `rng` is set to
-    each state in turn and draws the real, then the imaginary Gaussian part.
+    each state in turn and draws, in one call, the real then the imaginary part.
     Unitary i depends on states[i] alone, so a caller may overwrite any of
     them without moving the others."""
-    parts = np.empty((2, len(states), dim, dim))
+    parts = np.empty((len(states), 2, dim, dim))
     bit_generator = rng.bit_generator
     for i, state in enumerate(states):
         bit_generator.state = state
-        rng.standard_normal(out=parts[0, i])
-        rng.standard_normal(out=parts[1, i])
-    z = parts[0] + 1j * parts[1]
+        rng.standard_normal(out=parts[i])
+    z = parts[:, 0] + 1j * parts[:, 1]
     z /= np.sqrt(2.0)
     # QR of a complex Gaussian is not Haar until the R diagonal phases are
     # absorbed into Q (Mezzadri construction).

@@ -37,7 +37,7 @@ SIGMA_BY_INDEX = (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z)
 # Branch probabilities below this are treated as unreachable: their fidelity
 # is reported as None so averages are never polluted by dead branches.
 PROB_FLOOR = 1e-24
-# Outcomes drawn per call in sample_teleport: 16 bytes each.
+# Uniforms drawn per call in sample_teleport: 8 bytes each.
 SAMPLE_CHUNK = 2**16
 
 
@@ -236,19 +236,25 @@ def sample_teleport(
     The sender draws outcomes from the exact branch distribution; each drawn
     outcome is delivered as a classical bit string to a receiver that applies
     its correction. Philox keying makes trial batches reproducible and
-    splittable. Outcomes are drawn SAMPLE_CHUNK at a time, so memory does not
-    grow with `trials`; the draws, and the counts, are those of one call.
+    splittable. Uniforms u are drawn SAMPLE_CHUNK at a time, so memory does not
+    grow with `trials`. The counts are exactly those of one rng.choice(m, trials, p=p):
+    over the same u and cdf = p.cumsum() / its last entry (exactly 1.0), it draws
+    k when cdf[k-1] <= u < cdf[k], so count_k = L_k - L_{k-1}, L_j = #{u < cdf[j]}.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > 2**32:
+        raise ValueError("trials must be <= 2**32")
     exact = run_teleport(psi, protocol)
     probs = np.array([o.probability for o in exact.outcomes])
     rng = np.random.Generator(np.random.Philox(key=seed))
-    p = probs / probs.sum()
-    counts = np.zeros(len(probs), dtype=np.intp)
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    below = np.zeros(len(probs), dtype=np.intp)
     for start in range(0, trials, SAMPLE_CHUNK):
-        drawn = rng.choice(len(probs), size=min(SAMPLE_CHUNK, trials - start), p=p)
-        counts += np.bincount(drawn, minlength=len(probs))
+        u = rng.random(min(SAMPLE_CHUNK, trials - start))
+        below += [np.count_nonzero(u < c) for c in cdf.tolist()]
+    counts = np.diff(below, prepend=0)
     fidelity_sum = 0.0
     for count, outcome in zip(counts.tolist(), exact.outcomes):
         fidelity_sum += count * (outcome.branch_fidelity or 0.0)

@@ -306,6 +306,12 @@ def test_scan_trials_capped_at_one_word_spawn_keys(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: trials must be <= 2**32\n"
 
 
+def test_sample_trials_capped_like_the_scan(no_draws, capsys):
+    argv = ["teleport", "--shared", "ghz", "--theta", "1", "--sample", "--trials", str(2**32 + 1)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: trials must be <= 2**32\n"
+
+
 def test_in_process_main_calls_share_no_options(tmp_path, capsys):
     """The parser is built once per process; options given in one call must
     not reach the next, which sees the declared defaults."""

@@ -83,6 +83,18 @@ def test_haar_deterministic_bit_for_bit():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_haar_draw_order_is_real_then_imaginary(dim):
+    """The draw rebuilt here from its definition pins the stream order: a
+    real Gaussian matrix, then an imaginary one, QR and the Mezzadri phases."""
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        phases = np.diagonal(r) / np.abs(np.diagonal(r))
+        assert (q * phases).tobytes() == haar_random_unitary(dim, seed).tobytes()
+
+
 def test_haar_unitary_many_seeds():
     for seed in range(1000):
         dim = (2, 4, 8, 16)[seed % 4]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from teleport3q.linalg import (
     IDENTITY,
@@ -15,7 +16,9 @@ from teleport3q.linalg import (
 from teleport3q import protocols
 from teleport3q.protocols import (
     PROB_FLOOR,
+    BranchOutcome,
     MeasurementBasis,
+    TeleportResult,
     basis_from_S,
     bell_protocol,
     branch_operators,
@@ -500,9 +503,9 @@ def test_sample_teleport_draws_in_chunks_with_the_one_call_counts(monkeypatch, c
     sizes = []
 
     class SpyGenerator(one_call):
-        def choice(self, a, size=None, **kwargs):
+        def random(self, size=None, *args, **kwargs):
             sizes.append(size)
-            return super().choice(a, size=size, **kwargs)
+            return super().random(size, *args, **kwargs)
 
     monkeypatch.setattr(np.random, "Generator", SpyGenerator)
     if chunk is not None:
@@ -519,6 +522,70 @@ def test_sample_teleport_draws_in_chunks_with_the_one_call_counts(monkeypatch, c
         drawn = one_call(np.random.Philox(key=7)).choice(8, size=trials, p=probs / probs.sum())
         counts = np.bincount(drawn, minlength=8)
         assert sample.counts.tobytes() == counts.tobytes()
+
+
+SMALL_CHUNK = 64
+WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.just(1e-30), st.floats(1e-30, 1.0)), min_size=2, max_size=16
+).filter(any)
+
+
+def sample_weights(weights, trials, seed, chunk=SMALL_CHUNK):
+    """sample_teleport over a stand-in exact run with branch probabilities
+    `weights`: live branches have fidelity 1, dead ones None."""
+    exact = TeleportResult(
+        tuple(BranchOutcome((k,), w, 1.0 if w > 0 else None) for k, w in enumerate(weights)), 1.0
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocols, "SAMPLE_CHUNK", chunk)
+        patch.setattr(protocols, "run_teleport", lambda psi, protocol: exact)
+        return sample_teleport(None, None, trials, seed)
+
+
+@given(weights=WEIGHTS, trials=st.integers(1, 3 * SMALL_CHUNK), seed=st.integers(0, 2**64 - 1))
+@example(weights=[0.0, 1.0, 0.0, 0.0], trials=SMALL_CHUNK + 1, seed=0)
+@example(weights=[1e-30, 0.0, 1.0, 1e-30, 0.0, 0.0, 0.0, 0.5], trials=2 * SMALL_CHUNK + 17, seed=3)
+@example(weights=[0.3, 0.0], trials=SMALL_CHUNK - 1, seed=2**64 - 1)
+def test_sample_counts_equal_one_choice_over_all_trials(weights, trials, seed):
+    """Counts are bitwise those of one rng.choice over every trial, for any
+    distribution: zero, single live and tiny outcomes, across chunk ends."""
+    sample = sample_weights(weights, trials, seed)
+    probs = np.array(weights)
+    p = probs / probs.sum()
+    drawn = np.random.Generator(np.random.Philox(key=seed)).choice(len(p), size=trials, p=p)
+    assert sample.counts.dtype == np.intp
+    assert sample.counts.tobytes() == np.bincount(drawn, minlength=len(p)).tobytes()
+    assert sample.empirical_fidelity == 1.0
+
+
+@given(weights=WEIGHTS)
+def test_sample_counts_uniforms_on_cdf_entries_as_choice_does(weights):
+    """Random uniforms almost never land on a CDF entry; replayed ones that sit
+    on each entry or one ulp beside it are counted as rng.choice counts them."""
+    probs = np.array(weights)
+    p = probs / probs.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    grid = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+    uniforms = grid[grid < 1.0]
+
+    class ReplayGenerator(np.random.Generator):
+        fed = 0
+
+        def random(self, size=None, *args, **kwargs):
+            self.fed += size
+            return uniforms[self.fed - size : self.fed]
+
+    drawn = ReplayGenerator(np.random.Philox(key=0)).choice(len(p), size=len(uniforms), p=p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "Generator", ReplayGenerator)
+        sample = sample_weights(weights, len(uniforms), seed=0, chunk=5)
+    assert sample.counts.tobytes() == np.bincount(drawn, minlength=len(p)).tobytes()
+
+
+def test_sample_teleport_caps_trials_before_drawing(no_draws):
+    with pytest.raises(ValueError, match=r"trials must be <= 2\*\*32"):
+        sample_teleport(bloch_qubit(0.4, 0.0), ghz_protocol(), 2**32 + 1, seed=1)
 
 
 def test_sample_teleport_rejects_zero_trials():
