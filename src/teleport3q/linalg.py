@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,93 +47,24 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool:
-    """True iff u is finite and the max-abs entry of u†u - I is within tol."""
+def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool | np.ndarray:
+    """True iff u is finite and the max-abs entry of u†u - I is within tol;
+    for a stack (..., n, n), a bool array with that verdict per matrix."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError(f"operator must be square, got shape {u.shape}")
-    # checked first: inf * 0 in the product is NaN, with a RuntimeWarning
-    return bool(np.isfinite(u).all()) and max_abs(dagger(u) @ u - np.eye(u.shape[0])) <= tol
+    # an overflow or an inf * 0 in the product fails the check without a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.abs(dagger(u) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    unitary = np.isfinite(u).all(axis=(-2, -1)) & (deviation <= tol)
+    return bool(unitary) if unitary.ndim == 0 else unitary
 
 
-# SeedSequence hashing constants, from numpy/random/bit_generator.pyx.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-# PCG_DEFAULT_MULTIPLIER_128, from numpy/random/src/pcg64/pcg64.h.
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = 2**128 - 1
-
-
-def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
-    """SeedSequence's hash constant at each of `steps` + 1 points: init, then
-    multiplied by `mult` modulo 2**32 at each step; shape (steps + 1, 1)."""
-    consts = [init]
-    for _ in range(steps):
-        consts.append(consts[-1] * mult % 2**32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashing step (hashmix, or one generate_state word) on the
-    uint32 rows of `values`, row i xored with consts[i] and multiplied by
-    consts[i + 1]."""
-    values = (values ^ consts[:-1]) * consts[1:]
-    return values ^ (values >> np.uint32(16))
-
-
-# generate_state(4, np.uint64) draws 8 words with these constants
-_GENERATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-
-
-def spawned_pcg64_states(seed: int, start: int, count: int) -> list[dict]:
-    """PCG64 states of default_rng(child) for the children start..start+count-1
-    of SeedSequence(seed), computed for all of them at once.
-
-    numpy's stream-compatibility policy (NEP 19) fixes SeedSequence and PCG64
-    seeding, and this follows their source. A child's entropy is the seed's
-    uint32 words, zero-padded to the pool size, then its spawn key, one word
-    while start + count <= 2**32. Up to that last word the child mixes exactly
-    what its parent mixes, so it starts from the parent's pool and from the
-    hash constant after the parent's 16 + 4 * (words beyond the pool) hashmix
-    calls; the key is then hashmixed into each pool word. generate_state(4,
-    uint64) yields PCG64's seed and sequence words, which pcg64_set_seed turns
-    into (state, inc).
-    """
-    seed = operator.index(seed)
-    parent = np.random.SeedSequence(seed)
-    words = max(1, -(-seed.bit_length() // 32))
-    calls = _POOL_SIZE**2 + _POOL_SIZE * max(0, words - _POOL_SIZE)
-    keys = np.arange(start, start + count, dtype=np.uint64).astype(np.uint32)
-    mixed = _hash(keys, _hash_constants(_INIT_A * pow(_MULT_A, calls, 2**32) % 2**32, _MULT_A, _POOL_SIZE))
-    # mix(pool word, hashmix(key)): MIX_MULT_L * x - MIX_MULT_R * y, folded
-    pool = np.uint32(_MIX_MULT_L) * parent.pool[:, None] - np.uint32(_MIX_MULT_R) * mixed
-    pool ^= pool >> np.uint32(16)
-    # 8 words cycling over the pool, read as little-endian pairs
-    out = _hash(np.tile(pool, (2, 1)), _GENERATE_CONSTANTS).astype(np.uint64)
-    states = []
-    for seed_hi, seed_lo, seq_hi, seq_lo in (out[0::2] | out[1::2] << np.uint64(32)).T.tolist():
-        # pcg64_set_seed: inc = 2 * initseq + 1; an LCG step from 0, add
-        # initstate, another LCG step
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-        )
-    return states
-
-
-def _haar_from_states(dim: int, rng: np.random.Generator, states: Sequence[dict]) -> np.ndarray:
-    """Stack of Haar unitaries, one per bit-generator state: `rng` is set to
-    each state in turn and draws, in one call, the real then the imaginary part.
-    Unitary i depends on states[i] alone, so a caller may overwrite any of
-    them without moving the others."""
-    parts = np.empty((len(states), 2, dim, dim))
-    bit_generator = rng.bit_generator
-    for i, state in enumerate(states):
-        bit_generator.state = state
-        rng.standard_normal(out=parts[i])
+def haar_unitaries(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """Stack of `count` Haar dim x dim unitaries, the next ones in `rng`'s
+    stream: unitary i draws, within one standard_normal call, its real then
+    its imaginary part, so it is the unitary a one-at-a-time draw would give."""
+    parts = rng.standard_normal((count, 2, dim, dim))
     z = parts[:, 0] + 1j * parts[:, 1]
     z /= np.sqrt(2.0)
     # QR of a complex Gaussian is not Haar until the R diagonal phases are
@@ -146,7 +76,7 @@ def _haar_from_states(dim: int, rng: np.random.Generator, states: Sequence[dict]
 
 
 def _haar_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return _haar_from_states(dim, rng, [rng.bit_generator.state])[0]
+    return haar_unitaries(rng, 1, dim)[0]
 
 
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:

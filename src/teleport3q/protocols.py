@@ -97,11 +97,15 @@ def scale_and_deviation(ops) -> tuple[np.ndarray, np.ndarray]:
     ops = np.asarray(ops, dtype=complex)
     a, b, c, d = ops[..., 0, 0], ops[..., 0, 1], ops[..., 1, 0], ops[..., 1, 1]
     weights = ops.real**2 + ops.imag**2
-    columns = weights.sum(axis=-2)
-    scale = (columns[..., 0] + columns[..., 1]) / 2.0
-    diagonals = np.concatenate([columns, weights.sum(axis=-1)], axis=-1) - scale[..., None]
+    w00, w01, w10, w11 = weights[..., 0, 0], weights[..., 0, 1], weights[..., 1, 0], weights[..., 1, 1]
+    col0, col1, row0, row1 = w00 + w10, w01 + w11, w00 + w01, w10 + w11
+    scale = (col0 + col1) / 2.0
+    diagonal = np.maximum(
+        np.maximum(np.abs(col0 - scale), np.abs(col1 - scale)),
+        np.maximum(np.abs(row0 - scale), np.abs(row1 - scale)),
+    )
     off_diagonal = np.maximum(np.abs(a.conj() * b + c.conj() * d), np.abs(a * c.conj() + b * d.conj()))
-    return scale, np.maximum(np.abs(diagonals).max(axis=-1), off_diagonal)
+    return scale, np.maximum(diagonal, off_diagonal)
 
 
 @dataclass(frozen=True)
@@ -163,10 +167,13 @@ class TeleportProtocol:
         n_out = len(self.basis.rows)
         if len(self.corrections) != n_out:
             raise ValueError(f"expected {n_out} corrections, got {len(self.corrections)}")
-        for k, u in enumerate(self.corrections):
-            if np.shape(u) != (2, 2) or not is_unitary(u, ATOL):
-                raise ValueError(f"correction {k} is not a 2x2 unitary")
-        corrections = np.array(self.corrections, dtype=complex, order="C")
+        # checked as one stack up to the first correction of another shape
+        shaped = next((k for k, u in enumerate(self.corrections) if np.shape(u) != (2, 2)), n_out)
+        corrections = np.array(self.corrections[:shaped], dtype=complex, order="C").reshape(shaped, 2, 2)
+        failing = np.flatnonzero(~is_unitary(corrections, ATOL))
+        first = int(failing[0]) if failing.size else shaped
+        if first < n_out:
+            raise ValueError(f"correction {first} is not a 2x2 unitary")
         corrections.setflags(write=False)
         object.__setattr__(self, "corrections", corrections)
 

@@ -51,7 +51,7 @@ def _pair(z: complex) -> list[float]:
 
 
 def _amplitudes_to_jsonable(amplitudes: np.ndarray) -> dict:
-    return {"nQubits": qubit_count(amplitudes.size), "amplitudes": [_pair(z) for z in amplitudes]}
+    return {"nQubits": qubit_count(amplitudes.size), "amplitudes": [_pair(z) for z in amplitudes.tolist()]}
 
 
 def state_to_jsonable(state: PureState) -> dict:
@@ -72,7 +72,7 @@ def state_from_jsonable(data: dict) -> PureState:
 
 
 def operator_to_jsonable(op: np.ndarray) -> list:
-    return [[_pair(complex(z)) for z in row] for row in np.asarray(op, dtype=complex)]
+    return [[_pair(z) for z in row] for row in np.asarray(op, dtype=complex).tolist()]
 
 
 def operator_from_jsonable(data) -> np.ndarray:
@@ -91,7 +91,7 @@ def protocol_to_jsonable(protocol: TeleportProtocol) -> dict:
         "sharedState": state_to_jsonable(protocol.shared),
         "basisElements": [_amplitudes_to_jsonable(row) for row in protocol.basis.rows],
         "corrections": [operator_to_jsonable(u) for u in protocol.corrections],
-        "coefficients": [round12(c) for c in protocol.coefficients],
+        "coefficients": [round12(c) for c in protocol.coefficients.tolist()],
     }
 
 

@@ -145,6 +145,7 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
     [
         ("[1,2]", "S must be a JSON list of rows"),
         ("[[1,0],[0,1e400]]", "S is not unitary"),
+        ("[[1,0],[0,1e200]]", "S is not unitary"),
         ({"basisElements": 5}, "must be lists: basisElements"),
         ({"corrections": 5}, "must be lists: corrections"),
         ({"coefficients": [1.0] + [0.0] * 7}, "coefficients differ from the derived"),
@@ -159,12 +160,19 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
             {"corrections": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 7 + [[[[1, 0]]]]},
             "correction 7 is not a 2x2 unitary",
         ),
+        # the first failing correction is named, whichever check it fails
+        (
+            {"corrections": [[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]] * 7 + [[[[1, 0]]]]},
+            "correction 0 is not a 2x2 unitary",
+        ),
+        # its product overflows, which fails the check and prints no RuntimeWarning
+        ({"corrections": [[[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]] * 8}, "correction 0 is not a 2x2 unitary"),
     ],
     ids=[
-        "S-not-nested", "S-non-finite", "basisElements-not-list", "corrections-not-list",
+        "S-not-nested", "S-non-finite", "S-overflows", "basisElements-not-list", "corrections-not-list",
         "coefficients-edited", "correction-non-finite",
         "S-string-entry", "S-bool-entry", "S-huge-integer", "coefficients-strings", "correction-bool",
-        "correction-not-2x2",
+        "correction-not-2x2", "correction-not-unitary-before-not-2x2", "correction-overflows",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, edit, message):
@@ -180,6 +188,7 @@ def test_malformed_input_exits_2(tmp_path, edit, message):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -298,10 +307,10 @@ def test_state_file_amplitudes_must_be_number_pairs(tmp_path, entry):
     assert proc.stderr.startswith("error: malformed state object") and proc.stderr.count("\n") == 1
 
 
-def test_scan_trials_capped_at_one_word_spawn_keys(monkeypatch, capsys):
-    # in process, with the keying removed: a scan that started fails at once
+def test_scan_trials_capped_to_bound_run_time(monkeypatch, capsys):
+    # in process, with the Haar draw removed: a scan that started fails at once
     # instead of running for a day
-    monkeypatch.setattr(feasibility, "spawned_pcg64_states", None)
+    monkeypatch.setattr(feasibility, "haar_unitaries", None)
     assert cli.main(["scan", "--shared", "w", "--trials", str(2**32 + 1)]) == 2
     assert capsys.readouterr().err == "error: trials must be <= 2**32\n"
 

@@ -34,6 +34,7 @@ from teleport3q.protocols import (
     check_basis_rows,
     check_complete,
     ghz_protocol,
+    scale_and_deviation,
     w_like_protocol,
 )
 from teleport3q.states import (
@@ -313,9 +314,9 @@ def test_haar_scan_rejects_zero_trials():
         haar_scan(make_named_state("w"), 0, seed=1)
 
 
-def test_haar_scan_caps_trials_at_one_word_spawn_keys(monkeypatch):
+def test_haar_scan_caps_trials_to_bound_run_time(monkeypatch):
     # checked before any work: a scan that started would fail here, not run for a day
-    monkeypatch.setattr(feasibility, "spawned_pcg64_states", None)
+    monkeypatch.setattr(feasibility, "haar_unitaries", None)
     with pytest.raises(ValueError, match=r"trials must be <= 2\*\*32"):
         haar_scan(make_named_state("w"), 2**32 + 1, seed=0)
 
@@ -350,15 +351,16 @@ def test_feasibility_report_rejects_wrong_size():
 
 
 def reference_scan_ops(shared, trials, seed, inject):
-    """Branch operators of each trial, from the per-trial loop the batched
-    haar_scan replaced: one spawned child, Haar draw and MeasurementBasis per trial."""
+    """Branch operators of each trial, from a per-trial loop over one
+    default_rng(seed): a Haar draw and a MeasurementBasis per trial. Trial 0
+    draws even when `inject` replaces its basis."""
     dim = 2**shared.n_qubits
+    rng = np.random.default_rng(seed)
     ops = []
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+    for i in range(trials):
+        basis = MeasurementBasis.from_unitary_columns(_haar_from_rng(dim, rng))
         if inject is not None and i == 0:
             basis = inject
-        else:
-            basis = MeasurementBasis.from_unitary_columns(_haar_from_rng(dim, np.random.default_rng(child)))
         ops.append(branch_operators(basis, shared).ops)
     return ops
 
@@ -391,7 +393,7 @@ def test_haar_scan_matches_per_trial_reference(case, seed):
     # At 0 only exact zeros pass, such as the dead branches of injected bases.
     shared, inject = SCAN_CASES[case]()
     counts = sorted({1, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 255, 256, 257, 513})
-    # spawn keys are indices, so a shorter scan uses a prefix of the trials
+    # trials are drawn in order from one stream, so a shorter scan uses a prefix of them
     trial_ops = reference_scan_ops(shared, max(counts), seed, inject)
     outcomes = len(trial_ops[0])
     for tol in (0.0, SCAN_TOL, 0.05, 0.3):
@@ -405,6 +407,30 @@ def test_haar_scan_matches_per_trial_reference(case, seed):
                 injected=inject is not None,
             )
             assert haar_scan(shared, trials, seed, inject=inject, tol=tol) == expected
+
+
+@pytest.mark.parametrize("case", ["w", "random", "ghz-injected"])
+def test_haar_scan_does_not_depend_on_the_chunk_size(monkeypatch, case):
+    shared, inject = SCAN_CASES[case]()
+    expected = {tol: haar_scan(shared, 300, 4, inject=inject, tol=tol) for tol in (0.05, 0.3, 0.5)}
+    for chunk in (1, 7, 64, 1000):
+        monkeypatch.setattr(feasibility, "SCAN_CHUNK", chunk)
+        for tol, result in expected.items():
+            assert haar_scan(shared, 300, 4, inject=inject, tol=tol) == result
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40])
+def test_haar_scan_trial_zero_measures_in_the_haar_seed_basis(seed):
+    """Trial 0 of a scan with seed S is the basis `--basis haar:S` names."""
+    shared = haar_random_state(3, 11)
+    basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, seed))
+    # the scan counts exactly the branches of that basis at or below each
+    # branch's own deviation, and one ulp below it
+    _, deviations = scale_and_deviation(branch_operators(basis, shared).ops)
+    for tol in deviations.tolist():
+        for below in (tol, np.nextafter(tol, 0.0)):
+            expected = int(np.count_nonzero(deviations <= below))
+            assert haar_scan(shared, 1, seed, tol=below).max_passing_branches == expected
 
 
 def test_kernel_checks_reject_bad_rows():
@@ -437,10 +463,10 @@ def test_haar_scan_runs_the_checks(monkeypatch):
     with pytest.raises(ValueError, match="not complete"):
         haar_scan(SimpleNamespace(n_qubits=3, amplitudes=1.001 * w.amplitudes), 3, seed=0)
 
-    def equal_rows(dim, rng, states):
-        return np.full((len(states), dim, dim), 1.0 / math.sqrt(dim), dtype=complex)
+    def equal_rows(rng, count, dim):
+        return np.full((count, dim, dim), 1.0 / math.sqrt(dim), dtype=complex)
 
-    monkeypatch.setattr(feasibility, "_haar_from_states", equal_rows)
+    monkeypatch.setattr(feasibility, "haar_unitaries", equal_rows)
     with pytest.raises(ValueError, match="not orthonormal"):
         haar_scan(w, 3, seed=0)
 

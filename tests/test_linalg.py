@@ -8,10 +8,10 @@ from teleport3q.linalg import (
     complete_orthonormal,
     dagger,
     haar_random_unitary,
+    haar_unitaries,
     is_unitary,
     max_abs,
     schmidt_decompose,
-    spawned_pcg64_states,
     tensor_product,
 )
 
@@ -67,6 +67,15 @@ def test_is_unitary_rejects_non_finite_entries(bad):
     assert not is_unitary(u)
 
 
+def test_is_unitary_gives_one_verdict_per_matrix_of_a_stack():
+    # an overflowing product and an inf * 0 fail their matrix without a RuntimeWarning
+    stack = np.stack([PAULI_X, np.zeros((2, 2)), np.diag([1e200, 1.0]), np.diag([np.inf, 1.0]), IDENTITY])
+    verdicts = is_unitary(stack)
+    assert verdicts.dtype == bool
+    assert verdicts.tolist() == [True, False, False, False, True]
+    assert [is_unitary(u) for u in stack] == verdicts.tolist()
+
+
 def test_is_unitary_rejects_non_square():
     with pytest.raises(ValueError):
         is_unitary(np.zeros((2, 3)))
@@ -93,6 +102,18 @@ def test_haar_draw_order_is_real_then_imaginary(dim):
         q, r = np.linalg.qr(z)
         phases = np.diagonal(r) / np.abs(np.diagonal(r))
         assert (q * phases).tobytes() == haar_random_unitary(dim, seed).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_haar_unitaries_continue_one_stream(dim):
+    """A stack of draws is the same unitaries, bit for bit, as one draw at a
+    time from the same generator, however the stream is split."""
+    one_at_a_time = np.random.default_rng(5)
+    singles = np.stack([haar_unitaries(one_at_a_time, 1, dim)[0] for _ in range(20)])
+    assert singles[0].tobytes() == haar_random_unitary(dim, 5).tobytes()
+    rng = np.random.default_rng(5)
+    stacked = np.concatenate([haar_unitaries(rng, count, dim) for count in (7, 1, 12)])
+    assert stacked.tobytes() == singles.tobytes()
 
 
 def test_haar_unitary_many_seeds():
@@ -198,28 +219,3 @@ def test_closest_unitary_on_a_stack():
         assert is_unitary(u[idx], 1e-12)
         h = dagger(u[idx]) @ t[idx]
         assert max_abs(h - dagger(h)) <= 1e-12 and np.linalg.eigvalsh(h).min() >= -1e-12
-
-
-# ---------------------------------------------------------------- scan keying
-
-KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**200]
-KEY_STARTS = [0, 63, 64, 65, 99_990, 2**32 - 3]
-
-
-@pytest.mark.parametrize("seed", KEY_SEEDS)
-def test_spawned_pcg64_states_match_numpy(seed):
-    """The computed states are default_rng(child)'s, and so are the draws.
-
-    Seeds of one to seven uint32 words cover the zero-padded pool and the
-    seed words mixed in after it; the starts cross chunk edges and reach the
-    largest one-word spawn key. A numpy stream change would fail here first.
-    """
-    rng = np.random.default_rng(123)
-    for start in KEY_STARTS:
-        states = spawned_pcg64_states(seed, start, 3)
-        for i, state in enumerate(states):
-            child = np.random.SeedSequence(seed, spawn_key=(start + i,))
-            assert state == np.random.PCG64(child).state
-            rng.bit_generator.state = state
-            assert np.array_equal(rng.standard_normal((2, 8, 8)), np.random.default_rng(child).standard_normal((2, 8, 8)))
-

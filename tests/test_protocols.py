@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from teleport3q.linalg import (
     IDENTITY,
@@ -202,6 +203,47 @@ def test_scale_and_deviation_matches_definition_on_haar_branches():
     # a non-normal operator deviates, and a single operator gives scalars
     scale, deviation = scale_and_deviation(np.array([[1.0, 2.0], [0.0, 1.0j]]))
     assert (scale, deviation) == reference_scale_and_deviation(np.array([[1.0, 2.0], [0.0, 1.0j]]))
+
+
+def reduced_scale_and_deviation(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scale_and_deviation with its row and column sums taken as reductions
+    over the 2x2 axes, as it was first written."""
+    a, b, c, d = ops[..., 0, 0], ops[..., 0, 1], ops[..., 1, 0], ops[..., 1, 1]
+    weights = ops.real**2 + ops.imag**2
+    columns = weights.sum(axis=-2)
+    scale = (columns[..., 0] + columns[..., 1]) / 2.0
+    diagonals = np.concatenate([columns, weights.sum(axis=-1)], axis=-1) - scale[..., None]
+    off_diagonal = np.maximum(np.abs(a.conj() * b + c.conj() * d), np.abs(a * c.conj() + b * d.conj()))
+    return scale, np.maximum(np.abs(diagonals).max(axis=-1), off_diagonal)
+
+
+def gaussian_parts(seed: int, lead: tuple[int, ...]) -> np.ndarray:
+    """Gaussian real and imaginary parts of a stack (*lead, 2, 2), about 30% exact zeros."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal(lead + (2, 2, 2))
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    return parts
+
+
+LEADS = st.sampled_from([(1,), (5,), (3, 8), (33, 8)])
+# real and imaginary parts, with exact and signed zeros; small enough that no square overflows
+OPERATOR_PARTS = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e100, 1e100))
+
+
+@given(
+    parts=st.one_of(
+        st.builds(gaussian_parts, st.integers(0, 2**32 - 1), LEADS),
+        LEADS.flatmap(lambda lead: arrays(np.float64, lead + (2, 2, 2), elements=OPERATOR_PARTS)),
+    )
+)
+@example(parts=np.zeros((1, 2, 2, 2)))
+@example(parts=np.stack([0.5 * PAULI_Y.real, 0.5 * PAULI_Y.imag], axis=-1)[None])
+def test_scale_and_deviation_bitwise_equals_the_reduction_form(parts):
+    ops = parts.view(complex)[..., 0]
+    scale, deviation = scale_and_deviation(ops)
+    ref_scale, ref_deviation = reduced_scale_and_deviation(ops)
+    assert scale.tobytes() == ref_scale.tobytes()
+    assert deviation.tobytes() == ref_deviation.tobytes()
 
 
 @pytest.mark.parametrize("sigma", [np.zeros((2, 2)), IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, -1j * PAULI_Y])
