@@ -60,7 +60,10 @@ def _fmt(x: float) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output file {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -102,10 +105,11 @@ def _read_json(path: str, what: str):
 
 
 # Canonical perfect protocol of each named state family that has one; every
-# bell(m,n) pair is measured in the bell(0,0) protocol's basis.
+# bell(m,n) pair is built from its own corrections. The lambdas look the
+# builders up at call time, so a patched module attribute sees every build.
 _CANONICAL = {
     "ghz": lambda state: ghz_protocol(),
-    "bell": lambda state: protocol_from_basis(state, bell_protocol().basis),
+    "bell": lambda state: bell_protocol(state),
 }
 
 
@@ -195,14 +199,12 @@ def cmd_teleport(args) -> int:
     psi, message_label = _resolve_message(args)
     result = run_teleport(psi, protocol)
     perfect = result.total_fidelity >= 1.0 - args.tolerance
-    sample = (
-        sample_teleport(psi, protocol, args.trials, args.seed) if args.sample else None
-    )
+    sample = sample_teleport(result, args.trials, args.seed) if args.sample else None
 
     if args.format == "json":
         branches = [
             {
-                "index": "".join(str(b) for b in o.index),
+                "index": o.label,
                 "probability": round12(o.probability),
                 "fidelity": None if o.branch_fidelity is None else round12(o.branch_fidelity),
             }
@@ -233,9 +235,8 @@ def cmd_teleport(args) -> int:
             "branch  probability     fidelity",
         ]
         for o in result.outcomes:
-            bits = "".join(str(b) for b in o.index)
             fid = "-" if o.branch_fidelity is None else _fmt(o.branch_fidelity)
-            lines.append(f"{bits:<7} {_fmt(o.probability):<15} {fid}")
+            lines.append(f"{o.label:<7} {_fmt(o.probability):<15} {fid}")
         lines.append(f"total fidelity: {_fmt(result.total_fidelity)}")
         if args.expect_perfect:
             lines.append(f"expect-perfect: {'PASS' if perfect else 'FAIL'} (tolerance {_fmt(args.tolerance)})")

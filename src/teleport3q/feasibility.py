@@ -220,13 +220,7 @@ def haar_scan(
     )
 
 
-def build_feasibility_report(
-    shared: PureState,
-    label: str,
-    scan_trials: int,
-    seed: int,
-    inject: MeasurementBasis | None = None,
-) -> FeasibilityReport:
+def build_feasibility_report(shared: PureState, label: str, scan_trials: int, seed: int) -> FeasibilityReport:
     """Assemble every diagnostic for one shared state.
 
     The sum-rule rows are basis-independent and equal 2 diag(rho_B), so they
@@ -248,7 +242,7 @@ def build_feasibility_report(
         sum_rule_row0=row0,
         sum_rule_row1=row1,
         sum_rule_balanced=abs(row0 - row1) <= SUM_RULE_ATOL,
-        scan=haar_scan(shared, scan_trials, seed, inject=inject),
+        scan=haar_scan(shared, scan_trials, seed),
         componentwise=componentwise_disentangler(shared),
         schmidt=schmidt_disentangler(shared),
     )

@@ -41,10 +41,6 @@ PROB_FLOOR = 1e-24
 SAMPLE_CHUNK = 2**16
 
 
-def outcome_bits(index: int, n_bits: int) -> tuple[int, ...]:
-    return tuple((index >> (n_bits - 1 - k)) & 1 for k in range(n_bits))
-
-
 def _apply_to_last_qubit(amplitudes: np.ndarray, op: np.ndarray) -> np.ndarray:
     return (amplitudes.reshape(-1, 2) @ op.T).reshape(-1)
 
@@ -186,7 +182,7 @@ class TeleportProtocol:
 
 @dataclass(frozen=True)
 class BranchOutcome:
-    index: tuple[int, ...]
+    label: str
     probability: float
     branch_fidelity: float | None
 
@@ -231,16 +227,14 @@ def run_teleport(psi: PureState, protocol: TeleportProtocol) -> TeleportResult:
         # Python's abs and ** call C's hypot and pow, as numpy scalars do; array loops may round otherwise
         fid = abs(overlap) ** 2 if prob > PROB_FLOOR else None
         total += 0.0 if fid is None else prob * fid
-        outcomes.append(BranchOutcome(outcome_bits(k, n_bits), prob, fid))
+        outcomes.append(BranchOutcome(format(k, f"0{n_bits}b"), prob, fid))
     return TeleportResult(tuple(outcomes), total)
 
 
-def sample_teleport(
-    psi: PureState, protocol: TeleportProtocol, trials: int, seed: int
-) -> SampleResult:
-    """Sampled execution over the classical channel.
+def sample_teleport(exact: TeleportResult, trials: int, seed: int) -> SampleResult:
+    """Sampled execution over the classical channel, drawn from the exact run `exact`.
 
-    The sender draws outcomes from the exact branch distribution; each drawn
+    The sender draws outcomes from its branch distribution; each drawn
     outcome is delivered as a classical bit string to a receiver that applies
     its correction. Philox keying makes trial batches reproducible and
     splittable. Uniforms u are drawn SAMPLE_CHUNK at a time, so memory does not
@@ -252,7 +246,6 @@ def sample_teleport(
         raise ValueError("trials must be >= 1")
     if trials > 2**32:
         raise ValueError("trials must be <= 2**32")
-    exact = run_teleport(psi, protocol)
     probs = np.array([o.probability for o in exact.outcomes])
     rng = np.random.Generator(np.random.Philox(key=seed))
     cdf = (probs / probs.sum()).cumsum()
@@ -291,13 +284,15 @@ def _protocol_from_corrections(
     return TeleportProtocol(shared=shared, basis=MeasurementBasis(rows), corrections=corrections)
 
 
-def bell_protocol() -> TeleportProtocol:
-    """Baseline 2-qubit protocol over bell(0,0) (_protocol_from_corrections):
-    outcomes 00, 01, 10, 11 have corrections C_k = I, X, Z, iY, elements
-    bell(0,0)..bell(1,1) and branch operators ±C_k/2 = I/2, X/2, Z/2, -iY/2."""
-    return _protocol_from_corrections(
-        make_named_state("bell(0,0)"), {0: IDENTITY, 1: PAULI_X, 2: PAULI_Z, 3: 1j * PAULI_Y}
-    )
+def bell_protocol(shared: PureState | None = None) -> TeleportProtocol:
+    """Perfect 2-qubit protocol over `shared`, bell(0,0) by default
+    (_protocol_from_corrections): outcomes 00, 01, 10, 11 have corrections
+    C_k = I, X, Z, iY and branch operators ±C_k/2 = I/2, X/2, Z/2, -iY/2. Over
+    bell(0,0) the elements are bell(0,0)..bell(1,1). The receiver's qubit must
+    be maximally mixed, as in every bell(m,n); over any other 2-qubit state the
+    elements are not orthonormal and MeasurementBasis raises."""
+    shared = make_named_state("bell(0,0)") if shared is None else shared
+    return _protocol_from_corrections(shared, {0: IDENTITY, 1: PAULI_X, 2: PAULI_Z, 3: 1j * PAULI_Y})
 
 
 def ghz_protocol() -> TeleportProtocol:

@@ -30,7 +30,9 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 def check_unit_norm(amplitudes: np.ndarray) -> None:
     """Raise unless every row (..., 2**n) is finite with unit squared norm within NORM_ATOL."""
     _require_finite(amplitudes, "amplitudes")
-    deviation = max_abs(np.sum(np.abs(amplitudes) ** 2, axis=-1) - 1.0)
+    # an overflowing square gives an infinite deviation without a RuntimeWarning
+    with np.errstate(over="ignore"):
+        deviation = max_abs(np.sum(np.abs(amplitudes) ** 2, axis=-1) - 1.0)
     if deviation > NORM_ATOL:
         raise ValueError(f"squared norm deviates from 1 by {deviation:.3e} (> {NORM_ATOL:g})")
 

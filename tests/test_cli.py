@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from teleport3q import cli, feasibility
+from teleport3q import cli, feasibility, protocols
 from teleport3q.serialize import dumps_canonical, state_to_jsonable
 from teleport3q.states import make_named_state
 
@@ -189,6 +189,84 @@ def test_malformed_input_exits_2(tmp_path, edit, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["state-file", "sharedState", "basisElements"])
+def test_overflowing_amplitudes_exit_2(tmp_path, capsys, where):
+    """An amplitude of 1e308 squares to inf: one error line and no RuntimeWarning,
+    which the suite's filterwarnings = error would raise from cli.main."""
+    huge = {"nQubits": 3, "amplitudes": [[1e308, 0]] + [[0, 0]] * 7}
+    path = tmp_path / "huge.json"
+    if where == "state-file":
+        path.write_text(json.dumps(huge))
+        argv = ["analyze", "--state-file", str(path), "--scan-trials", "1"]
+    else:
+        protocol = json.loads(BASIS_GEN_PROTOCOL.read_text())
+        if where == "sharedState":
+            protocol["sharedState"] = huge
+        else:
+            protocol["basisElements"][0] = huge
+        path.write_text(json.dumps(protocol))
+        argv = ["teleport", "--protocol-file", str(path), "--theta", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: squared norm deviates from 1 by inf (> 1e-10)\n"
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["teleport", "--shared", "ghz", "--theta", "1"],
+        ["analyze", "--shared", "ghz", "--scan-trials", "1"],
+        ["scan", "--shared", "w", "--trials", "1"],
+        ["basis-gen", "--params", "0.5,0.2,0.9", "--S", "H"],
+    ],
+    ids=["teleport", "analyze", "scan", "basis-gen"],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, args, target):
+    out = tmp_path / "no" / "such" / "out.txt" if target == "missing-directory" else tmp_path
+    assert cli.main(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write output file {str(out)!r}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_canonical_protocols_take_no_polar_factors(monkeypatch, capsys):
+    """Only --basis haar:SEED corrects by polar factors. Every bell(m,n) is built
+    by bell_protocol, looked up when it runs, so a patched attribute sees it."""
+    built, bell_protocol = [], protocols.bell_protocol
+
+    def counted(shared):
+        built.append(shared)
+        return bell_protocol(shared)
+
+    monkeypatch.setattr(cli, "protocol_from_basis", None)
+    monkeypatch.setattr(cli, "bell_protocol", counted)
+    bells = [f"bell({m},{n})" for m in (0, 1) for n in (0, 1)]
+    for spec in ["ghz", "w-like:0.5,0.2,0.9", *bells]:
+        assert cli.main(["teleport", "--shared", spec, "--theta", "1", "--expect-perfect"]) == 0
+        assert cli.main(["scan", "--shared", spec, "--trials", "1", "--inject-known-basis"]) == 0
+    assert "feasible bases: 1/1" in capsys.readouterr().out
+    assert len(built) == 2 * len(bells)
+
+
+def test_sampled_teleport_runs_the_protocol_once(monkeypatch, capsys):
+    """--sample draws from the exact run the command already made."""
+    calls, run_teleport = [], protocols.run_teleport
+
+    def counted(psi, protocol):
+        calls.append(protocol)
+        return run_teleport(psi, protocol)
+
+    monkeypatch.setattr(cli, "run_teleport", counted)
+    monkeypatch.setattr(protocols, "run_teleport", counted)
+    argv = ["teleport", "--shared", "bell(1,0)", "--theta", "1", "--sample", "--trials", "100"]
+    assert cli.main(argv) == 0
+    assert "sampled 100 trials" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -316,6 +316,15 @@ def test_bell_protocol_baseline():
         assert run_teleport(psi, protocol).total_fidelity == pytest.approx(1.0, abs=1e-10)
 
 
+def test_bell_protocol_defaults_to_bell00_and_needs_a_mixed_receiver():
+    default, explicit = bell_protocol(), bell_protocol(make_named_state("bell(0,0)"))
+    assert np.array_equal(default.basis.rows, explicit.basis.rows)
+    assert np.array_equal(default.corrections, explicit.corrections)
+    for shared in (haar_random_state(2, 3), PureState.from_array([1, 0, 0, 0])):
+        with pytest.raises(ValueError, match="basis is not orthonormal"):
+            bell_protocol(shared)
+
+
 def random_w_like_params(count: int, seed: int) -> list[WLikeParams]:
     rng = np.random.default_rng(seed)
     return [WLikeParams(*(float(x) for x in rng.uniform(-math.pi, math.pi, 3))) for _ in range(count)]
@@ -333,7 +342,7 @@ CANONICAL_SIGNS = {
 @pytest.mark.parametrize("builder", sorted(CANONICAL_SIGNS))
 def test_canonical_branch_operators_are_half_corrections(builder):
     protocols = {
-        "bell": lambda: [bell_protocol()],
+        "bell": lambda: [bell_protocol(make_named_state(f"bell({m},{n})")) for m in (0, 1) for n in (0, 1)],
         "ghz": lambda: [ghz_protocol()],
         "w_like": lambda: [w_like_protocol(p) for p in random_w_like_params(10, 31)],
         "basis_from_S": lambda: [
@@ -514,26 +523,26 @@ def test_array_execution_is_bitwise_the_loop_with_dead_branches(builder):
 def test_sample_teleport_frequencies():
     protocol = ghz_protocol()
     psi = bloch_qubit(1.0, 0.3)
-    sample = sample_teleport(psi, protocol, 100_000, seed=11)
+    exact = run_teleport(psi, protocol)
+    sample = sample_teleport(exact, 100_000, seed=11)
     assert int(np.sum(sample.counts)) == 100_000
     for k in LIVE_GHZ:
         assert abs(sample.counts[k] / 100_000 - 0.25) <= 0.01
     assert sample.empirical_fidelity == pytest.approx(1.0, abs=1e-10)
-    exact = run_teleport(psi, protocol)
     probs = np.array([o.probability for o in exact.outcomes])
     tv = 0.5 * np.sum(np.abs(sample.counts / 100_000 - probs))
     assert tv <= 0.02
 
 
 def test_sample_teleport_single_trial():
-    sample = sample_teleport(bloch_qubit(0.4, 0.0), ghz_protocol(), 1, seed=5)
+    sample = sample_teleport(run_teleport(bloch_qubit(0.4, 0.0), ghz_protocol()), 1, seed=5)
     assert int(np.sum(sample.counts > 0)) == 1
 
 
 def test_sample_teleport_deterministic():
     psi = bloch_qubit(2.0, -0.7)
-    a = sample_teleport(psi, ghz_protocol(), 5000, seed=123)
-    b = sample_teleport(psi, ghz_protocol(), 5000, seed=123)
+    a = sample_teleport(run_teleport(psi, ghz_protocol()), 5000, seed=123)
+    b = sample_teleport(run_teleport(psi, ghz_protocol()), 5000, seed=123)
     assert np.array_equal(a.counts, b.counts)
     assert a.empirical_fidelity == b.empirical_fidelity
 
@@ -556,10 +565,11 @@ def test_sample_teleport_draws_in_chunks_with_the_one_call_counts(monkeypatch, c
     psi = bloch_qubit(1.1, 0.4)
     basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, 2))
     protocol = protocol_from_basis(make_named_state("w"), basis)
-    probs = np.array([o.probability for o in run_teleport(psi, protocol).outcomes])
+    exact = run_teleport(psi, protocol)
+    probs = np.array([o.probability for o in exact.outcomes])
     for trials in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 17):
         sizes.clear()
-        sample = sample_teleport(psi, protocol, trials, seed=7)
+        sample = sample_teleport(exact, trials, seed=7)
         assert max(sizes) <= chunk and sum(sizes) == trials
         drawn = one_call(np.random.Philox(key=7)).choice(8, size=trials, p=probs / probs.sum())
         counts = np.bincount(drawn, minlength=8)
@@ -576,12 +586,11 @@ def sample_weights(weights, trials, seed, chunk=SMALL_CHUNK):
     """sample_teleport over a stand-in exact run with branch probabilities
     `weights`: live branches have fidelity 1, dead ones None."""
     exact = TeleportResult(
-        tuple(BranchOutcome((k,), w, 1.0 if w > 0 else None) for k, w in enumerate(weights)), 1.0
+        tuple(BranchOutcome(str(k), w, 1.0 if w > 0 else None) for k, w in enumerate(weights)), 1.0
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocols, "SAMPLE_CHUNK", chunk)
-        patch.setattr(protocols, "run_teleport", lambda psi, protocol: exact)
-        return sample_teleport(None, None, trials, seed)
+        return sample_teleport(exact, trials, seed)
 
 
 @given(weights=WEIGHTS, trials=st.integers(1, 3 * SMALL_CHUNK), seed=st.integers(0, 2**64 - 1))
@@ -627,9 +636,9 @@ def test_sample_counts_uniforms_on_cdf_entries_as_choice_does(weights):
 
 def test_sample_teleport_caps_trials_before_drawing(no_draws):
     with pytest.raises(ValueError, match=r"trials must be <= 2\*\*32"):
-        sample_teleport(bloch_qubit(0.4, 0.0), ghz_protocol(), 2**32 + 1, seed=1)
+        sample_teleport(run_teleport(bloch_qubit(0.4, 0.0), ghz_protocol()), 2**32 + 1, seed=1)
 
 
 def test_sample_teleport_rejects_zero_trials():
     with pytest.raises(ValueError):
-        sample_teleport(bloch_qubit(0.4, 0.0), ghz_protocol(), 0, seed=1)
+        sample_teleport(run_teleport(bloch_qubit(0.4, 0.0), ghz_protocol()), 0, seed=1)
