@@ -140,13 +140,14 @@ def _resolve_state(args) -> tuple[PureState, str, Callable[[], TeleportProtocol]
 
 
 def _resolve_message(args) -> tuple[PureState, str]:
-    if args.random and args.theta is not None:
+    if args.random and (args.theta is not None or args.phi is not None):
         raise ValueError("pass either --random or --theta/--phi, not both")
     if args.random:
         return haar_random_state(1, args.seed), f"random(seed={args.seed})"
     if args.theta is None:
         raise ValueError("a message state is required: --theta [--phi] or --random")
-    return bloch_qubit(args.theta, args.phi), f"theta={_fmt(args.theta)}, phi={_fmt(args.phi)}"
+    phi = 0.0 if args.phi is None else args.phi
+    return bloch_qubit(args.theta, phi), f"theta={_fmt(args.theta)}, phi={_fmt(phi)}"
 
 
 def _resolve_protocol(args) -> tuple[TeleportProtocol, str]:
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_options(p)
     p.add_argument("--protocol-file", help="load a full protocol JSON instead of --shared")
     p.add_argument("--theta", type=float, help="message polar angle (radians)")
-    p.add_argument("--phi", type=float, default=0.0, help="message azimuthal angle (radians)")
+    p.add_argument("--phi", type=float, help="message azimuthal angle (radians), default 0")
     p.add_argument("--random", action="store_true", help="Haar-random message from --seed")
     p.add_argument("--basis", help="override measurement basis: haar:SEED")
     p.add_argument(

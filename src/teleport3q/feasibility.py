@@ -93,10 +93,7 @@ def protocol_feasible(
     basis: MeasurementBasis, shared: PureState, tol: float
 ) -> tuple[bool, tuple[UnitarityVerdict, ...]]:
     """True iff every branch operator is proportional to a unitary at tol."""
-    scales, deviations = scale_and_deviation(branch_operators(basis, shared).ops)
-    verdicts = tuple(
-        UnitarityVerdict(bool(d <= tol), float(s), float(d)) for s, d in zip(scales, deviations)
-    )
+    verdicts = tuple(unitarity_verdict(t, tol) for t in branch_operators(basis, shared).ops)
     return all(v.is_proportional_unitary for v in verdicts), verdicts
 
 

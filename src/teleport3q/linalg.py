@@ -38,15 +38,6 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors or two operators.
-
-    Big-endian composition: the qubits of `a` land on the most significant
-    bits of the composite index.
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool | np.ndarray:
     """True iff u is finite and the max-abs entry of u†u - I is within tol;
     for a stack (..., n, n), a bool array with that verdict per matrix."""

@@ -7,8 +7,8 @@ mapping the message qubit onto the receiver's qubit; the stored correction
 is the unitary the receiver inverts to recover the message. Branch
 magnitudes are derived from the basis and the state, never stored.
 
-The Pauli index map used by the twirl and the S-parameterized builder is
-fixed as 00 -> I, 01 -> X, 10 -> Y, 11 -> Z.
+The Pauli index map used by the S-parameterized builder is fixed as
+00 -> I, 01 -> X, 10 -> Y, 11 -> Z.
 """
 
 from __future__ import annotations
@@ -311,23 +311,6 @@ def w_like_protocol(params: WLikeParams) -> TeleportProtocol:
     return _protocol_from_corrections(
         w_like_from_params(params), {0: IDENTITY, 1: PAULI_Z, 2: PAULI_X, 3: -1j * PAULI_Y}
     )
-
-
-def sigma_twirl_states(shared: PureState) -> tuple[tuple[PureState, ...], np.ndarray]:
-    """Pauli twirl of the receiver slot: sigma† applied to the last qubit.
-
-    Returns the four twirled states (indexed 00, 01, 10, 11 by the Pauli map)
-    and their 4x4 Gram matrix; the shared state supports perfect teleportation
-    with Pauli-style corrections exactly when the Gram matrix is the identity.
-    """
-    if shared.n_qubits != 3:
-        raise ValueError("twirl expects a 3-qubit shared state")
-    twirled = tuple(
-        PureState.from_array(_apply_to_last_qubit(shared.amplitudes, dagger(sigma)))
-        for sigma in SIGMA_BY_INDEX
-    )
-    amplitudes = np.array([state.amplitudes for state in twirled])
-    return twirled, amplitudes.conj() @ amplitudes.T
 
 
 def basis_from_S(params: WLikeParams, s: np.ndarray) -> TeleportProtocol:

@@ -1,7 +1,8 @@
 """Named shared states, density matrices, partial traces, and entanglement entropy.
 
 Qubit order is big-endian everywhere: position 0 is the most significant bit
-of the basis index, so a 3-qubit basis ket |abc> sits at index 4a + 2b + c.
+of the basis index, so a 3-qubit basis ket |abc> sits at index 4a + 2b + c,
+and np.kron(a, b) puts the qubits of a before those of b.
 For a shared resource state the sender holds every position but the last; the
 receiver's qubit is always the last position.
 """
@@ -15,9 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import haar_random_unitary, max_abs, qubit_count
+from .linalg import ATOL, haar_random_unitary, max_abs, qubit_count
 
-NORM_ATOL = 1e-10
 _BELL_RE = re.compile(r"^bell\(\s*([01])\s*,\s*([01])\s*\)$")
 _SQRT2 = math.sqrt(2.0)
 
@@ -28,13 +28,13 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 
 def check_unit_norm(amplitudes: np.ndarray) -> None:
-    """Raise unless every row (..., 2**n) is finite with unit squared norm within NORM_ATOL."""
+    """Raise unless every row (..., 2**n) is finite with unit squared norm within ATOL."""
     _require_finite(amplitudes, "amplitudes")
     # an overflowing square gives an infinite deviation without a RuntimeWarning
     with np.errstate(over="ignore"):
         deviation = max_abs(np.sum(np.abs(amplitudes) ** 2, axis=-1) - 1.0)
-    if deviation > NORM_ATOL:
-        raise ValueError(f"squared norm deviates from 1 by {deviation:.3e} (> {NORM_ATOL:g})")
+    if deviation > ATOL:
+        raise ValueError(f"squared norm deviates from 1 by {deviation:.3e} (> {ATOL:g})")
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,6 @@ class PureState:
         check_unit_norm(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_array(cls, amplitudes) -> "PureState":
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        return cls(qubit_count(amps.size), amps)
-
-    def tensor(self, other: "PureState") -> "PureState":
-        return PureState(
-            self.n_qubits + other.n_qubits, np.kron(self.amplitudes, other.amplitudes)
-        )
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -86,14 +76,14 @@ class DensityMatrix:
         if m.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
         _require_finite(m, "density matrix")
-        if max_abs(m - m.conj().T) > NORM_ATOL:
-            raise ValueError(f"density matrix is not Hermitian within {NORM_ATOL:g}")
+        if max_abs(m - m.conj().T) > ATOL:
+            raise ValueError(f"density matrix is not Hermitian within {ATOL:g}")
         trace = complex(np.trace(m))
-        if abs(trace - 1.0) > NORM_ATOL:
+        if abs(trace - 1.0) > ATOL:
             raise ValueError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
         eigs = np.linalg.eigvalsh(m)
-        if float(eigs.min()) < -NORM_ATOL:
-            raise ValueError(f"negative eigenvalue {eigs.min():.3e} below {-NORM_ATOL:g}")
+        if float(eigs.min()) < -ATOL:
+            raise ValueError(f"negative eigenvalue {eigs.min():.3e} below {-ATOL:g}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -173,14 +163,9 @@ def make_named_state(name: str) -> PureState:
 def make_w_like(x: complex, y: complex, z: complex) -> PureState:
     """Single-excitation 3-qubit state x|001> + y|010> + z|100>.
 
-    The weights must already be normalized; a violation is rejected with the
-    measured deviation rather than silently rescaled.
+    The weights must already be normalized: PureState rejects an unnormalized
+    input with the measured deviation rather than silently rescaling it.
     """
-    weight = abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2
-    if abs(weight - 1.0) > NORM_ATOL:
-        raise ValueError(
-            f"|x|^2+|y|^2+|z|^2 deviates from 1 by {abs(weight - 1.0):.3e} (> {NORM_ATOL:g})"
-        )
     amps = np.zeros(8, dtype=complex)
     amps[1], amps[2], amps[4] = x, y, z
     return PureState(3, amps)

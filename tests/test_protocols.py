@@ -15,6 +15,7 @@ from teleport3q.linalg import (
     max_abs,
 )
 from teleport3q import protocols
+from teleport3q.feasibility import entropy_criterion
 from teleport3q.protocols import (
     PROB_FLOOR,
     BranchOutcome,
@@ -29,7 +30,6 @@ from teleport3q.protocols import (
     run_teleport,
     sample_teleport,
     scale_and_deviation,
-    sigma_twirl_states,
     w_like_protocol,
 )
 from teleport3q.states import (
@@ -320,7 +320,7 @@ def test_bell_protocol_defaults_to_bell00_and_needs_a_mixed_receiver():
     default, explicit = bell_protocol(), bell_protocol(make_named_state("bell(0,0)"))
     assert np.array_equal(default.basis.rows, explicit.basis.rows)
     assert np.array_equal(default.corrections, explicit.corrections)
-    for shared in (haar_random_state(2, 3), PureState.from_array([1, 0, 0, 0])):
+    for shared in (haar_random_state(2, 3), PureState(2, [1, 0, 0, 0])):
         with pytest.raises(ValueError, match="basis is not orthonormal"):
             bell_protocol(shared)
 
@@ -380,6 +380,18 @@ def test_run_teleport_rejects_multi_qubit_message():
 # ---------------------------------------------------------------- sigma twirl
 
 
+def sigma_twirl_states(shared: PureState) -> tuple[tuple[PureState, ...], np.ndarray]:
+    """The four states (I (x) sigma†)|shared>, sigma† on the receiver qubit in
+    the Pauli index order, and their Gram matrix [tr(rho_B sigma_k sigma_l†)]:
+    the entropy route in matrix form, the identity exactly at one ebit."""
+    twirled = tuple(
+        PureState(shared.n_qubits, (shared.amplitudes.reshape(-1, 2) @ sigma.conj()).reshape(-1))
+        for sigma in protocols.SIGMA_BY_INDEX
+    )
+    amplitudes = np.array([state.amplitudes for state in twirled])
+    return twirled, amplitudes.conj() @ amplitudes.T
+
+
 def test_sigma_twirl_w_like_orthonormal():
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -405,6 +417,38 @@ def test_sigma_twirl_w_overlap_one_third():
     expected_z[1] = -1 / SQRT3
     expected_z[2] = expected_z[4] = 1 / SQRT3
     assert max_abs(twirled[3].amplitudes - expected_z) <= 1e-12
+
+
+# the bell(0,0) corrections, I, X, Z, iY, on outcomes 000..011
+ONE_EBIT_CORRECTIONS = {0: IDENTITY, 1: PAULI_X, 2: PAULI_Z, 3: 1j * PAULI_Y}
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@given(sender_seed=SEEDS, receiver_seed=SEEDS, message_seed=SEEDS)
+def test_one_ebit_is_sufficient_by_construction(sender_seed, receiver_seed, message_seed):
+    """Every one-ebit state is U_sender (x) V_B applied to |0>|Phi+>, here V_B
+    applied to one_ebit_state; each one teleports perfectly with the bell(0,0)
+    corrections, and the entropy route and the twirl agree that it is feasible."""
+    receiver = np.kron(np.eye(4), haar_random_unitary(2, receiver_seed))
+    shared = PureState(3, receiver @ one_ebit_state(sender_seed).amplitudes)
+    protocol = protocols._protocol_from_corrections(shared, ONE_EBIT_CORRECTIONS)
+    assert run_teleport(haar_random_state(1, message_seed), protocol).total_fidelity >= 1.0 - 1e-12
+    assert entropy_criterion(shared)[1]
+    assert max_abs(sigma_twirl_states(shared)[1] - np.eye(4)) <= 1e-10
+
+
+@given(seed=SEEDS)
+def test_twirl_gram_is_the_receiver_state(seed):
+    """On a Haar-random state the twirl Gram is [tr(rho_B sigma_k sigma_l†)],
+    the entropy route says infeasible and the builder finds no basis."""
+    shared = haar_random_state(3, seed)
+    rho_b = partial_trace(shared.density(), keep=(2,)).matrix
+    sigmas = protocols.SIGMA_BY_INDEX
+    expected = np.array([[np.trace(rho_b @ sk @ dagger(sl)) for sl in sigmas] for sk in sigmas])
+    assert max_abs(sigma_twirl_states(shared)[1] - expected) <= 1e-12
+    assert not entropy_criterion(shared)[1]
+    with pytest.raises(ValueError, match="basis is not orthonormal"):
+        protocols._protocol_from_corrections(shared, ONE_EBIT_CORRECTIONS)
 
 
 # ---------------------------------------------------------------- S-parameterized bases
@@ -477,9 +521,10 @@ def reference_run(psi, protocol):
 
 
 def one_ebit_state(seed):
-    """Two orthonormal sender kets, each paired with one receiver ket."""
+    """Two orthonormal sender kets, each paired with one receiver ket:
+    (U_sender (x) I)|0>|Phi+> for a Haar U_sender."""
     u = haar_random_unitary(4, seed)
-    return PureState.from_array((np.kron(u[:, 0], [1, 0]) + np.kron(u[:, 1], [0, 1])) / SQRT2)
+    return PureState(3, (np.kron(u[:, 0], [1, 0]) + np.kron(u[:, 1], [0, 1])) / SQRT2)
 
 
 REFERENCE_STATES = {

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from teleport3q.linalg import max_abs, tensor_product
+from teleport3q.linalg import max_abs
 from teleport3q.states import (
     DensityMatrix,
     PureState,
@@ -226,10 +226,3 @@ def test_w_like_entropy_always_one():
         params = WLikeParams(*(float(x) for x in rng.uniform(-math.pi, math.pi, 3)))
         reduced = partial_trace(w_like_from_params(params).density(), keep=(2,))
         assert entanglement_entropy(reduced) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_tensor_method_matches_kron():
-    a, b = bloch_qubit(0.3, 0.1), bloch_qubit(1.2, -2.0)
-    np.testing.assert_allclose(
-        a.tensor(b).amplitudes, tensor_product(a.amplitudes, b.amplitudes)
-    )
