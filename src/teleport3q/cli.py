@@ -259,10 +259,9 @@ def cmd_analyze(args) -> int:
     if state.n_qubits != 3:
         raise ValueError(f"analyze expects a 3-qubit shared state, got {state.n_qubits} qubits")
     report = build_feasibility_report(state, label, args.scan_trials, args.seed)
-    payload = report_to_jsonable(report, state_input_hash(state))
 
     if args.format == "json":
-        _emit(dumps_canonical(payload), args.out)
+        _emit(dumps_canonical(report_to_jsonable(report, state_input_hash(state))), args.out)
     else:
         comp = "yes" if report.componentwise.exists else "no"
         lines = [

@@ -15,7 +15,8 @@ import numpy as np
 
 from .linalg import ZERO_ATOL, complete_orthonormal, haar_unitaries, schmidt_decompose
 from .protocols import (
-    MeasurementBasis, branch_operators, branch_tensor, check_basis_rows, check_complete, scale_and_deviation
+    MeasurementBasis, branch_moments, branch_operators, branch_tensor, check_basis_rows, check_complete,
+    scale_and_deviation,
 )
 from .states import DensityMatrix, PureState, entanglement_entropy, partial_trace, shannon_entropy
 
@@ -23,8 +24,9 @@ ENTROPY_ATOL = 1e-9
 SUM_RULE_ATOL = 1e-9
 SCAN_TOL = 1e-8
 # Trials per batched kernel call in haar_scan. Larger chunks only raise peak
-# memory, at the same speed: an 8 000-trial W scan peaks at 36.1 MB with 64,
-# 38.4 MB with 256 and 68.4 MB with 4 096 (38.8 MB for the per-trial loop).
+# memory, at the same speed: on a 2-CPU machine a process running an
+# 8 000-trial W scan peaks at 36.1 MB with 64, 37.7 MB with 256 and 61.7 MB
+# with 4 096.
 SCAN_CHUNK = 64
 
 
@@ -174,11 +176,13 @@ def haar_scan(
     random bases miss proportional-unitarity by O(1), not by rounding.
 
     Trials run in chunks of SCAN_CHUNK as one array computation: one
-    standard_normal call and one batched QR give a chunk's unitaries, one
-    contraction its branch operators, and the closed-form deviations its
-    verdicts. Each chunk gets the checks a MeasurementBasis and a
-    BranchOperatorFamily make: finite unit-norm elements, orthonormality and
-    completeness, with the same errors.
+    standard_normal call and one batched QR give a chunk's rows, one
+    contraction of their conjugates its branch operators, and one set of
+    branch moments both its completeness check and its closed-form verdicts.
+    Each chunk gets the checks a MeasurementBasis and a BranchOperatorFamily
+    make, by the same functions: finite unit-norm elements, orthonormality and
+    completeness, with the same errors. An injected basis must act on as many
+    qubits as `shared`, which is checked before any draw.
 
     One stream cannot be split: a Gaussian takes a varying number of the
     generator's words, so trial i's draw cannot be found without the ones
@@ -186,12 +190,14 @@ def haar_scan(
     15-37% slower, and nothing split a scan; over 2 forked processes on a
     2-CPU machine a 40 000-trial W scan with keyed streams ran 0.96-2.0 times
     as fast as in one. At most 2**32 trials are taken, which bounds the run
-    time (about 14 hours for W at 12 us per trial).
+    time (about 12 hours for W at 10 us per trial).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > 2**32:
         raise ValueError("trials must be <= 2**32")
+    if inject is not None and inject.n_qubits != shared.n_qubits:
+        raise ValueError("basis must act on as many qubits as the shared state")
     dim = 2**shared.n_qubits
     rng = np.random.default_rng(seed)
     feasible_count = 0
@@ -199,13 +205,13 @@ def haar_scan(
     for start in range(0, trials, SCAN_CHUNK):
         count = min(SCAN_CHUNK, trials - start)
         # basis element k is column k of the unitary
-        rows = np.ascontiguousarray(haar_unitaries(rng, count, dim).swapaxes(-1, -2))
+        rows = haar_unitaries(rng, count, dim).swapaxes(-1, -2)
         if inject is not None and start == 0:
             rows[0] = inject.rows
-        check_basis_rows(rows)
-        ops = branch_tensor(rows, shared.amplitudes)
-        check_complete(ops)
-        passing = np.count_nonzero(scale_and_deviation(ops)[1] <= tol, axis=-1)
+        ops = branch_tensor(rows, shared.amplitudes, check_basis_rows(rows))
+        moments = branch_moments(ops)
+        check_complete(ops, moments)
+        passing = np.count_nonzero(scale_and_deviation(ops, moments)[1] <= tol, axis=-1)
         feasible_count += int(np.count_nonzero(passing == dim))
         max_passing = max(max_passing, int(passing.max()))
     return ScanResult(

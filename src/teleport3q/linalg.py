@@ -38,6 +38,19 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def certainly_within(a, tol: float) -> bool:
+    """True when every entry of `a` is certainly within tol / 2 in magnitude:
+    each real and imaginary part is within tol / (2 sqrt 2). False can also be
+    a near miss, a non-finite entry or an overflow: the caller then decides
+    with max_abs."""
+    # numpy's abs and max, not np.vdot or a matrix-vector product: the first
+    # such BLAS call in a process raised a scan's peak memory by about 0.15 MB
+    parts = np.ravel(a)
+    if np.iscomplexobj(parts):
+        parts = parts.view(float)
+    return bool(np.abs(parts).max(initial=0.0) <= tol / (2.0 * np.sqrt(2.0)))
+
+
 def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool | np.ndarray:
     """True iff u is finite and the max-abs entry of u†u - I is within tol;
     for a stack (..., n, n), a bool array with that verdict per matrix."""
@@ -54,16 +67,31 @@ def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool | np.ndarray:
 def haar_unitaries(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """Stack of `count` Haar dim x dim unitaries, the next ones in `rng`'s
     stream: unitary i draws, within one standard_normal call, its real then
-    its imaginary part, so it is the unitary a one-at-a-time draw would give."""
+    its imaginary part, so it is the unitary a one-at-a-time draw would give.
+
+    The stack is laid out column by column, so its swapaxes(-1, -2), the
+    basis rows, is C-ordered without a copy.
+    """
     parts = rng.standard_normal((count, 2, dim, dim))
-    z = parts[:, 0] + 1j * parts[:, 1]
-    z /= np.sqrt(2.0)
+    # (re + 1j im) / sqrt(2) without complex temporaries: numpy divides by the
+    # complex sqrt(2) + 0j as Smith's method does, scaling each part by
+    # 1 / (sqrt(2) + 0 * 0); the bits agree for every part but -0.0, a draw
+    # of probability 2**-52
+    z = np.empty((count, dim, dim), dtype=complex)
+    scale = 1.0 / (np.sqrt(2.0) + 0.0 * 0.0)
+    np.multiply(parts[:, 0], scale, out=z.real)
+    np.multiply(parts[:, 1], scale, out=z.imag)
+    # each array is dropped once spent, so fewer are held at the peak
+    del parts
     # QR of a complex Gaussian is not Haar until the R diagonal phases are
     # absorbed into Q (Mezzadri construction).
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= (d / np.abs(d))[..., None, :]
-    return q
+    phases = d / np.abs(d)
+    del r, d
+    # z takes the rows: row k is column k of q times its phase
+    np.multiply(q.swapaxes(-1, -2), phases[..., :, None], out=z)
+    return z.swapaxes(-1, -2)
 
 
 def _haar_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:

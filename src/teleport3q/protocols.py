@@ -23,6 +23,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    certainly_within,
     closest_unitary,
     complete_orthonormal,
     dagger,
@@ -45,34 +46,83 @@ def _apply_to_last_qubit(amplitudes: np.ndarray, op: np.ndarray) -> np.ndarray:
     return (amplitudes.reshape(-1, 2) @ op.T).reshape(-1)
 
 
-def check_basis_rows(rows: np.ndarray) -> None:
-    """Raise unless each (d, d) matrix of the stack (..., d, d) has orthonormal rows.
+def check_basis_rows(rows: np.ndarray) -> np.ndarray:
+    """Raise unless each (d, d) matrix of the stack (..., d, d) has orthonormal
+    rows, and return the conjugated rows (the bras) for branch_tensor.
 
     Every row must be finite with unit norm (the PureState checks), and the
-    Gram matrix must be the identity within ATOL.
+    Gram matrix must be the identity within ATOL. A Gram matrix certainly
+    within ATOL / 2 of I passes all three: its diagonal holds the squared row
+    norms, and a non-finite row makes its diagonal entry non-finite. Otherwise
+    the checks run one by one, which raises the first failure's error.
     """
-    check_unit_norm(rows)
-    deviation = max_abs(rows.conj() @ rows.swapaxes(-1, -2) - np.eye(rows.shape[-1]))
-    if deviation > ATOL:
-        raise ValueError(f"basis is not orthonormal: Gram deviation {deviation:.3e}")
+    bras = rows.conj()
+    # an overflow or an inf * 0 in the product fails the bound without a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = bras @ rows.swapaxes(-1, -2)
+    gram -= np.eye(rows.shape[-1])  # now Gram - I
+    if not certainly_within(gram, ATOL):
+        check_unit_norm(rows)
+        deviation = max_abs(gram)
+        if deviation > ATOL:
+            raise ValueError(f"basis is not orthonormal: Gram deviation {deviation:.3e}")
+    return bras
 
 
-def branch_tensor(rows: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+def branch_tensor(rows: np.ndarray, amplitudes: np.ndarray, bras: np.ndarray | None = None) -> np.ndarray:
     """Branch operators of a stack of bases, shape (..., outcomes, 2, 2).
 
     rows[..., k, :] is basis element k on the (message + sender) register and
-    `amplitudes` the shared state. T_k[b, j] = sum_s conj(e_k[j, s]) shared[s, b],
-    i.e. column j of T_k is <e_k|(|j> (x) shared); j is the message bit, s the
-    sender kets and b the receiver's.
+    `amplitudes` the shared state; `bras` is rows.conj() when the caller has it.
+    T_k[b, j] = sum_s conj(e_k[j, s]) shared[s, b], i.e. column j of T_k is
+    <e_k|(|j> (x) shared); j is the message bit, s the sender kets and b the
+    receiver's.
     """
     d = rows.shape[-1]
+    bras = rows.conj() if bras is None else bras
     # one (rows * 2, d/2) x (d/2, 2) product: each row half is (element k, message j)
-    flat = rows.conj().reshape(-1, d // 2) @ amplitudes.reshape(d // 2, 2)
+    flat = bras.reshape(-1, d // 2) @ amplitudes.reshape(d // 2, 2)
     return flat.reshape(*rows.shape[:-1], 2, 2).swapaxes(-1, -2)
 
 
-def check_complete(ops: np.ndarray) -> None:
-    """Raise unless sum_k T_k†T_k = I within ATOL for each family (..., outcomes, 2, 2)."""
+def branch_moments(ops) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of T†T and TT† for each 2x2 operator T = [[a, b], [c, d]] of
+    a stack (..., 2, 2). `diagonals`, shape (4, ...), holds the column sums
+    |a|^2 + |c|^2, |b|^2 + |d|^2 (the diagonal of T†T) then the row sums
+    |a|^2 + |b|^2, |c|^2 + |d|^2 (that of TT†); `off`, shape (2, ...), holds
+    the upper off-diagonals conj(a) b + conj(c) d (T†T) and a conj(c) + b conj(d) (TT†).
+    """
+    ops = np.asarray(ops, dtype=complex)
+    weights = ops.real**2 + ops.imag**2
+    w00, w01, w10, w11 = weights[..., 0, 0], weights[..., 0, 1], weights[..., 1, 0], weights[..., 1, 1]
+    # written in place; [k, ...] is a view even for a single operator
+    diagonals = np.empty((4, *ops.shape[:-2]))
+    np.add(w00, w10, out=diagonals[0, ...])
+    np.add(w01, w11, out=diagonals[1, ...])
+    np.add(w00, w01, out=diagonals[2, ...])
+    np.add(w10, w11, out=diagonals[3, ...])
+    conj = ops.conj()
+    a, b, d = ops[..., 0, 0], ops[..., 0, 1], ops[..., 1, 1]
+    off = np.empty((2, *ops.shape[:-2]), dtype=complex)
+    # keep each product's operand order: numpy fuses the multiply-adds, so
+    # x * y and y * x may differ in the last bit, which scan verdicts resolve
+    np.add(conj[..., 0, 0] * b, conj[..., 1, 0] * d, out=off[0, ...])
+    np.add(a * conj[..., 1, 0], b * conj[..., 1, 1], out=off[1, ...])
+    return diagonals, off
+
+
+def check_complete(ops: np.ndarray, moments: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    """Raise unless sum_k T_k†T_k = I within ATOL for each family (..., outcomes, 2, 2).
+
+    A caller that has branch_moments(ops) passes them as `moments`: when the
+    summed T†T entries are certainly within ATOL / 2 of I the check passes
+    without forming the sum; otherwise the sum, formed as one product, decides.
+    """
+    if moments is not None:
+        diagonals, off = moments
+        diagonal_sums, off_sums = diagonals[:2].sum(axis=-1), off[0].sum(axis=-1)
+        if certainly_within(diagonal_sums - 1.0, ATOL) and certainly_within(off_sums, ATOL):
+            return
     # stacking the branches as rows gives sum_k T_k†T_k = M†M in one product
     stacked = ops.reshape(*ops.shape[:-3], -1, 2)
     deviation = max_abs(dagger(stacked) @ stacked - np.eye(2))
@@ -80,28 +130,23 @@ def check_complete(ops: np.ndarray) -> None:
         raise ValueError(f"branch operators are not complete: deviation {deviation:.3e}")
 
 
-def scale_and_deviation(ops) -> tuple[np.ndarray, np.ndarray]:
+def scale_and_deviation(
+    ops, moments: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Scale tr(T†T)/2 of each 2x2 operator of a stack (..., 2, 2), and its
     deviation: the larger max-abs entry of T†T - scale I and TT† - scale I.
 
-    Computed in closed form for T = [[a, b], [c, d]]: the scale is
-    (|a|^2 + |b|^2 + |c|^2 + |d|^2) / 2, the diagonals of T†T and TT† are the
-    column sums |a|^2 + |c|^2, |b|^2 + |d|^2 and the row sums |a|^2 + |b|^2,
-    |c|^2 + |d|^2, and their off-diagonal entries are conj(a) b + conj(c) d and
-    a conj(c) + b conj(d), each with its conjugate.
+    Computed in closed form from branch_moments(ops), passed as `moments` when
+    the caller has it: the scale is half the sum of the column sums, and the
+    deviation the largest of |diagonal - scale| and |off-diagonal| (the
+    lower off-diagonals are the conjugates).
     """
-    ops = np.asarray(ops, dtype=complex)
-    a, b, c, d = ops[..., 0, 0], ops[..., 0, 1], ops[..., 1, 0], ops[..., 1, 1]
-    weights = ops.real**2 + ops.imag**2
-    w00, w01, w10, w11 = weights[..., 0, 0], weights[..., 0, 1], weights[..., 1, 0], weights[..., 1, 1]
-    col0, col1, row0, row1 = w00 + w10, w01 + w11, w00 + w01, w10 + w11
-    scale = (col0 + col1) / 2.0
-    diagonal = np.maximum(
-        np.maximum(np.abs(col0 - scale), np.abs(col1 - scale)),
-        np.maximum(np.abs(row0 - scale), np.abs(row1 - scale)),
-    )
-    off_diagonal = np.maximum(np.abs(a.conj() * b + c.conj() * d), np.abs(a * c.conj() + b * d.conj()))
-    return scale, np.maximum(diagonal, off_diagonal)
+    diagonals, off = branch_moments(ops) if moments is None else moments
+    scale = (diagonals[0] + diagonals[1]) / 2.0
+    diagonal = np.abs(diagonals - scale)
+    off_diagonal = np.abs(off)
+    deviation = np.maximum(np.maximum(diagonal[0], diagonal[1]), np.maximum(diagonal[2], diagonal[3]))
+    return scale, np.maximum(deviation, np.maximum(off_diagonal[0], off_diagonal[1]))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
+    # on complex input isfinite is False where either part is inf or nan
+    if not np.isfinite(values).all():
         raise ValueError(f"{what} contains non-finite entries")
 
 

@@ -101,6 +101,18 @@ def test_analyze_rejects_two_qubit_state():
     assert proc.returncode == 2
 
 
+def test_analyze_text_builds_no_json_report(monkeypatch, capsys):
+    """Only --format json needs the JSON report and its input hash."""
+
+    def refuse(*args):
+        raise AssertionError("text output built a JSON report")
+
+    monkeypatch.setattr(cli, "state_input_hash", refuse)
+    monkeypatch.setattr(cli, "report_to_jsonable", refuse)
+    assert cli.main(["analyze", "--shared", "w", "--scan-trials", "3", "--format", "text"]) == 1
+    assert capsys.readouterr().out.startswith("state: w\n")
+
+
 def test_scan_w_is_all_negative():
     proc = run_cli("scan", "--shared", "w", "--trials", "50", "--seed", "1", "--format", "json")
     assert proc.returncode == 0

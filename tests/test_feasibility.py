@@ -18,16 +18,19 @@ from teleport3q.feasibility import (
     unitarity_verdict,
 )
 from teleport3q.linalg import (
+    ATOL,
     PAULI_X,
     _haar_from_rng,
     dagger,
     haar_random_unitary,
+    haar_unitaries,
     is_unitary,
     max_abs,
 )
 from teleport3q.protocols import (
     MeasurementBasis,
     bell_protocol,
+    branch_moments,
     branch_operators,
     branch_tensor,
     check_basis_rows,
@@ -476,3 +479,72 @@ def test_branch_tensor_matches_branch_operators_on_a_stack():
     stacked = branch_tensor(np.stack([b.rows for b in bases]), shared.amplitudes)
     for basis, ops in zip(bases, stacked):
         assert np.array_equal(branch_operators(basis, shared).ops, ops)
+
+
+def test_haar_scan_rejects_an_injected_basis_of_another_size(monkeypatch):
+    # checked before any draw, with the message TeleportProtocol gives
+    monkeypatch.setattr(feasibility, "haar_unitaries", None)
+    with pytest.raises(ValueError, match="^basis must act on as many qubits as the shared state$"):
+        haar_scan(make_named_state("w"), 3, seed=0, inject=bell_protocol().basis)
+
+
+def textbook_haar(rng, dim):
+    """One Haar unitary built as the textbook does (Mezzadri, math-ph/0609050):
+    (re + 1j im) / sqrt(2) from two Gaussian matrices, QR, diagonal phases."""
+    re = rng.standard_normal((dim, dim))
+    im = rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40])
+@pytest.mark.parametrize("shared", ["bell(0,0)", "w"])
+def test_haar_draws_match_the_textbook_construction(monkeypatch, seed, shared):
+    """haar_unitaries, haar_random_unitary and the rows a scan measures in are,
+    bit for bit, the textbook unitaries drawn in sequence from default_rng(seed)."""
+    state = make_named_state(shared)
+    dim = 2**state.n_qubits
+    counts = (1, 63, 64, 65, 257)
+    rng = np.random.default_rng(seed)
+    expected = np.stack([textbook_haar(rng, dim) for _ in range(max(counts))])
+    assert haar_random_unitary(dim, seed).tobytes() == expected[0].tobytes()
+    seen = []
+
+    def recording(rows):
+        seen.append(rows.copy())
+        return check_basis_rows(rows)
+
+    monkeypatch.setattr(feasibility, "check_basis_rows", recording)
+    for count in counts:
+        drawn = haar_unitaries(np.random.default_rng(seed), count, dim)
+        assert drawn.tobytes() == expected[:count].tobytes()
+        seen.clear()
+        haar_scan(state, count, seed)
+        assert np.concatenate(seen).tobytes() == expected[:count].swapaxes(-1, -2).tobytes()
+
+
+def test_kernel_checks_decide_near_misses_exactly():
+    """Deviations between ATOL / 2 and ATOL pass, and just above ATOL fail,
+    with the errors of the exact checks."""
+    rows = np.stack([haar_random_unitary(8, seed).T for seed in (1, 2)])
+    near = rows.copy()
+    near[1, 6] *= 1.0 + 0.35 * ATOL
+    assert np.array_equal(check_basis_rows(near), near.conj())
+    over = rows.copy()
+    over[1, 6] *= 1.0 + 0.6 * ATOL
+    with pytest.raises(ValueError, match="squared norm deviates"):
+        check_basis_rows(over)
+    w = make_named_state("w").amplitudes
+
+    def sheared(x):
+        """One operator [[1, x], [0, 1]]: sum T†T has unit diagonal and off-diagonal x."""
+        return np.array([[[1.0, x], [0.0, 1.0]]], dtype=complex)
+
+    for ops in (branch_tensor(rows, (1.0 + 0.35 * ATOL) * w), sheared(0.7 * ATOL)):
+        check_complete(ops)
+        check_complete(ops, branch_moments(ops))
+    for ops in (branch_tensor(rows, (1.0 + 0.6 * ATOL) * w), sheared(1.2 * ATOL)):
+        for moments in (None, branch_moments(ops)):
+            with pytest.raises(ValueError, match="not complete"):
+                check_complete(ops, moments)
