@@ -256,8 +256,6 @@ def cmd_teleport(args) -> int:
 
 def cmd_analyze(args) -> int:
     state, label, _ = _resolve_state(args)
-    if state.n_qubits != 3:
-        raise ValueError(f"analyze expects a 3-qubit shared state, got {state.n_qubits} qubits")
     report = build_feasibility_report(state, label, args.scan_trials, args.seed)
 
     if args.format == "json":

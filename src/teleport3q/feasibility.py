@@ -16,7 +16,7 @@ import numpy as np
 from .linalg import ZERO_ATOL, complete_orthonormal, haar_unitaries, schmidt_decompose
 from .protocols import (
     MeasurementBasis, branch_moments, branch_operators, branch_tensor, check_basis_rows, check_complete,
-    scale_and_deviation,
+    check_trials, scale_and_deviation,
 )
 from .states import DensityMatrix, PureState, entanglement_entropy, partial_trace, shannon_entropy
 
@@ -87,7 +87,7 @@ def unitarity_verdict(t: np.ndarray, tol: float) -> UnitarityVerdict:
     Accepting T = 0 reconciles the strictly-positive-scale requirement with
     legitimate protocols whose dead branches carry no probability.
     """
-    scale, deviation = scale_and_deviation(t)
+    scale, deviation = scale_and_deviation(branch_moments(t))
     return UnitarityVerdict(bool(deviation <= tol), float(scale), float(deviation))
 
 
@@ -176,12 +176,13 @@ def haar_scan(
     random bases miss proportional-unitarity by O(1), not by rounding.
 
     Trials run in chunks of SCAN_CHUNK as one array computation: one
-    standard_normal call and one batched QR give a chunk's rows, one
-    contraction of their conjugates its branch operators, and one set of
-    branch moments both its completeness check and its closed-form verdicts.
-    Each chunk gets the checks a MeasurementBasis and a BranchOperatorFamily
-    make, by the same functions: finite unit-norm elements, orthonormality and
-    completeness, with the same errors. An injected basis must act on as many
+    standard_normal call and one batched QR give a chunk's rows, one batched
+    Gram product their orthonormality check, one contraction of their
+    conjugates its branch operators, and one set of branch moments both its
+    completeness check and its closed-form verdicts. Each chunk gets the
+    checks a MeasurementBasis and a BranchOperatorFamily make, by the same
+    functions and with the same errors: finite unit-norm elements,
+    orthonormality and completeness. An injected basis must act on as many
     qubits as `shared`, which is checked before any draw.
 
     One stream cannot be split: a Gaussian takes a varying number of the
@@ -192,10 +193,7 @@ def haar_scan(
     as fast as in one. At most 2**32 trials are taken, which bounds the run
     time (about 12 hours for W at 10 us per trial).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if trials > 2**32:
-        raise ValueError("trials must be <= 2**32")
+    check_trials(trials)
     if inject is not None and inject.n_qubits != shared.n_qubits:
         raise ValueError("basis must act on as many qubits as the shared state")
     dim = 2**shared.n_qubits
@@ -208,10 +206,10 @@ def haar_scan(
         rows = haar_unitaries(rng, count, dim).swapaxes(-1, -2)
         if inject is not None and start == 0:
             rows[0] = inject.rows
-        ops = branch_tensor(rows, shared.amplitudes, check_basis_rows(rows))
-        moments = branch_moments(ops)
-        check_complete(ops, moments)
-        passing = np.count_nonzero(scale_and_deviation(ops, moments)[1] <= tol, axis=-1)
+        check_basis_rows(rows)
+        moments = branch_moments(branch_tensor(rows, shared.amplitudes))
+        check_complete(moments)
+        passing = np.count_nonzero(scale_and_deviation(moments)[1] <= tol, axis=-1)
         feasible_count += int(np.count_nonzero(passing == dim))
         max_passing = max(max_passing, int(passing.max()))
     return ScanResult(
@@ -233,7 +231,7 @@ def build_feasibility_report(shared: PureState, label: str, scan_trials: int, se
     unitary) and are reported side by side.
     """
     if shared.n_qubits != 3:
-        raise ValueError("feasibility report expects a 3-qubit shared state")
+        raise ValueError(f"analyze expects a 3-qubit shared state, got {shared.n_qubits} qubits")
     rho_b = bob_reduced_state(shared)
     entropy, entropy_ok = _entropy_verdict(rho_b)
     row0, row1 = (2.0 * np.diag(rho_b.matrix).real).tolist()

@@ -38,29 +38,30 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def certainly_within(a, tol: float) -> bool:
-    """True when every entry of `a` is certainly within tol / 2 in magnitude:
-    each real and imaginary part is within tol / (2 sqrt 2). False can also be
-    a near miss, a non-finite entry or an overflow: the caller then decides
-    with max_abs."""
-    # numpy's abs and max, not np.vdot or a matrix-vector product: the first
-    # such BLAS call in a process raised a scan's peak memory by about 0.15 MB
-    parts = np.ravel(a)
-    if np.iscomplexobj(parts):
-        parts = parts.view(float)
-    return bool(np.abs(parts).max(initial=0.0) <= tol / (2.0 * np.sqrt(2.0)))
+def isometry_deviation(a) -> float | np.ndarray:
+    """Max-abs entry of a†a - I for a matrix, or of each matrix in a stack
+    (..., m, n): the one deviation every orthonormality, unitarity and
+    completeness check compares as `deviation <= tol`, so NaN fails. It is
+    non-finite where `a` has a non-finite entry, and an overflow or an
+    inf * 0 in the product makes it inf or NaN without a RuntimeWarning."""
+    a = np.asarray(a, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        excess = dagger(a) @ a
+        excess -= np.eye(a.shape[-1])
+        # the modulus as sqrt(re^2 + im^2), the form branch_moments takes; np.abs
+        # (hypot) is slower and differs from it by at most an ulp
+        squares = np.square(excess.real)
+        squares += np.square(excess.imag)
+    return np.sqrt(squares.max(axis=(-2, -1)))
 
 
 def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool | np.ndarray:
-    """True iff u is finite and the max-abs entry of u†u - I is within tol;
-    for a stack (..., n, n), a bool array with that verdict per matrix."""
-    u = np.asarray(u, dtype=complex)
+    """True iff the isometry deviation of u is within tol, which also requires u
+    finite; for a stack (..., n, n), a bool array with that verdict per matrix."""
+    u = np.asarray(u)
     if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError(f"operator must be square, got shape {u.shape}")
-    # an overflow or an inf * 0 in the product fails the check without a RuntimeWarning
-    with np.errstate(over="ignore", invalid="ignore"):
-        deviation = np.abs(dagger(u) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
-    unitary = np.isfinite(u).all(axis=(-2, -1)) & (deviation <= tol)
+    unitary = isometry_deviation(u) <= tol
     return bool(unitary) if unitary.ndim == 0 else unitary
 
 

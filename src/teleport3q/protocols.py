@@ -23,12 +23,11 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    certainly_within,
     closest_unitary,
     complete_orthonormal,
     dagger,
     is_unitary,
-    max_abs,
+    isometry_deviation,
     qubit_count,
 )
 from .states import PureState, WLikeParams, check_unit_norm, make_named_state, w_like_from_params
@@ -46,42 +45,40 @@ def _apply_to_last_qubit(amplitudes: np.ndarray, op: np.ndarray) -> np.ndarray:
     return (amplitudes.reshape(-1, 2) @ op.T).reshape(-1)
 
 
-def check_basis_rows(rows: np.ndarray) -> np.ndarray:
-    """Raise unless each (d, d) matrix of the stack (..., d, d) has orthonormal
-    rows, and return the conjugated rows (the bras) for branch_tensor.
+def check_trials(trials: int) -> None:
+    """Raise unless 1 <= trials <= 2**32; the cap bounds a scan's or a sample's run time."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if trials > 2**32:
+        raise ValueError("trials must be <= 2**32")
 
-    Every row must be finite with unit norm (the PureState checks), and the
-    Gram matrix must be the identity within ATOL. A Gram matrix certainly
-    within ATOL / 2 of I passes all three: its diagonal holds the squared row
-    norms, and a non-finite row makes its diagonal entry non-finite. Otherwise
-    the checks run one by one, which raises the first failure's error.
+
+def check_basis_rows(rows: np.ndarray) -> None:
+    """Raise unless each (d, d) matrix of the stack (..., d, d) has orthonormal rows.
+
+    The Gram matrix conj(rows) @ rowsᵀ, a†a for a = rowsᵀ, must be the
+    identity within ATOL. Its diagonal holds the squared row norms, so it
+    passes only finite unit-norm rows; when it fails, the PureState checks
+    (finite, unit norm) run first, which raises their error for such a row.
     """
-    bras = rows.conj()
-    # an overflow or an inf * 0 in the product fails the bound without a RuntimeWarning
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = bras @ rows.swapaxes(-1, -2)
-    gram -= np.eye(rows.shape[-1])  # now Gram - I
-    if not certainly_within(gram, ATOL):
+    deviation = isometry_deviation(rows.swapaxes(-1, -2))
+    if not (deviation <= ATOL).all():
         check_unit_norm(rows)
-        deviation = max_abs(gram)
-        if deviation > ATOL:
-            raise ValueError(f"basis is not orthonormal: Gram deviation {deviation:.3e}")
-    return bras
+        raise ValueError(f"basis is not orthonormal: Gram deviation {np.max(deviation):.3e}")
 
 
-def branch_tensor(rows: np.ndarray, amplitudes: np.ndarray, bras: np.ndarray | None = None) -> np.ndarray:
+def branch_tensor(rows: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """Branch operators of a stack of bases, shape (..., outcomes, 2, 2).
 
     rows[..., k, :] is basis element k on the (message + sender) register and
-    `amplitudes` the shared state; `bras` is rows.conj() when the caller has it.
+    `amplitudes` the shared state.
     T_k[b, j] = sum_s conj(e_k[j, s]) shared[s, b], i.e. column j of T_k is
     <e_k|(|j> (x) shared); j is the message bit, s the sender kets and b the
     receiver's.
     """
     d = rows.shape[-1]
-    bras = rows.conj() if bras is None else bras
     # one (rows * 2, d/2) x (d/2, 2) product: each row half is (element k, message j)
-    flat = bras.reshape(-1, d // 2) @ amplitudes.reshape(d // 2, 2)
+    flat = rows.conj().reshape(-1, d // 2) @ amplitudes.reshape(d // 2, 2)
     return flat.reshape(*rows.shape[:-1], 2, 2).swapaxes(-1, -2)
 
 
@@ -91,57 +88,54 @@ def branch_moments(ops) -> tuple[np.ndarray, np.ndarray]:
     |a|^2 + |c|^2, |b|^2 + |d|^2 (the diagonal of T†T) then the row sums
     |a|^2 + |b|^2, |c|^2 + |d|^2 (that of TT†); `off`, shape (2, ...), holds
     the upper off-diagonals conj(a) b + conj(c) d (T†T) and a conj(c) + b conj(d) (TT†).
+    A huge or non-finite entry gives inf or NaN moments without a RuntimeWarning.
     """
     ops = np.asarray(ops, dtype=complex)
-    weights = ops.real**2 + ops.imag**2
-    w00, w01, w10, w11 = weights[..., 0, 0], weights[..., 0, 1], weights[..., 1, 0], weights[..., 1, 1]
-    # written in place; [k, ...] is a view even for a single operator
-    diagonals = np.empty((4, *ops.shape[:-2]))
-    np.add(w00, w10, out=diagonals[0, ...])
-    np.add(w01, w11, out=diagonals[1, ...])
-    np.add(w00, w01, out=diagonals[2, ...])
-    np.add(w10, w11, out=diagonals[3, ...])
-    conj = ops.conj()
-    a, b, d = ops[..., 0, 0], ops[..., 0, 1], ops[..., 1, 1]
-    off = np.empty((2, *ops.shape[:-2]), dtype=complex)
-    # keep each product's operand order: numpy fuses the multiply-adds, so
-    # x * y and y * x may differ in the last bit, which scan verdicts resolve
-    np.add(conj[..., 0, 0] * b, conj[..., 1, 0] * d, out=off[0, ...])
-    np.add(a * conj[..., 1, 0], b * conj[..., 1, 1], out=off[1, ...])
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = ops.real**2 + ops.imag**2
+        w00, w01, w10, w11 = weights[..., 0, 0], weights[..., 0, 1], weights[..., 1, 0], weights[..., 1, 1]
+        # written in place; [k, ...] is a view even for a single operator
+        diagonals = np.empty((4, *ops.shape[:-2]))
+        np.add(w00, w10, out=diagonals[0, ...])
+        np.add(w01, w11, out=diagonals[1, ...])
+        np.add(w00, w01, out=diagonals[2, ...])
+        np.add(w10, w11, out=diagonals[3, ...])
+        conj = ops.conj()
+        a, b, d = ops[..., 0, 0], ops[..., 0, 1], ops[..., 1, 1]
+        off = np.empty((2, *ops.shape[:-2]), dtype=complex)
+        # keep each product's operand order: numpy fuses the multiply-adds, so
+        # x * y and y * x may differ in the last bit, which scan verdicts resolve
+        np.add(conj[..., 0, 0] * b, conj[..., 1, 0] * d, out=off[0, ...])
+        np.add(a * conj[..., 1, 0], b * conj[..., 1, 1], out=off[1, ...])
     return diagonals, off
 
 
-def check_complete(ops: np.ndarray, moments: tuple[np.ndarray, np.ndarray] | None = None) -> None:
-    """Raise unless sum_k T_k†T_k = I within ATOL for each family (..., outcomes, 2, 2).
+def check_complete(moments: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Raise unless sum_k T_k†T_k = I within ATOL for each family (..., outcomes)
+    of branch_moments; return that max-abs deviation per family.
 
-    A caller that has branch_moments(ops) passes them as `moments`: when the
-    summed T†T entries are certainly within ATOL / 2 of I the check passes
-    without forming the sum; otherwise the sum, formed as one product, decides.
+    The sum has the summed column sums on its diagonal and the summed T†T
+    off-diagonal above it (the one below is its conjugate), so it is read off
+    the moments without forming a product. NaN moments fail.
     """
-    if moments is not None:
-        diagonals, off = moments
-        diagonal_sums, off_sums = diagonals[:2].sum(axis=-1), off[0].sum(axis=-1)
-        if certainly_within(diagonal_sums - 1.0, ATOL) and certainly_within(off_sums, ATOL):
-            return
-    # stacking the branches as rows gives sum_k T_k†T_k = M†M in one product
-    stacked = ops.reshape(*ops.shape[:-3], -1, 2)
-    deviation = max_abs(dagger(stacked) @ stacked - np.eye(2))
-    if deviation > ATOL:
-        raise ValueError(f"branch operators are not complete: deviation {deviation:.3e}")
+    diagonals, off = moments
+    excess, off_sum = diagonals[:2].sum(axis=-1) - 1.0, off[0].sum(axis=-1)
+    deviation = np.maximum(np.maximum(np.abs(excess[0]), np.abs(excess[1])), np.abs(off_sum))
+    if not (deviation <= ATOL).all():
+        raise ValueError(f"branch operators are not complete: deviation {np.max(deviation):.3e}")
+    return deviation
 
 
-def scale_and_deviation(
-    ops, moments: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def scale_and_deviation(moments: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Scale tr(T†T)/2 of each 2x2 operator of a stack (..., 2, 2), and its
     deviation: the larger max-abs entry of T†T - scale I and TT† - scale I.
 
-    Computed in closed form from branch_moments(ops), passed as `moments` when
-    the caller has it: the scale is half the sum of the column sums, and the
-    deviation the largest of |diagonal - scale| and |off-diagonal| (the
-    lower off-diagonals are the conjugates).
+    Computed in closed form from the operators' branch_moments: the scale is
+    half the sum of the column sums, and the deviation the largest of
+    |diagonal - scale| and |off-diagonal| (the lower off-diagonals are the
+    conjugates).
     """
-    diagonals, off = branch_moments(ops) if moments is None else moments
+    diagonals, off = moments
     scale = (diagonals[0] + diagonals[1]) / 2.0
     diagonal = np.abs(diagonals - scale)
     off_diagonal = np.abs(off)
@@ -189,7 +183,7 @@ class BranchOperatorFamily:
 
     def __post_init__(self) -> None:
         ops = np.array(self.ops, dtype=complex, order="C")
-        check_complete(ops)
+        check_complete(branch_moments(ops))
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
 
@@ -221,7 +215,7 @@ class TeleportProtocol:
     @property
     def coefficients(self) -> np.ndarray:
         """Branch magnitudes sqrt(tr(T†T)/2), exactly 0 where that weight is <= PROB_FLOOR."""
-        weights, _ = scale_and_deviation(branch_operators(self.basis, self.shared).ops)
+        weights, _ = scale_and_deviation(branch_moments(branch_operators(self.basis, self.shared).ops))
         return np.where(weights > PROB_FLOOR, np.sqrt(weights), 0.0)
 
 
@@ -287,10 +281,7 @@ def sample_teleport(exact: TeleportResult, trials: int, seed: int) -> SampleResu
     over the same u and cdf = p.cumsum() / its last entry (exactly 1.0), it draws
     k when cdf[k-1] <= u < cdf[k], so count_k = L_k - L_{k-1}, L_j = #{u < cdf[j]}.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if trials > 2**32:
-        raise ValueError("trials must be <= 2**32")
+    check_trials(trials)
     probs = np.array([o.probability for o in exact.outcomes])
     rng = np.random.Generator(np.random.Philox(key=seed))
     cdf = (probs / probs.sum()).cumsum()

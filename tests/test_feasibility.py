@@ -345,7 +345,7 @@ def test_feasibility_report_ghz():
 
 
 def test_feasibility_report_rejects_wrong_size():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^analyze expects a 3-qubit shared state, got 2 qubits$"):
         build_feasibility_report(haar_random_state(2, 1), "pair", scan_trials=1, seed=0)
 
 
@@ -428,7 +428,7 @@ def test_haar_scan_trial_zero_measures_in_the_haar_seed_basis(seed):
     basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, seed))
     # the scan counts exactly the branches of that basis at or below each
     # branch's own deviation, and one ulp below it
-    _, deviations = scale_and_deviation(branch_operators(basis, shared).ops)
+    _, deviations = scale_and_deviation(branch_moments(branch_operators(basis, shared).ops))
     for tol in deviations.tolist():
         for below in (tol, np.nextafter(tol, 0.0)):
             expected = int(np.count_nonzero(deviations <= below))
@@ -455,9 +455,9 @@ def test_kernel_checks_reject_bad_rows():
 def test_kernel_checks_reject_unnormalised_state():
     rows = np.stack([haar_random_unitary(8, seed).T for seed in (1, 2)])
     w = make_named_state("w").amplitudes
-    check_complete(branch_tensor(rows, w))
+    check_complete(branch_moments(branch_tensor(rows, w)))
     with pytest.raises(ValueError, match="not complete"):
-        check_complete(branch_tensor(rows, 1.001 * w))
+        check_complete(branch_moments(branch_tensor(rows, 1.001 * w)))
 
 
 def test_haar_scan_runs_the_checks(monkeypatch):
@@ -530,7 +530,7 @@ def test_kernel_checks_decide_near_misses_exactly():
     rows = np.stack([haar_random_unitary(8, seed).T for seed in (1, 2)])
     near = rows.copy()
     near[1, 6] *= 1.0 + 0.35 * ATOL
-    assert np.array_equal(check_basis_rows(near), near.conj())
+    check_basis_rows(near)
     over = rows.copy()
     over[1, 6] *= 1.0 + 0.6 * ATOL
     with pytest.raises(ValueError, match="squared norm deviates"):
@@ -542,9 +542,7 @@ def test_kernel_checks_decide_near_misses_exactly():
         return np.array([[[1.0, x], [0.0, 1.0]]], dtype=complex)
 
     for ops in (branch_tensor(rows, (1.0 + 0.35 * ATOL) * w), sheared(0.7 * ATOL)):
-        check_complete(ops)
-        check_complete(ops, branch_moments(ops))
+        check_complete(branch_moments(ops))
     for ops in (branch_tensor(rows, (1.0 + 0.6 * ATOL) * w), sheared(1.2 * ATOL)):
-        for moments in (None, branch_moments(ops)):
-            with pytest.raises(ValueError, match="not complete"):
-                check_complete(ops, moments)
+        with pytest.raises(ValueError, match="not complete"):
+            check_complete(branch_moments(ops))

@@ -10,6 +10,7 @@ from teleport3q.linalg import (
     haar_random_unitary,
     haar_unitaries,
     is_unitary,
+    isometry_deviation,
     max_abs,
     schmidt_decompose,
 )
@@ -73,6 +74,19 @@ def test_is_unitary_gives_one_verdict_per_matrix_of_a_stack():
     assert verdicts.dtype == bool
     assert verdicts.tolist() == [True, False, False, False, True]
     assert [is_unitary(u) for u in stack] == verdicts.tolist()
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_isometry_deviation_matches_the_max_abs_definition(dim):
+    # sqrt(re^2 + im^2) against numpy's abs (hypot), on matrices far from and near unitary
+    rng = np.random.default_rng(dim)
+    gaussian = rng.standard_normal((300, dim, dim)) + 1j * rng.standard_normal((300, dim, dim))
+    for stack in (gaussian, haar_unitaries(rng, 300, dim)):
+        reference = np.abs(dagger(stack) @ stack - np.eye(dim)).max(axis=(-2, -1))
+        deviation = isometry_deviation(stack)
+        assert deviation.shape == reference.shape
+        assert np.all(np.abs(deviation - reference) <= 4 * np.spacing(reference))
+    assert np.ndim(isometry_deviation(gaussian[0])) == 0
 
 
 def test_is_unitary_rejects_non_square():
