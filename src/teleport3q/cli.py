@@ -86,6 +86,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """An integer in [0, 2**128), the seeds default_rng and a Philox key both accept."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value < 2**128:
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**128), got {text!r}")
+    return value
+
+
 def _loads_json(text: str, what: str):
     """Parse JSON text; invalid or too deeply nested text is a ValueError."""
     try:
@@ -325,7 +336,7 @@ def _add_state_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_common_options(parser: argparse.ArgumentParser, default_format: str) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument(
         "--format", choices=("json", "text"), default=default_format,

@@ -40,15 +40,15 @@ def max_abs(a) -> float:
 
 def isometry_deviation(a) -> float | np.ndarray:
     """Max-abs entry of a†a - I for a matrix, or of each matrix in a stack
-    (..., m, n): the one deviation every orthonormality, unitarity and
-    completeness check compares as `deviation <= tol`, so NaN fails. It is
-    non-finite where `a` has a non-finite entry, and an overflow or an
-    inf * 0 in the product makes it inf or NaN without a RuntimeWarning."""
+    (..., m, n): the one deviation every orthonormality and unitarity check
+    compares as `deviation <= tol`, so NaN fails. It is non-finite where `a`
+    has a non-finite entry, and an overflow or an inf * 0 in the product makes
+    it inf or NaN without a RuntimeWarning."""
     a = np.asarray(a, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         excess = dagger(a) @ a
         excess -= np.eye(a.shape[-1])
-        # the modulus as sqrt(re^2 + im^2), the form branch_moments takes; np.abs
+        # the modulus as sqrt(re^2 + im^2), the form scale_and_deviation takes; np.abs
         # (hypot) is slower and differs from it by at most an ulp
         squares = np.square(excess.real)
         squares += np.square(excess.imag)

@@ -82,13 +82,14 @@ def branch_tensor(rows: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     return flat.reshape(*rows.shape[:-1], 2, 2).swapaxes(-1, -2)
 
 
-def branch_moments(ops) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of T†T and TT† for each 2x2 operator T = [[a, b], [c, d]] of
-    a stack (..., 2, 2). `diagonals`, shape (4, ...), holds the column sums
-    |a|^2 + |c|^2, |b|^2 + |d|^2 (the diagonal of T†T) then the row sums
-    |a|^2 + |b|^2, |c|^2 + |d|^2 (that of TT†); `off`, shape (2, ...), holds
-    the upper off-diagonals conj(a) b + conj(c) d (T†T) and a conj(c) + b conj(d) (TT†).
-    A huge or non-finite entry gives inf or NaN moments without a RuntimeWarning.
+def scale_and_deviation(ops) -> tuple[np.ndarray, np.ndarray]:
+    """Scale tr(T†T)/2 of each 2x2 operator T = [[a, b], [c, d]] of a stack
+    (..., 2, 2), and its deviation: the larger max-abs entry of T†T - scale I
+    and TT† - scale I, in closed form. The diagonals are the column sums
+    |a|^2 + |c|^2, |b|^2 + |d|^2 (T†T) and the row sums |a|^2 + |b|^2,
+    |c|^2 + |d|^2 (TT†), the upper off-diagonals conj(a) b + conj(c) d and
+    a conj(c) + b conj(d); the lower ones are their conjugates. A huge or
+    non-finite entry gives an inf or NaN deviation without a RuntimeWarning.
     """
     ops = np.asarray(ops, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -107,37 +108,8 @@ def branch_moments(ops) -> tuple[np.ndarray, np.ndarray]:
         # x * y and y * x may differ in the last bit, which scan verdicts resolve
         np.add(conj[..., 0, 0] * b, conj[..., 1, 0] * d, out=off[0, ...])
         np.add(a * conj[..., 1, 0], b * conj[..., 1, 1], out=off[1, ...])
-    return diagonals, off
-
-
-def check_complete(moments: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Raise unless sum_k T_k†T_k = I within ATOL for each family (..., outcomes)
-    of branch_moments; return that max-abs deviation per family.
-
-    The sum has the summed column sums on its diagonal and the summed T†T
-    off-diagonal above it (the one below is its conjugate), so it is read off
-    the moments without forming a product. NaN moments fail.
-    """
-    diagonals, off = moments
-    excess, off_sum = diagonals[:2].sum(axis=-1) - 1.0, off[0].sum(axis=-1)
-    deviation = np.maximum(np.maximum(np.abs(excess[0]), np.abs(excess[1])), np.abs(off_sum))
-    if not (deviation <= ATOL).all():
-        raise ValueError(f"branch operators are not complete: deviation {np.max(deviation):.3e}")
-    return deviation
-
-
-def scale_and_deviation(moments: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Scale tr(T†T)/2 of each 2x2 operator of a stack (..., 2, 2), and its
-    deviation: the larger max-abs entry of T†T - scale I and TT† - scale I.
-
-    Computed in closed form from the operators' branch_moments: the scale is
-    half the sum of the column sums, and the deviation the largest of
-    |diagonal - scale| and |off-diagonal| (the lower off-diagonals are the
-    conjugates).
-    """
-    diagonals, off = moments
-    scale = (diagonals[0] + diagonals[1]) / 2.0
-    diagonal = np.abs(diagonals - scale)
+        scale = (diagonals[0] + diagonals[1]) / 2.0
+        diagonal = np.abs(diagonals - scale)
     off_diagonal = np.abs(off)
     deviation = np.maximum(np.maximum(diagonal[0], diagonal[1]), np.maximum(diagonal[2], diagonal[3]))
     return scale, np.maximum(deviation, np.maximum(off_diagonal[0], off_diagonal[1]))
@@ -174,16 +146,15 @@ class MeasurementBasis:
 class BranchOperatorFamily:
     """The per-outcome 2x2 operators induced by a basis and a shared state.
 
-    `ops` is a read-only (outcomes, 2, 2) array. For any orthonormal basis and
-    normalized shared state the family is complete: sum of T†T equals the
-    identity.
+    `ops` is a read-only, C-ordered (outcomes, 2, 2) copy; it is not checked.
+    For an orthonormal basis and a unit shared state the family is complete,
+    sum of T†T = I, a theorem that the tests pin.
     """
 
     ops: np.ndarray
 
     def __post_init__(self) -> None:
         ops = np.array(self.ops, dtype=complex, order="C")
-        check_complete(branch_moments(ops))
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
 
@@ -215,7 +186,7 @@ class TeleportProtocol:
     @property
     def coefficients(self) -> np.ndarray:
         """Branch magnitudes sqrt(tr(T†T)/2), exactly 0 where that weight is <= PROB_FLOOR."""
-        weights, _ = scale_and_deviation(branch_moments(branch_operators(self.basis, self.shared).ops))
+        weights, _ = scale_and_deviation(branch_operators(self.basis, self.shared).ops)
         return np.where(weights > PROB_FLOOR, np.sqrt(weights), 0.0)
 
 

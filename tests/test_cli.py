@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from teleport3q import cli, feasibility, protocols
-from teleport3q.serialize import dumps_canonical, state_to_jsonable
+from teleport3q.linalg import ATOL
+from teleport3q.serialize import dumps_canonical, protocol_to_jsonable, state_to_jsonable
 from teleport3q.states import make_named_state
 
 HALF_PI = "1.5707963267948966"
@@ -368,6 +370,50 @@ def test_bad_tolerance_exits_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert "tolerance must be finite and non-negative" in proc.stderr
+
+
+SEEDED = {
+    "scan": ["scan", "--shared", "w", "--trials", "1"],
+    "analyze": ["analyze", "--shared", "w", "--scan-trials", "1"],
+    "sample": ["teleport", "--shared", "ghz", "--theta", "1", "--sample", "--trials", "10"],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128), "1.5", "x"])
+@pytest.mark.parametrize("command", SEEDED)
+def test_bad_seed_exits_2(capsys, command, seed):
+    # default_rng and a Philox key both accept exactly [0, 2**128)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(SEEDED[command] + ["--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --seed: seed must be an integer in [0, 2**128), got {seed!r}\n")
+
+
+@pytest.mark.parametrize("command, code", [("scan", 0), ("analyze", 1), ("sample", 0)])
+def test_largest_seed_runs(capsys, command, code):
+    assert cli.main(SEEDED[command] + ["--seed", str(2**128 - 1)]) == code
+
+
+def test_protocol_file_at_the_edge_of_its_checks_teleports(tmp_path):
+    """A sharedState of squared norm 1 + 0.9 ATOL and basisElements of Gram
+    deviation 0.9 ATOL each pass their own check; their branch family is
+    complete only to 1.8 ATOL, which is a consequence, not a further check."""
+    stretch = math.sqrt(1.0 + 0.9 * ATOL)
+    protocol = protocols.ghz_protocol()
+
+    def stretched(amplitudes):
+        # full precision: rounding to 12 digits would undo the stretch
+        return {"nQubits": 3, "amplitudes": [[z.real, z.imag] for z in (stretch * amplitudes).tolist()]}
+
+    data = protocol_to_jsonable(protocol)
+    data["sharedState"] = stretched(protocol.shared.amplitudes)
+    data["basisElements"] = [stretched(row) for row in protocol.basis.rows]
+    path = tmp_path / "stretched.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("teleport", "--protocol-file", str(path), "--theta", "1", "--expect-perfect")
+    assert proc.returncode == 0, proc.stderr
+    assert "expect-perfect: PASS" in proc.stdout
 
 
 def test_basis_gen_rejects_non_unitary_S():

@@ -6,32 +6,27 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from teleport3q.linalg import (
-    ATOL,
     IDENTITY,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     dagger,
     haar_random_unitary,
-    haar_unitaries,
     is_unitary,
     max_abs,
 )
 from teleport3q import protocols
-from teleport3q.feasibility import entropy_criterion
+from teleport3q.feasibility import entropy_criterion, unitarity_verdict
 from teleport3q.protocols import (
     PROB_FLOOR,
-    BranchOperatorFamily,
     BranchOutcome,
     MeasurementBasis,
     TeleportProtocol,
     TeleportResult,
     basis_from_S,
     bell_protocol,
-    branch_moments,
     branch_operators,
     branch_tensor,
-    check_complete,
     ghz_protocol,
     protocol_from_basis,
     run_teleport,
@@ -202,13 +197,13 @@ def test_scale_and_deviation_matches_definition_on_haar_branches():
     rows = np.stack([haar_random_unitary(8, seed).T for seed in range(512)])
     ops = branch_tensor(rows, shared.amplitudes).reshape(-1, 2, 2)
     assert ops.shape == (4096, 2, 2)
-    scales, deviations = scale_and_deviation(branch_moments(ops))
+    scales, deviations = scale_and_deviation(ops)
     for t, scale, deviation in zip(ops, scales, deviations):
         ref_scale, ref_deviation = reference_scale_and_deviation(t)
         assert abs(scale - ref_scale) <= 1e-15
         assert abs(deviation - ref_deviation) <= 1e-15
     # a non-normal operator deviates, and a single operator gives scalars
-    scale, deviation = scale_and_deviation(branch_moments(np.array([[1.0, 2.0], [0.0, 1.0j]])))
+    scale, deviation = scale_and_deviation(np.array([[1.0, 2.0], [0.0, 1.0j]]))
     assert (scale, deviation) == reference_scale_and_deviation(np.array([[1.0, 2.0], [0.0, 1.0j]]))
 
 
@@ -247,7 +242,7 @@ OPERATOR_PARTS = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e100, 1e100)
 @example(parts=np.stack([0.5 * PAULI_Y.real, 0.5 * PAULI_Y.imag], axis=-1)[None])
 def test_scale_and_deviation_bitwise_equals_the_reduction_form(parts):
     ops = parts.view(complex)[..., 0]
-    scale, deviation = scale_and_deviation(branch_moments(ops))
+    scale, deviation = scale_and_deviation(ops)
     ref_scale, ref_deviation = reduced_scale_and_deviation(ops)
     assert scale.tobytes() == ref_scale.tobytes()
     assert deviation.tobytes() == ref_deviation.tobytes()
@@ -257,35 +252,22 @@ def test_scale_and_deviation_bitwise_equals_the_reduction_form(parts):
 def test_scale_and_deviation_exact_on_half_paulis(sigma):
     # tolerance-0 scans count exactly these as passing: dead branches (zero)
     # and the live branches of the canonical bases
-    scale, deviation = scale_and_deviation(branch_moments(0.5 * sigma))
+    scale, deviation = scale_and_deviation(0.5 * sigma)
     assert deviation == 0.0
     assert scale == (0.0 if not sigma.any() else 0.25)
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]), stretch=st.floats(-0.4, 0.4))
-def test_check_complete_matches_the_product_form_on_haar_families(seed, n, stretch):
-    """The closed-form deviation equals max_abs(M†M - I), M a family's branches
-    stacked as rows; families over a shared state stretched by up to 0.4 ATOL."""
-    rows = haar_unitaries(np.random.default_rng(seed), 5, 2**n).swapaxes(-1, -2)
-    ops = branch_tensor(rows, (1.0 + stretch * ATOL) * haar_random_state(n, seed).amplitudes)
-    deviations = check_complete(branch_moments(ops))
-    for family, deviation in zip(ops.reshape(len(rows), -1, 2), deviations):
-        assert abs(deviation - max_abs(dagger(family) @ family - np.eye(2))) <= 4 * np.finfo(float).eps
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
 def test_checks_reject_a_bad_entry_without_a_warning(bad):
-    """One NaN, inf or overflowing entry fails the basis, completeness and
-    unitarity checks; the pytest configuration makes any RuntimeWarning an error."""
+    """One NaN, inf or overflowing entry fails the basis and unitarity checks
+    and the branch verdict; the pytest configuration makes any RuntimeWarning an error."""
     protocol = ghz_protocol()
     rows = np.array(protocol.basis.rows)
     rows[3, 5] = bad
     with pytest.raises(ValueError, match="non-finite|squared norm deviates"):
         MeasurementBasis(rows)
-    ops = np.array(branch_operators(protocol.basis, protocol.shared).ops)
-    ops[4, 1, 0] = bad
-    with pytest.raises(ValueError, match="^branch operators are not complete"):
-        BranchOperatorFamily(ops)
+    t = np.array([[bad, 0.0], [0.0, 1.0]])
+    assert unitarity_verdict(t, 1e-8).is_proportional_unitary is False
     corrections = np.array(protocol.corrections)
     corrections[5, 0, 1] = bad
     assert is_unitary(corrections).tolist() == [True] * 5 + [False] + [True] * 2
