@@ -86,14 +86,28 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """An integer in [0, 2**128), the seeds default_rng and a Philox key both accept."""
+def _int_within(text: str, low: int, high: int) -> int | None:
+    """int(text) if it parses and lies in [low, high], else None."""
     try:
         value = int(text)
     except ValueError:
-        value = None
-    if value is None or not 0 <= value < 2**128:
+        return None
+    return value if low <= value <= high else None
+
+
+def _seed(text: str) -> int:
+    """An integer in [0, 2**128), the seeds default_rng and a Philox key both accept."""
+    value = _int_within(text, 0, 2**128 - 1)
+    if value is None:
         raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**128), got {text!r}")
+    return value
+
+
+def _trials(text: str) -> int:
+    """An integer in [1, 2**32], the trial counts protocols.check_trials accepts."""
+    value = _int_within(text, 1, 2**32)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"trials must be an integer in [1, 2**32], got {text!r}")
     return value
 
 
@@ -364,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sample", action="store_true", help="also sample the classical channel")
     p.add_argument(
-        "--trials", type=int, default=100000, help="sampling trials (default 100000)"
+        "--trials", type=_trials, default=100000, help="sampling trials (default 100000)"
     )
     p.add_argument(
         "--tolerance", type=_tolerance, default=ATOL,
@@ -376,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full feasibility report for a 3-qubit state")
     _add_state_options(p)
     p.add_argument(
-        "--scan-trials", type=int, default=200,
+        "--scan-trials", type=_trials, default=200,
         help="Haar bases tried for the embedded scan (default 200)",
     )
     _add_common_options(p, "json")
@@ -384,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="feasibility search over Haar-random bases")
     _add_state_options(p)
-    p.add_argument("--trials", type=int, default=100000, help="bases to try (default 100000)")
+    p.add_argument("--trials", type=_trials, default=100000, help="bases to try (default 100000)")
     p.add_argument(
         "--inject-known-basis", action="store_true",
         help="replace trial 0 with the state's known perfect basis (ghz, bell(m,n), w-like)",

@@ -147,22 +147,56 @@ def complete_orthonormal(rows: np.ndarray, dim: int) -> np.ndarray:
     residual norm is at most PIVOT_TOL is skipped. Each accepted vector is
     orthogonalized twice; a single Gram-Schmidt pass loses digits when the
     pivot norm is small.
+
+    The loop runs only where its result is already known, so the output is
+    the loop's bit for bit. Both shortcuts below need rows that are
+    orthonormal within ZERO_ATOL, so finite, and that have an exactly zero
+    column, as the protocol builders' rows do; other rows (a Haar-random
+    state's Schmidt vectors) rarely span a candidate, and the loop runs alone.
+    A vector the loop accepts (pivot above PIVOT_TOL, orthogonalized twice)
+    is orthonormal to such rows to about 1e-14, and 0 wherever they all are,
+    so both conditions hold for the rows so far.
+    - Where every row so far is exactly 0 at index k, each projection is an
+      exact zero and the loop would return e_k, which is appended as it is.
+    - Column k of I - B†B (B the rows so far, one rank-1 update per accepted
+      vector) is the residual of e_k off their span to about 1e-12, so a
+      candidate whose column is below ZERO_ATOL would leave the loop far
+      below PIVOT_TOL and is skipped.
     """
     basis = [np.asarray(r, dtype=complex) for r in np.atleast_2d(rows)] if np.size(rows) else []
+    if len(basis) == dim:
+        return np.array(basis)
+    stacked = np.array(basis).reshape(len(basis), dim)
+    zero, residual = (~stacked.any(axis=0)).tolist(), None
+    if any(zero) and (not basis or isometry_deviation(stacked.T) <= ZERO_ATOL):
+        # row k is column k of I - B†B
+        residual = -(stacked.T @ stacked.conj())
+        residual.flat[:: dim + 1] += 1.0
+    else:
+        zero = [False] * dim
     for k in range(dim):
         if len(basis) == dim:
             break
+        if residual is not None and not zero[k] and np.vdot(r := residual[k], r).real < ZERO_ATOL**2:
+            continue
         v = np.zeros(dim, dtype=complex)
         v[k] = 1.0
+        if zero[k]:
+            # e_k changes no other column of I - B†B
+            basis.append(v)
+            continue
         for _ in range(2):
             for b in basis:
                 v = v - np.vdot(b, v) * b
         norm = float(np.linalg.norm(v))
         if norm > PIVOT_TOL:
-            basis.append(v / norm)
+            v = v / norm
+            basis.append(v)
+            if residual is not None and len(basis) < dim:
+                residual -= v[:, None] * v.conj()
     if len(basis) != dim:
         raise RuntimeError(f"could not complete basis: got {len(basis)} of {dim} vectors")
-    return np.stack(basis)
+    return np.array(basis)
 
 
 def closest_unitary(t: np.ndarray) -> np.ndarray:

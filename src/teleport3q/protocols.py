@@ -251,17 +251,21 @@ def sample_teleport(exact: TeleportResult, trials: int, seed: int) -> SampleResu
     grow with `trials`. The counts are exactly those of one rng.choice(m, trials, p=p):
     over the same u and cdf = p.cumsum() / its last entry (exactly 1.0), it draws
     k when cdf[k-1] <= u < cdf[k], so count_k = L_k - L_{k-1}, L_j = #{u < cdf[j]}.
+    Equal entries have equal L, and every u is below 1.0, so each distinct entry
+    below 1.0 is compared once per chunk and an entry of 1.0 has L = trials; the
+    dead outcomes of a perfect protocol repeat entries.
     """
     check_trials(trials)
     probs = np.array([o.probability for o in exact.outcomes])
     rng = np.random.Generator(np.random.Philox(key=seed))
     cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
-    below = np.zeros(len(probs), dtype=np.intp)
+    below = {c: 0 for c in cdf.tolist() if c < 1.0}
     for start in range(0, trials, SAMPLE_CHUNK):
         u = rng.random(min(SAMPLE_CHUNK, trials - start))
-        below += [np.count_nonzero(u < c) for c in cdf.tolist()]
-    counts = np.diff(below, prepend=0)
+        for c in below:
+            below[c] += np.count_nonzero(u < c)
+    counts = np.diff(np.array([below.get(c, trials) for c in cdf.tolist()], dtype=np.intp), prepend=0)
     fidelity_sum = 0.0
     for count, outcome in zip(counts.tolist(), exact.outcomes):
         fidelity_sum += count * (outcome.branch_fidelity or 0.0)

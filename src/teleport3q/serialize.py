@@ -7,7 +7,8 @@ sorted, so identical inputs serialize to identical bytes.
 from __future__ import annotations
 
 import hashlib
-import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -165,9 +166,86 @@ def report_to_jsonable(report: FeasibilityReport, input_hash: str) -> dict:
     }
 
 
+def _float_text(x: float) -> str:
+    """A float as json writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(obj, indent: str, out: list) -> None:
+    """Append to `out` the text json.dumps(obj, sort_keys=True, indent=2) gives
+    obj, its types checked in json's order; `indent` is a newline and the
+    indentation of obj's own level."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator, comma = "[" + inner, "," + inner
+        for item in obj:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = comma
+        out.append(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator, comma = "{" + inner, "," + inner
+        for key, value in sorted(obj.items()):
+            out.append(separator + encode_basestring_ascii(_key_text(key)) + ": ")
+            _write_json(value, inner, out)
+            separator = comma
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def dumps_canonical(obj) -> str:
-    """Fixed field order and separators; ends with a newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Fixed field order and separators; ends with a newline. The text is
+    json.dumps(obj, sort_keys=True, indent=2) + "\\n" for a tree of JSON
+    values, written in one pass: with an indent, json falls back to its
+    generator-based encoder. A container that holds itself recurses until
+    RecursionError, where json raises ValueError."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def state_input_hash(state: PureState) -> str:

@@ -390,6 +390,24 @@ def test_bad_seed_exits_2(capsys, command, seed):
     assert err.endswith(f"error: argument --seed: seed must be an integer in [0, 2**128), got {seed!r}\n")
 
 
+TRIALS_REJECTED = "trials must be an integer in [1, 2**32], got"
+TRIAL_OPTIONS = {
+    "scan": ["scan", "--shared", "w", "--trials"],
+    "analyze": ["analyze", "--shared", "w", "--scan-trials"],
+    "sample": ["teleport", "--shared", "ghz", "--theta", "1", "--sample", "--trials"],
+}
+
+
+@pytest.mark.parametrize("trials", ["0", "-5", "1.5", "x"])
+@pytest.mark.parametrize("command", TRIAL_OPTIONS)
+def test_bad_trial_count_exits_2_naming_its_option(capsys, command, trials):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(TRIAL_OPTIONS[command] + [trials])
+    assert exc.value.code == 2
+    option = TRIAL_OPTIONS[command][-1]
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: {TRIALS_REJECTED} {trials!r}\n")
+
+
 @pytest.mark.parametrize("command, code", [("scan", 0), ("analyze", 1), ("sample", 0)])
 def test_largest_seed_runs(capsys, command, code):
     assert cli.main(SEEDED[command] + ["--seed", str(2**128 - 1)]) == code
@@ -455,14 +473,18 @@ def test_scan_trials_capped_to_bound_run_time(monkeypatch, capsys):
     # in process, with the Haar draw removed: a scan that started fails at once
     # instead of running for a day
     monkeypatch.setattr(feasibility, "haar_unitaries", None)
-    assert cli.main(["scan", "--shared", "w", "--trials", str(2**32 + 1)]) == 2
-    assert capsys.readouterr().err == "error: trials must be <= 2**32\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--shared", "w", "--trials", str(2**32 + 1)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --trials: {TRIALS_REJECTED} '{2**32 + 1}'\n")
 
 
 def test_sample_trials_capped_like_the_scan(no_draws, capsys):
     argv = ["teleport", "--shared", "ghz", "--theta", "1", "--sample", "--trials", str(2**32 + 1)]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "error: trials must be <= 2**32\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --trials: {TRIALS_REJECTED} '{2**32 + 1}'\n")
 
 
 def test_in_process_main_calls_share_no_options(tmp_path, capsys):

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from teleport3q import feasibility, protocols
 from teleport3q.linalg import (
     IDENTITY,
     PAULI_X,
+    PIVOT_TOL,
     closest_unitary,
     complete_orthonormal,
     dagger,
@@ -14,6 +19,7 @@ from teleport3q.linalg import (
     max_abs,
     schmidt_decompose,
 )
+from teleport3q.states import WLikeParams, haar_random_state
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -206,6 +212,94 @@ def test_complete_orthonormal_is_deterministic_and_unitary():
     b = complete_orthonormal(rows, 4)
     assert np.array_equal(a, b)
     assert max_abs(a.conj() @ a.T - np.eye(4)) <= 1e-12
+
+
+def reference_complete(rows, dim):
+    """The completion as a plain double Gram-Schmidt loop over every candidate:
+    the oracle complete_orthonormal's shortcut and screen must match bit for bit."""
+    basis = [np.asarray(r, dtype=complex) for r in np.atleast_2d(rows)] if np.size(rows) else []
+    for k in range(dim):
+        if len(basis) == dim:
+            break
+        v = np.zeros(dim, dtype=complex)
+        v[k] = 1.0
+        for _ in range(2):
+            for b in basis:
+                v = v - np.vdot(b, v) * b
+        norm = float(np.linalg.norm(v))
+        if norm > PIVOT_TOL:
+            basis.append(v / norm)
+    if len(basis) != dim:
+        raise RuntimeError(f"could not complete basis: got {len(basis)} of {dim} vectors")
+    return np.stack(basis)
+
+
+@st.composite
+def partial_bases(draw):
+    """Orthonormal rows on a random set of `support` columns, exact zeros on
+    the others, with optional noise; with as many rows as columns, every
+    candidate on the support lies in their span."""
+    dim = draw(st.sampled_from([2, 4, 8, 16]))
+    support = draw(st.integers(1, dim))
+    count = draw(st.integers(0, support))
+    noise = draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = rng.permutation(dim)[:support]
+    rows = np.zeros((count, dim), dtype=complex)
+    rows[:, columns] = haar_unitaries(rng, 1, support)[0][:count]
+    rows[:, columns] += noise * (rng.standard_normal((count, support)) + 1j * rng.standard_normal((count, support)))
+    return rows, dim
+
+
+# orthonormal rows that are computational kets: every candidate is a shortcut or in the span
+KETS = (np.eye(8, dtype=complex)[[5, 0, 3]] * [[1j], [-1.0], [1.0]], 8)
+# far from orthonormal with e0 = B†B e0 exactly, so column 0 of I - B†B is 0
+# while the loop accepts e0: the screen must switch itself off
+SKEWED = (np.array([[1.0, 0.3, 0.0, 0.0], [1.0, -0.3, 0.0, 0.0]], dtype=complex) / math.sqrt(2.0), 4)
+
+
+@settings(max_examples=300)
+@given(case=partial_bases())
+@example(case=(np.zeros((0, 4), dtype=complex), 4))
+@example(case=KETS)
+@example(case=SKEWED)
+def test_completion_matches_the_plain_loop_bit_for_bit(case):
+    rows, dim = case
+    assert complete_orthonormal(rows, dim).tobytes() == reference_complete(rows, dim).tobytes()
+
+
+@pytest.mark.parametrize("complete", [complete_orthonormal, reference_complete])
+def test_completion_takes_no_shortcut_past_a_non_finite_row(complete):
+    # NaN reaches every projection of the loop, zero columns included
+    rows = np.zeros((1, 4), dtype=complex)
+    rows[0, 0] = np.nan
+    with pytest.raises(RuntimeError, match="got 1 of 4 vectors"):
+        complete(rows, 4)
+
+
+ANGLES = st.floats(-2 * math.pi, 2 * math.pi)
+
+
+@given(gamma=ANGLES, phi=ANGLES, omega=ANGLES, seed=st.integers(0, 2**32 - 1))
+@example(gamma=0.0, phi=0.0, omega=0.0, seed=0)
+@example(gamma=math.pi / 4, phi=0.0, omega=0.0, seed=1)
+def test_built_bases_match_the_plain_loop_bit_for_bit(gamma, phi, omega, seed):
+    """Every basis complete_orthonormal completes in the package, and the
+    Schmidt disentangler's unitary, has the bytes of the plain loop's."""
+    params, s = WLikeParams(gamma, phi, omega), haar_random_unitary(2, seed)
+    state = haar_random_state(3, seed)
+    builds = (
+        protocols.ghz_protocol,
+        lambda: protocols.w_like_protocol(params),
+        lambda: protocols.basis_from_S(params, s),
+        lambda: protocols.basis_from_S(params, IDENTITY),
+    )
+    fast = [build().basis.rows.tobytes() for build in builds] + [feasibility.schmidt_disentangler(state).unitary.tobytes()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocols, "complete_orthonormal", reference_complete)
+        patch.setattr(feasibility, "complete_orthonormal", reference_complete)
+        plain = [build().basis.rows.tobytes() for build in builds] + [feasibility.schmidt_disentangler(state).unitary.tobytes()]
+    assert fast == plain
 
 
 def test_closest_unitary():

@@ -699,6 +699,30 @@ def test_sample_counts_uniforms_on_cdf_entries_as_choice_does(weights):
     assert sample.counts.tobytes() == np.bincount(drawn, minlength=len(p)).tobytes()
 
 
+@pytest.mark.parametrize("chunk", [SMALL_CHUNK, None])
+@pytest.mark.parametrize(
+    "build", [ghz_protocol, lambda: w_like_protocol(WLikeParams(0.7, 0.3, 1.1))], ids=["ghz", "w-like"]
+)
+def test_sample_counts_with_dead_outcomes_equal_one_choice(monkeypatch, build, chunk):
+    """A perfect protocol's four dead outcomes repeat CDF entries, and its last
+    live outcome and the dead ones after it sit at exactly 1.0; the counts are
+    still bitwise those of one rng.choice over every trial."""
+    if chunk is not None:
+        monkeypatch.setattr(protocols, "SAMPLE_CHUNK", chunk)
+    chunk = protocols.SAMPLE_CHUNK
+    exact = run_teleport(bloch_qubit(1.1, 0.4), build())
+    probs = np.array([o.probability for o in exact.outcomes])
+    p = probs / probs.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    assert np.count_nonzero(probs <= PROB_FLOOR) == 4
+    assert np.count_nonzero(cdf == 1.0) >= 2 and len(set(cdf.tolist())) <= 5
+    for trials in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 17):
+        sample = sample_teleport(exact, trials, seed=7)
+        drawn = np.random.Generator(np.random.Philox(key=7)).choice(8, size=trials, p=p)
+        assert sample.counts.tobytes() == np.bincount(drawn, minlength=8).tobytes()
+
+
 def test_sample_teleport_caps_trials_before_drawing(no_draws):
     with pytest.raises(ValueError, match=r"trials must be <= 2\*\*32"):
         sample_teleport(run_teleport(bloch_qubit(0.4, 0.0), ghz_protocol()), 2**32 + 1, seed=1)

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from teleport3q.feasibility import build_feasibility_report
 from teleport3q.protocols import basis_from_S, run_teleport, w_like_protocol
@@ -59,6 +61,51 @@ def test_dumps_canonical_sorted_and_stable():
     assert text == dumps_canonical({"a": [1, 2], "b": 1.0 / 3.0})
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+def reference_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf])
+EDGE_TEXT = st.sampled_from(['say "hi"', "back\\slash", "\x00\x1f\t\n\x7f", "é ü ß", "\u2028 日本 \U0001f600"])
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | EDGE_FLOATS | st.text() | EDGE_TEXT
+KEYS = st.text() | EDGE_TEXT
+JSON_TREES = st.recursive(
+    SCALARS,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(KEYS, children)
+        | st.dictionaries(st.integers(), children)
+        | st.dictionaries(st.floats() | EDGE_FLOATS, children)
+        | st.dictionaries(st.booleans(), children)
+        | st.dictionaries(st.none(), children)
+    ),
+    max_leaves=25,
+)
+
+
+@given(JSON_TREES)
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": ()})
+@example([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, True, False, None, 0, -(10**30)])
+def test_dumps_canonical_is_json_dumps_sorted_and_indented(obj):
+    assert dumps_canonical(obj) == reference_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [object(), 1j, np.int64(3), {1, 2}, b"bytes", [1, {"a": object()}], {(1, 2): 3}, {"a": {1j: 2}}],
+    ids=["object", "complex", "np.int64", "set", "bytes", "nested", "tuple-key", "complex-key"],
+)
+def test_dumps_canonical_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError) as ours:
+        dumps_canonical(obj)
+    with pytest.raises(TypeError) as theirs:
+        reference_dumps(obj)
+    assert str(ours.value) == str(theirs.value)
 
 
 def test_report_jsonable_has_contractual_fields():
