@@ -294,12 +294,16 @@ def test_built_bases_match_the_plain_loop_bit_for_bit(gamma, phi, omega, seed):
         lambda: protocols.basis_from_S(params, s),
         lambda: protocols.basis_from_S(params, IDENTITY),
     )
-    fast = [build().basis.rows.tobytes() for build in builds] + [feasibility.schmidt_disentangler(state).unitary.tobytes()]
+
+    def completed():
+        unitary = feasibility.schmidt_disentangler(state).unitary
+        return [build().basis.rows.tobytes() for build in builds] + [unitary.tobytes()]
+
+    fast = completed()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocols, "complete_orthonormal", reference_complete)
         patch.setattr(feasibility, "complete_orthonormal", reference_complete)
-        plain = [build().basis.rows.tobytes() for build in builds] + [feasibility.schmidt_disentangler(state).unitary.tobytes()]
-    assert fast == plain
+        assert completed() == fast
 
 
 def test_closest_unitary():
