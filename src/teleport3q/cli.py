@@ -80,7 +80,10 @@ def _parse_w_like_params(text: str) -> WLikeParams:
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:  # not a number: rejected as NaN is
+        value = math.nan
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
     return value
@@ -129,11 +132,12 @@ def _read_json(path: str, what: str):
     return _loads_json(text, f"{what} file {path!r}")
 
 
-# Canonical perfect protocol of each named state family that has one; every
-# bell(m,n) pair is built from its own corrections. The lambdas look the
-# builders up at call time, so a patched module attribute sees every build.
+# Canonical perfect protocol of each named state family that has one, built
+# over the state already resolved; every bell(m,n) pair is built from its own
+# corrections. The lambdas look the builders up at call time, so a patched
+# module attribute sees every build.
 _CANONICAL = {
-    "ghz": lambda state: ghz_protocol(),
+    "ghz": lambda state: ghz_protocol(state),
     "bell": lambda state: bell_protocol(state),
 }
 
@@ -151,7 +155,8 @@ def _resolve_state(args) -> tuple[PureState, str, Callable[[], TeleportProtocol]
     lowered = spec.lower()
     if lowered.startswith("w-like:"):
         params = _parse_w_like_params(spec[len("w-like:"):])
-        return w_like_from_params(params), spec, partial(w_like_protocol, params)
+        state = w_like_from_params(params)
+        return state, spec, partial(w_like_protocol, params, state)
     try:
         state = make_named_state(lowered)
     except ValueError:
@@ -210,7 +215,10 @@ def _parse_s_operator(spec: str) -> np.ndarray:
         parts = match.group(1).split(",")
         if len(parts) != 2:
             raise ValueError(f"diag(...) needs two entries, got {text!r}")
-        return np.diag([complex(float(p)) for p in parts])
+        try:
+            return np.diag([complex(float(p)) for p in parts])
+        except ValueError as exc:
+            raise ValueError(f"malformed entry in {text!r}") from exc
     data = _loads_json(text, "S operator") if text.startswith("[") else _read_json(text, "S operator")
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError("S must be a JSON list of rows")

@@ -39,6 +39,7 @@ SIGMA_BY_INDEX = (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z)
 PROB_FLOOR = 1e-24
 # Uniforms drawn per call in sample_teleport: 8 bytes each.
 SAMPLE_CHUNK = 2**16
+_S_NOT_UNITARY = f"S is not unitary (2x2 within tolerance {ATOL:g} required)"
 
 
 def _apply_to_last_qubit(amplitudes: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -190,6 +191,20 @@ class TeleportProtocol:
         return np.where(weights > PROB_FLOOR, np.sqrt(weights), 0.0)
 
 
+def _trusted_protocol(shared: PureState, basis: MeasurementBasis, corrections) -> TeleportProtocol:
+    """The TeleportProtocol that the public constructor would store, built
+    without its checks: for the builders, whose state and basis are checked
+    objects of one qubit count (a branch contraction over other counts fails)
+    and whose corrections are unitary by construction (Paulis, checked
+    products P_k S, polar factors)."""
+    protocol = object.__new__(TeleportProtocol)
+    stored = np.array(corrections, dtype=complex, order="C")
+    stored.setflags(write=False)
+    for name, value in (("shared", shared), ("basis", basis), ("corrections", stored)):
+        object.__setattr__(protocol, name, value)
+    return protocol
+
+
 @dataclass(frozen=True)
 class BranchOutcome:
     label: str
@@ -273,26 +288,36 @@ def sample_teleport(exact: TeleportResult, trials: int, seed: int) -> SampleResu
 
 
 def _protocol_from_corrections(
-    shared: PureState, live: dict[int, np.ndarray], s: np.ndarray = IDENTITY
+    shared: PureState, live: dict[int, np.ndarray], s: np.ndarray | None = None
 ) -> TeleportProtocol:
     """Perfect protocol over `shared` whose live outcome k is corrected by C_k = P_k S.
 
-    `live` maps an outcome k to a 2x2 unitary P_k. Basis element k is
+    `live` maps an outcome k to a 2x2 unitary P_k, and S is the identity
+    unless a free 2x2 `s` is given (basis_from_S). Basis element k is
     v = (I (x) S†P_k)|shared> with the receiver's slot moved onto the message
     slot, element[2**(n-1) j + a] = v[2 a + j], so its branch operator is
     T_k = rho_B P_k† S. The receiver must hold one ebit (rho_B = I/2): the live
     elements are then orthonormal and T_k = P_k† S / 2, which is +C_k/2 for
     Hermitian P_k and -C_k/2 for P_k = ±iY. Every other outcome is dead: its
     element completes the basis deterministically and its correction is I.
+    The corrections are checked only with a free `s`, and as the products
+    that are stored, not S alone: at the ATOL edge P_k S can round across it
+    where S does not.
     """
     dim, keys = len(shared.amplitudes), sorted(live)
+    free = s is not None
+    s = s if free else IDENTITY
+    # a non-finite S gives NaN products (0 * inf), which fail the check without a RuntimeWarning
+    with np.errstate(invalid="ignore"):
+        corrections = np.array([live[k] @ s if k in live else IDENTITY for k in range(dim)])
+    if free and not is_unitary(corrections, ATOL).all():
+        raise ValueError(_S_NOT_UNITARY)
     moved = [_apply_to_last_qubit(shared.amplitudes, dagger(s) @ live[k]).reshape(-1, 2).T for k in keys]
     full = complete_orthonormal(np.reshape(moved, (len(keys), dim)), dim)
     # the completion lists the live elements first, in key order, then the extras
     rows = np.empty_like(full)
     rows[keys + [k for k in range(dim) if k not in live]] = full
-    corrections = [live[k] @ s if k in live else IDENTITY for k in range(dim)]
-    return TeleportProtocol(shared=shared, basis=MeasurementBasis(rows), corrections=corrections)
+    return _trusted_protocol(shared, MeasurementBasis(rows), corrections)
 
 
 def bell_protocol(shared: PureState | None = None) -> TeleportProtocol:
@@ -306,22 +331,21 @@ def bell_protocol(shared: PureState | None = None) -> TeleportProtocol:
     return _protocol_from_corrections(shared, {0: IDENTITY, 1: PAULI_X, 2: PAULI_Z, 3: 1j * PAULI_Y})
 
 
-def ghz_protocol() -> TeleportProtocol:
-    """Perfect protocol over GHZ (_protocol_from_corrections): outcomes 000,
-    001, 100, 101 are live with corrections C_k = I, Z, X, -iY and branch
-    operators ±C_k/2 = I/2, Z/2, X/2, iY/2; the other four are dead."""
-    return _protocol_from_corrections(
-        make_named_state("ghz"), {0: IDENTITY, 1: PAULI_Z, 4: PAULI_X, 5: -1j * PAULI_Y}
-    )
+def ghz_protocol(shared: PureState | None = None) -> TeleportProtocol:
+    """Perfect protocol over `shared`, GHZ by default (_protocol_from_corrections):
+    outcomes 000, 001, 100, 101 are live with corrections C_k = I, Z, X, -iY
+    and branch operators ±C_k/2 = I/2, Z/2, X/2, iY/2; the other four are dead."""
+    shared = make_named_state("ghz") if shared is None else shared
+    return _protocol_from_corrections(shared, {0: IDENTITY, 1: PAULI_Z, 4: PAULI_X, 5: -1j * PAULI_Y})
 
 
-def w_like_protocol(params: WLikeParams) -> TeleportProtocol:
-    """Perfect protocol over a W-like state (_protocol_from_corrections):
-    outcomes 000..011 are live with corrections C_k = I, Z, X, -iY and branch
+def w_like_protocol(params: WLikeParams, shared: PureState | None = None) -> TeleportProtocol:
+    """Perfect protocol over the W-like state of `params` (_protocol_from_corrections),
+    or over `shared` when the caller has built that state already: outcomes
+    000..011 are live with corrections C_k = I, Z, X, -iY and branch
     operators ±C_k/2 = I/2, Z/2, X/2, iY/2; 100..111 are dead."""
-    return _protocol_from_corrections(
-        w_like_from_params(params), {0: IDENTITY, 1: PAULI_Z, 2: PAULI_X, 3: -1j * PAULI_Y}
-    )
+    shared = w_like_from_params(params) if shared is None else shared
+    return _protocol_from_corrections(shared, {0: IDENTITY, 1: PAULI_Z, 2: PAULI_X, 3: -1j * PAULI_Y})
 
 
 def basis_from_S(params: WLikeParams, s: np.ndarray) -> TeleportProtocol:
@@ -331,10 +355,11 @@ def basis_from_S(params: WLikeParams, s: np.ndarray) -> TeleportProtocol:
     Pauli index order) then has the element (I (x) S† sigma^{(mn)})|shared>
     re-slotted onto the message qubit (_protocol_from_corrections) and, every
     sigma being Hermitian, the branch operator +C_mn/2 = sigma^{(mn)} S / 2.
+    S must be 2x2, and each product sigma^{(mn)} S unitary within ATOL.
     """
     s = np.asarray(s, dtype=complex)
-    if s.shape != (2, 2) or not is_unitary(s, ATOL):
-        raise ValueError(f"S is not unitary (2x2 within tolerance {ATOL:g} required)")
+    if s.shape != (2, 2):
+        raise ValueError(_S_NOT_UNITARY)
     return _protocol_from_corrections(w_like_from_params(params), dict(enumerate(SIGMA_BY_INDEX)), s)
 
 
@@ -345,5 +370,4 @@ def protocol_from_basis(shared: PureState, basis: MeasurementBasis) -> TeleportP
     Fidelity reaches 1 only when every branch operator is proportional to a
     unitary.
     """
-    corrections = closest_unitary(branch_operators(basis, shared).ops)
-    return TeleportProtocol(shared=shared, basis=basis, corrections=corrections)
+    return _trusted_protocol(shared, basis, closest_unitary(branch_operators(basis, shared).ops))

@@ -16,7 +16,7 @@ from . import __version__
 from .feasibility import FeasibilityReport
 from .linalg import ATOL, max_abs, qubit_count
 from .protocols import MeasurementBasis, TeleportProtocol
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, check_qubit_count
 
 
 def round12(x: float) -> float:
@@ -44,7 +44,10 @@ def json_complex(pair) -> complex:
     """An [re, im] pair of JSON numbers read as a complex number."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"expected an [re, im] pair, got {_echo(pair)}")
-    return complex(json_number(pair[0]), json_number(pair[1]))
+    re, im = pair
+    if type(re) is float and type(im) is float:  # json_number would return them as they are
+        return complex(re, im)
+    return complex(json_number(re), json_number(im))
 
 
 def _pair(z: complex) -> list[float]:
@@ -59,7 +62,8 @@ def state_to_jsonable(state: PureState) -> dict:
     return _amplitudes_to_jsonable(state.amplitudes)
 
 
-def state_from_jsonable(data: dict) -> PureState:
+def _state_fields(data: dict) -> tuple[int, np.ndarray]:
+    """nQubits and amplitudes of a state object, parsed but not yet checked against each other."""
     if not isinstance(data, dict) or "nQubits" not in data or "amplitudes" not in data:
         raise ValueError("state object must have nQubits and amplitudes fields")
     n_qubits = data["nQubits"]
@@ -69,7 +73,19 @@ def state_from_jsonable(data: dict) -> PureState:
         amps = np.array([json_complex(pair) for pair in data["amplitudes"]])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed state object: {exc}") from exc
-    return PureState(n_qubits, amps)
+    return n_qubits, amps
+
+
+def state_from_jsonable(data: dict) -> PureState:
+    return PureState(*_state_fields(data))
+
+
+def _basis_row_from_jsonable(data: dict) -> np.ndarray:
+    """The amplitudes of a basis element, checked as PureState checks a
+    state's but for the unit norm, which MeasurementBasis decides."""
+    n_qubits, amps = _state_fields(data)
+    check_qubit_count(n_qubits, amps.size)
+    return amps
 
 
 def operator_to_jsonable(op: np.ndarray) -> list:
@@ -112,14 +128,14 @@ def protocol_from_jsonable(data: dict) -> TeleportProtocol:
     except ValueError as exc:
         raise ValueError(f"malformed coefficients: {exc}") from exc
     shared = state_from_jsonable(data["sharedState"])
-    rows = [state_from_jsonable(e).amplitudes for e in data["basisElements"]]
+    rows = [_basis_row_from_jsonable(e) for e in data["basisElements"]]
     if len({row.size for row in rows}) > 1:
         raise ValueError("basis elements must share a qubit count")
-    protocol = TeleportProtocol(
-        shared=shared,
-        basis=MeasurementBasis(np.array(rows)),
-        corrections=[operator_from_jsonable(u) for u in data["corrections"]],
-    )
+    # the rows' norms are the diagonal of the basis's Gram check; built
+    # before the corrections are parsed, so a basis error is reported first
+    basis = MeasurementBasis(np.array(rows))
+    corrections = [operator_from_jsonable(u) for u in data["corrections"]]
+    protocol = TeleportProtocol(shared=shared, basis=basis, corrections=corrections)
     derived = protocol.coefficients
     # `not <=` also rejects NaN
     if coefficients.shape != derived.shape or not max_abs(coefficients - derived) <= ATOL:

@@ -29,13 +29,27 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 
 def check_unit_norm(amplitudes: np.ndarray) -> None:
-    """Raise unless every row (..., 2**n) is finite with unit squared norm within ATOL."""
-    _require_finite(amplitudes, "amplitudes")
+    """Raise unless every row (..., 2**n) is finite with unit squared norm within ATOL.
+
+    One deviation decides: a non-finite entry makes it inf or NaN, which fails
+    `deviation <= ATOL`, and only a failing input is scanned for such entries,
+    whose error comes first.
+    """
     # an overflowing square gives an infinite deviation without a RuntimeWarning
     with np.errstate(over="ignore"):
-        deviation = max_abs(np.sum(np.abs(amplitudes) ** 2, axis=-1) - 1.0)
-    if deviation > ATOL:
+        deviation = max_abs((np.abs(amplitudes) ** 2).sum(axis=-1) - 1.0)
+    if not deviation <= ATOL:
+        _require_finite(amplitudes, "amplitudes")
         raise ValueError(f"squared norm deviates from 1 by {deviation:.3e} (> {ATOL:g})")
+
+
+def check_qubit_count(n_qubits: int, size: int) -> None:
+    """Raise unless n_qubits >= 1 and `size` is 2**n_qubits."""
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be at least 1")
+    # compare qubit counts: 2**n_qubits of an unchecked n_qubits may be huge
+    if qubit_count(size) != n_qubits:
+        raise ValueError(f"expected 2**{n_qubits} amplitudes, got {size}")
 
 
 @dataclass(frozen=True)
@@ -47,11 +61,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be at least 1")
-        # compare qubit counts: 2**n_qubits of an unchecked n_qubits may be huge
-        if qubit_count(amps.size) != self.n_qubits:
-            raise ValueError(f"expected 2**{self.n_qubits} amplitudes, got {amps.size}")
+        check_qubit_count(self.n_qubits, amps.size)
         check_unit_norm(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

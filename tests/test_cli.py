@@ -166,6 +166,8 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
     "edit, message",
     [
         ("[1,2]", "S must be a JSON list of rows"),
+        ("diag(1,i)", "malformed entry in 'diag(1,i)'"),
+        ("diag(1,)", "malformed entry in 'diag(1,)'"),
         ("[[1,0],[0,1e400]]", "S is not unitary"),
         ("[[1,0],[0,1e200]]", "S is not unitary"),
         ({"basisElements": 5}, "must be lists: basisElements"),
@@ -191,7 +193,8 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
         ({"corrections": [[[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]] * 8}, "correction 0 is not a 2x2 unitary"),
     ],
     ids=[
-        "S-not-nested", "S-non-finite", "S-overflows", "basisElements-not-list", "corrections-not-list",
+        "S-not-nested", "S-diag-not-a-number", "S-diag-empty-entry", "S-non-finite", "S-overflows",
+        "basisElements-not-list", "corrections-not-list",
         "coefficients-edited", "correction-non-finite",
         "S-string-entry", "S-bool-entry", "S-huge-integer", "coefficients-strings", "correction-bool",
         "correction-not-2x2", "correction-not-unitary-before-not-2x2", "correction-overflows",
@@ -236,6 +239,44 @@ def test_overflowing_amplitudes_exit_2(tmp_path, capsys, where):
     assert captured.err == "error: squared norm deviates from 1 by inf (> 1e-10)\n"
 
 
+def _scaled_element(element, factor):
+    return {"nQubits": element["nQubits"], "amplitudes": [[factor * a, factor * b] for a, b in element["amplitudes"]]}
+
+
+# one fault in one basis element; each message is PureState's for that fault,
+# whichever check finds it
+SINGLE_FAULT_ELEMENTS = {
+    "nQubits-float": (lambda e: e | {"nQubits": 3.0}, "nQubits must be an integer, got 3.0"),
+    "nQubits-string": (lambda e: e | {"nQubits": "3"}, "nQubits must be an integer, got '3'"),
+    "nQubits-zero": (lambda e: e | {"nQubits": 0}, "n_qubits must be at least 1"),
+    "seven-amplitudes": (lambda e: e | {"amplitudes": e["amplitudes"][:7]}, "length 7 is not a power of two"),
+    "norm-1.21": (lambda e: _scaled_element(e, 1.1), "squared norm deviates from 1 by 2.100e-01 (> 1e-10)"),
+    "entry-1e400": (
+        lambda e: e | {"amplitudes": [[math.inf, 0]] + e["amplitudes"][1:]},
+        "amplitudes contains non-finite entries",
+    ),
+    "entry-string": (
+        lambda e: e | {"amplitudes": [["x", 0]] + e["amplitudes"][1:]},
+        "malformed state object: expected a JSON number, got 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", [0, 2, 7])
+@pytest.mark.parametrize("fault", SINGLE_FAULT_ELEMENTS)
+def test_single_fault_basis_element_error_text(tmp_path, capsys, fault, row):
+    edit, message = SINGLE_FAULT_ELEMENTS[fault]
+    protocol = json.loads(BASIS_GEN_PROTOCOL.read_text())
+    protocol["basisElements"][row] = edit(protocol["basisElements"][row])
+    path = tmp_path / "protocol.json"
+    # json writes an infinite float as Infinity; the file spells it 1e400
+    path.write_text(json.dumps(protocol).replace("Infinity", "1e400"))
+    assert cli.main(["teleport", "--protocol-file", str(path), "--theta", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 @pytest.mark.parametrize(
     "args",
@@ -273,6 +314,13 @@ def test_canonical_protocols_take_no_polar_factors(monkeypatch, capsys):
         assert cli.main(["scan", "--shared", spec, "--trials", "1", "--inject-known-basis"]) == 0
     assert "feasible bases: 1/1" in capsys.readouterr().out
     assert len(built) == 2 * len(bells)
+
+
+@pytest.mark.parametrize("spec", ["ghz", "w-like:0.5,0.2,0.9", "bell(1,1)"])
+def test_canonical_protocol_is_built_over_the_resolved_state(spec):
+    args = cli._parser().parse_args(["teleport", "--shared", spec, "--theta", "1"])
+    state, _, canonical = cli._resolve_state(args)
+    assert canonical().shared is state
 
 
 def test_sampled_teleport_runs_the_protocol_once(monkeypatch, capsys):
@@ -364,12 +412,16 @@ def test_echoed_input_is_bounded(tmp_path, capsys, where):
         ("scan", "--shared", "w", "--trials", "1", "--tolerance", "nan"),
         ("teleport", "--shared", "ghz", "--theta", "1", "--tolerance", "-1", "--expect-perfect"),
         ("teleport", "--shared", "ghz", "--theta", "1", "--tolerance", "inf"),
+        # text that is not a number gets the same message, not argparse's "invalid _tolerance value"
+        ("scan", "--shared", "w", "--trials", "1", "--tolerance", "abc"),
+        ("teleport", "--shared", "ghz", "--theta", "1", "--tolerance", "abc"),
     ],
 )
 def test_bad_tolerance_exits_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
-    assert "tolerance must be finite and non-negative" in proc.stderr
+    value = args[args.index("--tolerance") + 1]
+    assert proc.stderr.endswith(f"error: argument --tolerance: tolerance must be finite and non-negative, got {value!r}\n")
 
 
 SEEDED = {

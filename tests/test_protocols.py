@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from teleport3q.linalg import (
+    ATOL,
     IDENTITY,
     PAULI_X,
     PAULI_Y,
@@ -507,6 +508,62 @@ def test_basis_from_S_live_gram():
 def test_basis_from_S_rejects_non_unitary():
     with pytest.raises(ValueError, match="S is not unitary"):
         basis_from_S(WLikeParams(0.5, 0.0, 0.0), np.diag([1.0, 2.0]))
+
+
+# ---------------------------------------------------------------- builders skip the public checks
+
+ANGLES = st.tuples(*[st.floats(-2 * math.pi, 2 * math.pi)] * 3)
+
+
+def assert_public_checks_pass(protocol):
+    """The builders store without TeleportProtocol's checks; the public
+    constructor must accept what they built and store the same bits."""
+    checked = TeleportProtocol(protocol.shared, protocol.basis, protocol.corrections)
+    for stored in (protocol.corrections, checked.corrections):
+        assert stored.dtype == complex and stored.shape == (len(protocol.basis.rows), 2, 2)
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+    assert checked.corrections.tobytes() == protocol.corrections.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["ghz", "bell(0,0)", "bell(0,1)", "bell(1,0)", "bell(1,1)"])
+def test_canonical_builds_pass_the_public_checks(spec):
+    assert_public_checks_pass(ghz_protocol() if spec == "ghz" else bell_protocol(make_named_state(spec)))
+
+
+@given(angles=ANGLES)
+def test_w_like_builds_pass_the_public_checks(angles):
+    assert_public_checks_pass(w_like_protocol(WLikeParams(*angles)))
+
+
+@given(angles=ANGLES, seed=SEEDS)
+def test_basis_from_haar_S_passes_the_public_checks(angles, seed):
+    assert_public_checks_pass(basis_from_S(WLikeParams(*angles), haar_random_unitary(2, seed)))
+
+
+@given(angles=ANGLES, seed=SEEDS, ulps=st.integers(-8, 8))
+# with OpenBLAS on x86-64 this S passes alone while its products with X and Y fail
+@example(angles=(0.0, 0.0, 0.0), seed=489407190, ulps=0)
+def test_basis_from_S_at_the_tolerance_edge_stores_only_checked_products(angles, seed, ulps):
+    """S†S = diag(1 + ATOL + ulps * 2**-52, 1), so the isometry deviation of S
+    sits within a few ulps of ATOL, where a product sigma S can round across
+    it while S does not: basis_from_S raises exactly when a stored product fails."""
+    s = haar_random_unitary(2, seed) @ np.diag([math.sqrt(1.0 + ATOL + ulps * 2.0**-52), 1.0])
+    products = np.array([sigma @ s for sigma in protocols.SIGMA_BY_INDEX])
+    try:
+        protocol = basis_from_S(WLikeParams(*angles), s)
+    except ValueError as exc:
+        assert str(exc) == f"S is not unitary (2x2 within tolerance {ATOL:g} required)"
+        assert not is_unitary(products).all()
+        return
+    assert is_unitary(products).all()
+    assert_public_checks_pass(protocol)
+
+
+@given(basis_seed=SEEDS, state_seed=st.one_of(st.none(), SEEDS))
+def test_polar_factor_builds_pass_the_public_checks(basis_seed, state_seed):
+    shared = make_named_state("w") if state_seed is None else haar_random_state(3, state_seed)
+    basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, basis_seed))
+    assert_public_checks_pass(protocol_from_basis(shared, basis))
 
 
 # ---------------------------------------------------------------- per-branch reference
