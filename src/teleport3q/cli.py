@@ -38,7 +38,6 @@ from .serialize import (
     protocol_from_jsonable,
     protocol_to_jsonable,
     report_to_jsonable,
-    round12,
     state_from_jsonable,
     state_input_hash,
     state_to_jsonable,
@@ -237,11 +236,7 @@ def cmd_teleport(args) -> int:
 
     if args.format == "json":
         branches = [
-            {
-                "index": o.label,
-                "probability": round12(o.probability),
-                "fidelity": None if o.branch_fidelity is None else round12(o.branch_fidelity),
-            }
+            {"index": o.label, "probability": o.probability, "fidelity": o.branch_fidelity}
             for o in result.outcomes
         ]
         payload = {
@@ -250,16 +245,16 @@ def cmd_teleport(args) -> int:
             "messageLabel": message_label,
             "message": state_to_jsonable(psi),
             "branches": branches,
-            "totalFidelity": round12(result.total_fidelity),
+            "totalFidelity": result.total_fidelity,
             "perfect": perfect,
-            "tolerance": round12(args.tolerance),
+            "tolerance": args.tolerance,
         }
         if sample is not None:
             payload["sample"] = {
                 "trials": sample.trials,
                 "seed": args.seed,
-                "counts": [int(c) for c in sample.counts],
-                "empiricalFidelity": round12(sample.empirical_fidelity),
+                "counts": sample.counts.tolist(),
+                "empiricalFidelity": sample.empirical_fidelity,
             }
         _emit(dumps_canonical(payload), args.out)
     else:
@@ -323,7 +318,7 @@ def cmd_scan(args) -> int:
             "trials": result.trials,
             "feasibleCount": result.feasible_count,
             "maxPassingBranches": result.max_passing_branches,
-            "tolerance": round12(result.tolerance),
+            "tolerance": result.tolerance,
             "seed": args.seed,
             "injectedKnownBasis": result.injected,
         }

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ZERO_ATOL, complete_orthonormal, haar_unitaries, schmidt_decompose
-from .protocols import MeasurementBasis, branch_operators, branch_tensor, check_trials, scale_and_deviation
+from .protocols import (
+    MeasurementBasis, branch_operators, branch_tensor, check_basis_qubits, check_trials, scale_and_deviation
+)
 from .states import DensityMatrix, PureState, entanglement_entropy, partial_trace, shannon_entropy
 
 ENTROPY_ATOL = 1e-9
@@ -190,8 +192,8 @@ def haar_scan(
     time (about 12 hours for W at 10 us per trial).
     """
     check_trials(trials)
-    if inject is not None and inject.n_qubits != shared.n_qubits:
-        raise ValueError("basis must act on as many qubits as the shared state")
+    if inject is not None:
+        check_basis_qubits(inject, shared)
     dim = 2**shared.n_qubits
     rng = np.random.default_rng(seed)
     feasible_count = 0

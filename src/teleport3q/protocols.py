@@ -68,6 +68,12 @@ def check_basis_rows(rows: np.ndarray) -> None:
         raise ValueError(f"basis is not orthonormal: Gram deviation {np.max(deviation):.3e}")
 
 
+def check_basis_qubits(basis: MeasurementBasis, shared: PureState) -> None:
+    """Raise unless `basis` acts on as many qubits as `shared`, which a branch contraction needs."""
+    if basis.n_qubits != shared.n_qubits:
+        raise ValueError("basis must act on as many qubits as the shared state")
+
+
 def branch_tensor(rows: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """Branch operators of a stack of bases, shape (..., outcomes, 2, 2).
 
@@ -169,8 +175,7 @@ class TeleportProtocol:
     corrections: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.basis.n_qubits != self.shared.n_qubits:
-            raise ValueError("basis must act on as many qubits as the shared state")
+        check_basis_qubits(self.basis, self.shared)
         n_out = len(self.basis.rows)
         if len(self.corrections) != n_out:
             raise ValueError(f"expected {n_out} corrections, got {len(self.corrections)}")
@@ -194,9 +199,9 @@ class TeleportProtocol:
 def _trusted_protocol(shared: PureState, basis: MeasurementBasis, corrections) -> TeleportProtocol:
     """The TeleportProtocol that the public constructor would store, built
     without its checks: for the builders, whose state and basis are checked
-    objects of one qubit count (a branch contraction over other counts fails)
-    and whose corrections are unitary by construction (Paulis, checked
-    products P_k S, polar factors)."""
+    objects of one qubit count (protocol_from_basis checks it; the others
+    build the basis from the state) and whose corrections are unitary by
+    construction (Paulis, checked products P_k S, polar factors)."""
     protocol = object.__new__(TeleportProtocol)
     stored = np.array(corrections, dtype=complex, order="C")
     stored.setflags(write=False)
@@ -368,6 +373,7 @@ def protocol_from_basis(shared: PureState, basis: MeasurementBasis) -> TeleportP
 
     Corrections are the polar unitary factors of the branch operators.
     Fidelity reaches 1 only when every branch operator is proportional to a
-    unitary.
+    unitary. The basis must act on as many qubits as `shared`.
     """
+    check_basis_qubits(basis, shared)
     return _trusted_protocol(shared, basis, closest_unitary(branch_operators(basis, shared).ops))

@@ -1,7 +1,9 @@
 """JSON wire formats: states, operators, protocols, and feasibility reports.
 
-All floats are rounded to 12 significant digits before encoding and keys are
-sorted, so identical inputs serialize to identical bytes.
+The `*_to_jsonable` functions build trees of plain Python values at full
+precision; only the encoder, `dumps_canonical`, decides their bytes. It sorts
+keys and rounds every float to 12 significant digits as it writes it, so
+identical inputs serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .states import DensityMatrix, PureState, check_qubit_count
 
 
 def round12(x: float) -> float:
-    """Round to 12 significant digits; shortest-round-trip printing does the rest."""
+    """Round to 12 significant digits; shortest-round-trip printing does the rest.
+    Idempotent on finite doubles, so rounding an already rounded value keeps its bytes."""
     return float(f"{float(x):.12g}")
 
 
@@ -50,12 +53,8 @@ def json_complex(pair) -> complex:
     return complex(json_number(re), json_number(im))
 
 
-def _pair(z: complex) -> list[float]:
-    return [round12(z.real), round12(z.imag)]
-
-
 def _amplitudes_to_jsonable(amplitudes: np.ndarray) -> dict:
-    return {"nQubits": qubit_count(amplitudes.size), "amplitudes": [_pair(z) for z in amplitudes.tolist()]}
+    return {"nQubits": qubit_count(amplitudes.size), "amplitudes": [[z.real, z.imag] for z in amplitudes.tolist()]}
 
 
 def state_to_jsonable(state: PureState) -> dict:
@@ -89,7 +88,7 @@ def _basis_row_from_jsonable(data: dict) -> np.ndarray:
 
 
 def operator_to_jsonable(op: np.ndarray) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(op, dtype=complex).tolist()]
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(op, dtype=complex).tolist()]
 
 
 def operator_from_jsonable(data) -> np.ndarray:
@@ -108,7 +107,7 @@ def protocol_to_jsonable(protocol: TeleportProtocol) -> dict:
         "sharedState": state_to_jsonable(protocol.shared),
         "basisElements": [_amplitudes_to_jsonable(row) for row in protocol.basis.rows],
         "corrections": [operator_to_jsonable(u) for u in protocol.corrections],
-        "coefficients": [round12(c) for c in protocol.coefficients.tolist()],
+        "coefficients": protocol.coefficients.tolist(),
     }
 
 
@@ -145,32 +144,25 @@ def protocol_from_jsonable(data: dict) -> TeleportProtocol:
 
 
 def report_to_jsonable(report: FeasibilityReport, input_hash: str) -> dict:
+    comp = report.componentwise
     componentwise = {
-        "exists": report.componentwise.exists,
-        "unitary": (
-            operator_to_jsonable(report.componentwise.unitary)
-            if report.componentwise.unitary is not None
-            else None
-        ),
-        "residualState": (
-            state_to_jsonable(report.componentwise.residual)
-            if report.componentwise.residual is not None
-            else None
-        ),
+        "exists": comp.exists,
+        "unitary": None if comp.unitary is None else operator_to_jsonable(comp.unitary),
+        "residualState": None if comp.residual is None else state_to_jsonable(comp.residual),
     }
     schmidt = {
         "unitary": operator_to_jsonable(report.schmidt.unitary),
-        "alphaSchmidt": [round12(c) for c in report.schmidt.coefficients],
-        "alphaEntropy": round12(report.schmidt.residual_entropy),
+        "alphaSchmidt": report.schmidt.coefficients.tolist(),
+        "alphaEntropy": report.schmidt.residual_entropy,
         "residualState": state_to_jsonable(report.schmidt.residual),
     }
     return {
         "stateLabel": report.state_label,
         "bobReducedState": matrix_to_jsonable(report.bob_reduced_state),
-        "entropyBits": round12(report.entropy_bits),
+        "entropyBits": report.entropy_bits,
         "entropyVerdict": report.entropy_feasible,
-        "sumRuleRow0": round12(report.sum_rule_row0),
-        "sumRuleRow1": round12(report.sum_rule_row1),
+        "sumRuleRow0": report.sum_rule_row0,
+        "sumRuleRow1": report.sum_rule_row1,
         "sumRuleBalanced": report.sum_rule_balanced,
         "scanTrials": report.scan.trials,
         "scanFeasibleCount": report.scan.feasible_count,
@@ -182,39 +174,14 @@ def report_to_jsonable(report: FeasibilityReport, input_hash: str) -> dict:
     }
 
 
-def _float_text(x: float) -> str:
-    """A float as json writes it, NaN and the infinities included."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    """A dict key as json writes it, before quoting."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _write_json(obj, indent: str, out: list) -> None:
-    """Append to `out` the text json.dumps(obj, sort_keys=True, indent=2) gives
-    obj, its types checked in json's order; `indent` is a newline and the
-    indentation of obj's own level."""
-    if isinstance(obj, str):
+    """Append to `out` the text of obj, its floats rounded by round12; `indent`
+    is a newline and the indentation of obj's own level."""
+    if isinstance(obj, float):  # first: floats are most of every payload
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        out.append(float.__repr__(round12(obj)))
+    elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
         out.append("null")
@@ -224,9 +191,7 @@ def _write_json(obj, indent: str, out: list) -> None:
         out.append("false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(obj))
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         if not obj:
             out.append("[]")
             return
@@ -243,8 +208,11 @@ def _write_json(obj, indent: str, out: list) -> None:
             return
         inner = indent + "  "
         separator, comma = "{" + inner, "," + inner
+        # keys of mixed types fail the sort with a TypeError of their own
         for key, value in sorted(obj.items()):
-            out.append(separator + encode_basestring_ascii(_key_text(key)) + ": ")
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(separator + encode_basestring_ascii(key) + ": ")
             _write_json(value, inner, out)
             separator = comma
         out.append(indent + "}")
@@ -253,11 +221,15 @@ def _write_json(obj, indent: str, out: list) -> None:
 
 
 def dumps_canonical(obj) -> str:
-    """Fixed field order and separators; ends with a newline. The text is
-    json.dumps(obj, sort_keys=True, indent=2) + "\\n" for a tree of JSON
-    values, written in one pass: with an indent, json falls back to its
-    generator-based encoder. A container that holds itself recurses until
-    RecursionError, where json raises ValueError."""
+    """The one place that decides JSON bytes: sorted keys, an indent of 2,
+    every float rounded to 12 significant digits, and a closing newline.
+
+    `obj` is a tree of str-keyed dicts, lists, str, bool, None, int and finite
+    float; the text is json.dumps(obj with round12 applied to each float,
+    sort_keys=True, indent=2) + "\n", written in one pass. A non-finite float
+    is a ValueError and anything else (a tuple, a non-str key, a numpy integer)
+    a TypeError; no CLI payload holds either. A container that holds itself
+    recurses until RecursionError."""
     out: list[str] = []
     _write_json(obj, "\n", out)
     out.append("\n")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,10 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from teleport3q import cli, feasibility, protocols
-from teleport3q.linalg import ATOL
-from teleport3q.serialize import dumps_canonical, protocol_to_jsonable, state_to_jsonable
+from teleport3q.linalg import ATOL, haar_random_unitary
+from teleport3q.serialize import dumps_canonical, protocol_to_jsonable, round12, state_to_jsonable
 from teleport3q.states import make_named_state
 
 HALF_PI = "1.5707963267948966"
@@ -575,3 +578,45 @@ def test_unknown_shared_spec():
     proc = run_cli("teleport", "--shared", "nope", "--theta", "0.5")
     assert proc.returncode == 2
     assert "unrecognized state spec" in proc.stderr
+
+
+def _json_floats(value):
+    """Every float in a parsed JSON document."""
+    if isinstance(value, float):
+        yield value
+    children = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    for child in children:
+        yield from _json_floats(child)
+
+
+def _json_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code in (0, 1)
+    return json.loads(out.getvalue())
+
+
+ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+SEED = st.integers(0, 2**32)
+
+
+@given(angles=st.tuples(ANGLE, ANGLE, ANGLE), theta=ANGLE, s_seed=SEED, basis_seed=SEED)
+@example(angles=(math.pi / 4, 0.0, 0.0), theta=1.0, s_seed=0, basis_seed=42)
+def test_every_json_float_carries_12_significant_digits(angles, theta, s_seed, basis_seed):
+    params = ",".join(repr(a) for a in angles)
+    shared = f"--shared=w-like:{params}"
+    s = [[[z.real, z.imag] for z in row] for row in haar_random_unitary(2, s_seed).tolist()]
+    documents = [
+        _json_stdout(["teleport", shared, f"--theta={theta!r}", "--format", "json"]),
+        _json_stdout([
+            "teleport", shared, "--basis", f"haar:{basis_seed}", "--random", "--seed", str(basis_seed),
+            "--sample", "--trials", "1000", "--format", "json",
+        ]),
+        _json_stdout(["scan", shared, "--trials", "3", "--inject-known-basis", "--format", "json"]),
+        _json_stdout(["analyze", shared, "--scan-trials", "2"]),
+        _json_stdout(["basis-gen", f"--params={params}", f"--S={json.dumps(s)}"]),
+    ]
+    floats = [x for document in documents for x in _json_floats(document)]
+    assert len(floats) > 100
+    assert all(round12(x) == x for x in floats)

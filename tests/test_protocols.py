@@ -393,6 +393,12 @@ def test_protocol_from_basis_coefficients_normalized():
     assert np.sum(protocol.coefficients**2) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_protocol_from_basis_rejects_a_basis_on_another_qubit_count():
+    basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(4, 3))
+    with pytest.raises(ValueError, match="^basis must act on as many qubits as the shared state$"):
+        protocol_from_basis(make_named_state("w"), basis)
+
+
 def test_run_teleport_rejects_multi_qubit_message():
     with pytest.raises(ValueError, match="single qubit"):
         run_teleport(haar_random_state(2, 1), ghz_protocol())
