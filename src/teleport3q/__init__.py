@@ -2,117 +2,10 @@
 
 __version__ = "0.2.0"
 
-from .linalg import (
-    HADAMARD,
-    IDENTITY,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    SchmidtForm,
-    closest_unitary,
-    complete_orthonormal,
-    dagger,
-    haar_random_unitary,
-    is_unitary,
-    schmidt_decompose,
-)
-from .states import (
-    DensityMatrix,
-    PureState,
-    WClassParams,
-    WLikeParams,
-    bloch_qubit,
-    entanglement_entropy,
-    fidelity,
-    haar_random_state,
-    make_named_state,
-    make_w_like,
-    partial_trace,
-    w_class_to_w_like,
-    w_like_from_params,
-)
-from .protocols import (
-    BranchOperatorFamily,
-    BranchOutcome,
-    MeasurementBasis,
-    SampleResult,
-    TeleportProtocol,
-    TeleportResult,
-    basis_from_S,
-    bell_protocol,
-    branch_operators,
-    ghz_protocol,
-    protocol_from_basis,
-    run_teleport,
-    sample_teleport,
-    w_like_protocol,
-)
-from .feasibility import (
-    DisentanglerResult,
-    FeasibilityReport,
-    ScanResult,
-    SchmidtDisentangler,
-    UnitarityVerdict,
-    build_feasibility_report,
-    componentwise_disentangler,
-    entropy_criterion,
-    haar_scan,
-    protocol_feasible,
-    schmidt_disentangler,
-    unitarity_verdict,
-)
+from . import feasibility, linalg, protocols, states
+from .linalg import *
+from .states import *
+from .protocols import *
+from .feasibility import *
 
-__all__ = [
-    "__version__",
-    "HADAMARD",
-    "IDENTITY",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "SchmidtForm",
-    "closest_unitary",
-    "complete_orthonormal",
-    "dagger",
-    "haar_random_unitary",
-    "is_unitary",
-    "schmidt_decompose",
-    "DensityMatrix",
-    "PureState",
-    "WClassParams",
-    "WLikeParams",
-    "bloch_qubit",
-    "entanglement_entropy",
-    "fidelity",
-    "haar_random_state",
-    "make_named_state",
-    "make_w_like",
-    "partial_trace",
-    "w_class_to_w_like",
-    "w_like_from_params",
-    "BranchOperatorFamily",
-    "BranchOutcome",
-    "MeasurementBasis",
-    "SampleResult",
-    "TeleportProtocol",
-    "TeleportResult",
-    "basis_from_S",
-    "bell_protocol",
-    "branch_operators",
-    "ghz_protocol",
-    "protocol_from_basis",
-    "run_teleport",
-    "sample_teleport",
-    "w_like_protocol",
-    "DisentanglerResult",
-    "FeasibilityReport",
-    "ScanResult",
-    "SchmidtDisentangler",
-    "UnitarityVerdict",
-    "build_feasibility_report",
-    "componentwise_disentangler",
-    "entropy_criterion",
-    "haar_scan",
-    "protocol_feasible",
-    "schmidt_disentangler",
-    "unitarity_verdict",
-]
+__all__ = ["__version__", *linalg.__all__, *states.__all__, *protocols.__all__, *feasibility.__all__]

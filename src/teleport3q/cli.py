@@ -85,7 +85,8 @@ def _tolerance(text: str) -> float:
         value = math.nan
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
-    return value
+    # "-0" and negatives that underflow, such as "-1e-400", parse to -0.0, which would echo as -0
+    return value + 0.0
 
 
 def _int_within(text: str, low: int, high: int) -> int | None:
@@ -443,11 +444,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def entry_point() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    sys.exit(main())

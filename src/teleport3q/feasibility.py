@@ -19,6 +19,21 @@ from .protocols import (
 )
 from .states import DensityMatrix, PureState, entanglement_entropy, partial_trace, shannon_entropy
 
+__all__ = [
+    "DisentanglerResult",
+    "FeasibilityReport",
+    "ScanResult",
+    "SchmidtDisentangler",
+    "UnitarityVerdict",
+    "build_feasibility_report",
+    "componentwise_disentangler",
+    "entropy_criterion",
+    "haar_scan",
+    "protocol_feasible",
+    "schmidt_disentangler",
+    "unitarity_verdict",
+]
+
 ENTROPY_ATOL = 1e-9
 SUM_RULE_ATOL = 1e-9
 SCAN_TOL = 1e-8

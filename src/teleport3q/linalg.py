@@ -7,6 +7,21 @@ from typing import Sequence
 
 import numpy as np
 
+__all__ = [
+    "HADAMARD",
+    "IDENTITY",
+    "PAULI_X",
+    "PAULI_Y",
+    "PAULI_Z",
+    "SchmidtForm",
+    "closest_unitary",
+    "complete_orthonormal",
+    "dagger",
+    "haar_random_unitary",
+    "is_unitary",
+    "schmidt_decompose",
+]
+
 ATOL = 1e-10
 PIVOT_TOL = 1e-8
 # An array whose entries are all below this in magnitude is numerically zero.

@@ -32,6 +32,23 @@ from .linalg import (
 )
 from .states import PureState, WLikeParams, check_unit_norm, make_named_state, w_like_from_params
 
+__all__ = [
+    "BranchOperatorFamily",
+    "BranchOutcome",
+    "MeasurementBasis",
+    "SampleResult",
+    "TeleportProtocol",
+    "TeleportResult",
+    "basis_from_S",
+    "bell_protocol",
+    "branch_operators",
+    "ghz_protocol",
+    "protocol_from_basis",
+    "run_teleport",
+    "sample_teleport",
+    "w_like_protocol",
+]
+
 SIGMA_BY_INDEX = (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z)
 
 # Branch probabilities below this are treated as unreachable: their fidelity

@@ -18,6 +18,22 @@ import numpy as np
 
 from .linalg import ATOL, haar_random_unitary, max_abs, qubit_count
 
+__all__ = [
+    "DensityMatrix",
+    "PureState",
+    "WClassParams",
+    "WLikeParams",
+    "bloch_qubit",
+    "entanglement_entropy",
+    "fidelity",
+    "haar_random_state",
+    "make_named_state",
+    "make_w_like",
+    "partial_trace",
+    "w_class_to_w_like",
+    "w_like_from_params",
+]
+
 _BELL_RE = re.compile(r"^bell\(\s*([01])\s*,\s*([01])\s*\)$")
 _SQRT2 = math.sqrt(2.0)
 
@@ -43,13 +59,13 @@ def check_unit_norm(amplitudes: np.ndarray) -> None:
         raise ValueError(f"squared norm deviates from 1 by {deviation:.3e} (> {ATOL:g})")
 
 
-def check_qubit_count(n_qubits: int, size: int) -> None:
+def check_qubit_count(n_qubits: int, size: int, what: str = "amplitudes") -> None:
     """Raise unless n_qubits >= 1 and `size` is 2**n_qubits."""
     if n_qubits < 1:
         raise ValueError("n_qubits must be at least 1")
     # compare qubit counts: 2**n_qubits of an unchecked n_qubits may be huge
     if qubit_count(size) != n_qubits:
-        raise ValueError(f"expected 2**{n_qubits} amplitudes, got {size}")
+        raise ValueError(f"expected 2**{n_qubits} {what}, got {size}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +99,9 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
-        dim = 2**self.n_qubits
-        if m.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        check_qubit_count(self.n_qubits, len(m), "rows")
         _require_finite(m, "density matrix")
         if max_abs(m - m.conj().T) > ATOL:
             raise ValueError(f"density matrix is not Hermitian within {ATOL:g}")

@@ -427,6 +427,14 @@ def test_bad_tolerance_exits_2(args):
     assert proc.stderr.endswith(f"error: argument --tolerance: tolerance must be finite and non-negative, got {value!r}\n")
 
 
+@pytest.mark.parametrize("value", ["-0", "-1e-400"])
+def test_negative_zero_tolerance_echoes_as_zero(value, capsys):
+    cli.main(["scan", "--shared", "w", "--trials", "3", "--tolerance", value])
+    assert "\ntolerance: 0\n" in capsys.readouterr().out
+    cli.main(["teleport", "--shared", "ghz", "--theta", "1", "--tolerance", value, "--format", "json"])
+    assert '"tolerance": 0.0' in capsys.readouterr().out
+
+
 SEEDED = {
     "scan": ["scan", "--shared", "w", "--trials", "1"],
     "analyze": ["analyze", "--shared", "w", "--scan-trials", "1"],

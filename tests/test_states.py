@@ -43,6 +43,22 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.diag([1.5, -0.5]))
 
 
+@pytest.mark.parametrize(
+    "n_qubits, matrix, message",
+    [
+        (0, np.eye(1), "n_qubits must be at least 1"),
+        (-1, np.eye(1), "n_qubits must be at least 1"),
+        # compared as qubit counts, so 2**n_qubits is never built
+        (10**12, np.eye(4) / 4, r"expected 2\*\*1000000000000 rows, got 4"),
+        (3, np.eye(4) / 4, r"expected 2\*\*3 rows, got 4"),
+        (1, np.full((2, 3), 0.25), r"expected a square matrix, got shape \(2, 3\)"),
+    ],
+)
+def test_density_matrix_rejects_bad_qubit_counts(n_qubits, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(n_qubits, matrix)
+
+
 def test_bloch_poles():
     assert fidelity(bloch_qubit(0.0, 2.7), PureState(1, np.array([1.0, 0.0]))) == pytest.approx(1.0)
     np.testing.assert_allclose(
