@@ -42,7 +42,9 @@ from .serialize import (
     state_input_hash,
     state_to_jsonable,
 )
-from .states import PureState, WLikeParams, bloch_qubit, haar_random_state, make_named_state, w_like_from_params
+from .states import (
+    PureState, WLikeParams, bloch_qubit, haar_random_state, make_named_state, trusted, w_like_from_params
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -192,8 +194,8 @@ def _resolve_protocol(args) -> tuple[TeleportProtocol, str]:
         match = _HAAR_BASIS_RE.match(args.basis.strip())
         if not match:
             raise ValueError(f"unrecognized basis spec {args.basis!r}; expected haar:SEED")
-        u = haar_random_unitary(2**state.n_qubits, int(match.group(1)))
-        return protocol_from_basis(state, MeasurementBasis.from_unitary_columns(u)), label
+        rows = haar_random_unitary(2**state.n_qubits, int(match.group(1))).T  # orthonormal to 64 eps
+        return protocol_from_basis(state, trusted(MeasurementBasis, rows=rows)), label
     if canonical is None:
         raise ValueError(
             f"no canonical protocol for {label!r}; pass --basis haar:SEED or --protocol-file"

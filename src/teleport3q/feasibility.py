@@ -17,7 +17,7 @@ from .linalg import ZERO_ATOL, complete_orthonormal, haar_unitaries, schmidt_dec
 from .protocols import (
     MeasurementBasis, branch_operators, branch_tensor, check_basis_qubits, check_trials, scale_and_deviation
 )
-from .states import DensityMatrix, PureState, entanglement_entropy, partial_trace, shannon_entropy
+from .states import DensityMatrix, PureState, entanglement_entropy, partial_trace, shannon_entropy, trusted
 
 __all__ = [
     "DisentanglerResult",
@@ -147,7 +147,7 @@ def componentwise_disentangler(shared: PureState) -> DisentanglerResult:
     # part into the 0.0 that the pinned outputs print
     residual = (unitary @ amps)[:2].reshape(-1)
     residual = residual / np.linalg.norm(residual)
-    return DisentanglerResult(True, unitary, PureState(2, residual))
+    return DisentanglerResult(True, unitary, trusted(PureState, n_qubits=2, amplitudes=residual))
 
 
 def schmidt_disentangler(shared: PureState) -> SchmidtDisentangler:
@@ -161,12 +161,11 @@ def schmidt_disentangler(shared: PureState) -> SchmidtDisentangler:
     if shared.n_qubits != 3:
         raise ValueError("disentangler expects a 3-qubit shared state")
     form = schmidt_decompose(shared.amplitudes, cut_qubits=(0, 1))
-    rows = form.left_factors.conj()
-    unitary = complete_orthonormal(rows, 4)
+    # a (4 x 2) state has two Schmidt terms, filling both halves, of the checked state's norm
+    residual = (form.coefficients[:, None] * form.right_factors).reshape(-1)
     return SchmidtDisentangler(
-        unitary=unitary,
-        # a (4 x 2) state has two Schmidt terms, filling both halves
-        residual=PureState(2, (form.coefficients[:, None] * form.right_factors).reshape(-1)),
+        unitary=complete_orthonormal(form.left_factors.conj(), 4),
+        residual=trusted(PureState, n_qubits=2, amplitudes=residual),
         coefficients=form.coefficients.copy(),
         residual_entropy=shannon_entropy(form.coefficients**2),
     )
@@ -206,7 +205,7 @@ def haar_scan(
     as fast as in one. At most 2**32 trials are taken, which bounds the run
     time (about 12 hours for W at 10 us per trial).
     """
-    check_trials(trials)
+    trials = check_trials(trials)
     if inject is not None:
         check_basis_qubits(inject, shared)
     dim = 2**shared.n_qubits

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +33,13 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+
+
+def as_int(value, what: str) -> int:
+    """`value` as an int; a bool, a float (3.0 too) or another non-integer is a ValueError, never truncated."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def qubit_count(size: int) -> int:
@@ -144,7 +152,7 @@ def schmidt_decompose(amplitudes: np.ndarray, cut_qubits: Sequence[int]) -> Schm
     """
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     n = qubit_count(amps.size)
-    cut = sorted(set(int(q) for q in cut_qubits))
+    cut = sorted(set(as_int(q, "cut qubit") for q in cut_qubits))
     if any(q < 0 or q >= n for q in cut):
         raise ValueError(f"cut qubits {cut} out of range for {n} qubits")
     rest = [q for q in range(n) if q not in cut]

@@ -23,6 +23,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    as_int,
     closest_unitary,
     complete_orthonormal,
     dagger,
@@ -30,7 +31,7 @@ from .linalg import (
     isometry_deviation,
     qubit_count,
 )
-from .states import PureState, WLikeParams, check_unit_norm, make_named_state, w_like_from_params
+from .states import PureState, WLikeParams, check_unit_norm, make_named_state, trusted, w_like_from_params
 
 __all__ = [
     "BranchOperatorFamily",
@@ -63,12 +64,14 @@ def _apply_to_last_qubit(amplitudes: np.ndarray, op: np.ndarray) -> np.ndarray:
     return (amplitudes.reshape(-1, 2) @ op.T).reshape(-1)
 
 
-def check_trials(trials: int) -> None:
-    """Raise unless 1 <= trials <= 2**32; the cap bounds a scan's or a sample's run time."""
+def check_trials(trials: int) -> int:
+    """trials as an int; raise unless it is an integer in [1, 2**32], a cap on a scan's or a sample's run time."""
+    trials = as_int(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > 2**32:
         raise ValueError("trials must be <= 2**32")
+    return trials
 
 
 def check_basis_rows(rows: np.ndarray) -> None:
@@ -213,20 +216,6 @@ class TeleportProtocol:
         return np.where(weights > PROB_FLOOR, np.sqrt(weights), 0.0)
 
 
-def _trusted_protocol(shared: PureState, basis: MeasurementBasis, corrections) -> TeleportProtocol:
-    """The TeleportProtocol that the public constructor would store, built
-    without its checks: for the builders, whose state and basis are checked
-    objects of one qubit count (protocol_from_basis checks it; the others
-    build the basis from the state) and whose corrections are unitary by
-    construction (Paulis, checked products P_k S, polar factors)."""
-    protocol = object.__new__(TeleportProtocol)
-    stored = np.array(corrections, dtype=complex, order="C")
-    stored.setflags(write=False)
-    for name, value in (("shared", shared), ("basis", basis), ("corrections", stored)):
-        object.__setattr__(protocol, name, value)
-    return protocol
-
-
 @dataclass(frozen=True)
 class BranchOutcome:
     label: str
@@ -292,7 +281,7 @@ def sample_teleport(exact: TeleportResult, trials: int, seed: int) -> SampleResu
     below 1.0 is compared once per chunk and an entry of 1.0 has L = trials; the
     dead outcomes of a perfect protocol repeat entries.
     """
-    check_trials(trials)
+    trials = check_trials(trials)
     probs = np.array([o.probability for o in exact.outcomes])
     rng = np.random.Generator(np.random.Philox(key=seed))
     cdf = (probs / probs.sum()).cumsum()
@@ -339,7 +328,8 @@ def _protocol_from_corrections(
     # the completion lists the live elements first, in key order, then the extras
     rows = np.empty_like(full)
     rows[keys + [k for k in range(dim) if k not in live]] = full
-    return _trusted_protocol(shared, MeasurementBasis(rows), corrections)
+    # Paulis or checked products P_k S; the basis stays checked, as the one-ebit gate
+    return trusted(TeleportProtocol, shared=shared, basis=MeasurementBasis(rows), corrections=corrections)
 
 
 def bell_protocol(shared: PureState | None = None) -> TeleportProtocol:
@@ -393,4 +383,5 @@ def protocol_from_basis(shared: PureState, basis: MeasurementBasis) -> TeleportP
     unitary. The basis must act on as many qubits as `shared`.
     """
     check_basis_qubits(basis, shared)
-    return _trusted_protocol(shared, basis, closest_unitary(branch_operators(basis, shared).ops))
+    corrections = closest_unitary(branch_operators(basis, shared).ops)  # unitary by construction
+    return trusted(TeleportProtocol, shared=shared, basis=basis, corrections=corrections)

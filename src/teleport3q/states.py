@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import ATOL, haar_random_unitary, max_abs, qubit_count
+from .linalg import ATOL, as_int, haar_random_unitary, max_abs, qubit_count
 
 __all__ = [
     "DensityMatrix",
@@ -36,6 +36,7 @@ __all__ = [
 
 _BELL_RE = re.compile(r"^bell\(\s*([01])\s*,\s*([01])\s*\)$")
 _SQRT2 = math.sqrt(2.0)
+_TRUSTED = ("PureState", "DensityMatrix", "MeasurementBasis", "TeleportProtocol")
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -59,13 +60,30 @@ def check_unit_norm(amplitudes: np.ndarray) -> None:
         raise ValueError(f"squared norm deviates from 1 by {deviation:.3e} (> {ATOL:g})")
 
 
-def check_qubit_count(n_qubits: int, size: int, what: str = "amplitudes") -> None:
-    """Raise unless n_qubits >= 1 and `size` is 2**n_qubits."""
+def check_qubit_count(n_qubits: int, size: int, what: str = "amplitudes") -> int:
+    """n_qubits as a Python int; raise unless it is an integer >= 1 and `size` is 2**n_qubits."""
+    n_qubits = as_int(n_qubits, "n_qubits")
     if n_qubits < 1:
         raise ValueError("n_qubits must be at least 1")
     # compare qubit counts: 2**n_qubits of an unchecked n_qubits may be huge
     if qubit_count(size) != n_qubits:
         raise ValueError(f"expected 2**{n_qubits} {what}, got {size}")
+    return n_qubits
+
+
+def trusted(cls, **values):
+    """The `cls` (one of _TRUSTED) that its constructor would store from values derived from checked
+    ones, built without its checks; its np.ndarray field as a complex, C-ordered, read-only copy."""
+    if cls.__name__ not in _TRUSTED:
+        raise TypeError(f"trusted builds only {', '.join(_TRUSTED)}, not {cls.__name__}")
+    obj = object.__new__(cls)
+    for field in fields(cls):
+        value = values[field.name]
+        if field.type == "np.ndarray":
+            value = np.array(value, dtype=complex, order="C")
+            value.setflags(write=False)
+        object.__setattr__(obj, field.name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -76,14 +94,15 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        check_qubit_count(self.n_qubits, amps.size)
+        amps = np.array(self.amplitudes, dtype=complex, order="C").reshape(-1)
+        object.__setattr__(self, "n_qubits", check_qubit_count(self.n_qubits, amps.size))
         check_unit_norm(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
+        matrix = np.outer(self.amplitudes, self.amplitudes.conj())  # Hermitian, PSD, of the checked trace
+        return trusted(DensityMatrix, n_qubits=self.n_qubits, matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -98,10 +117,10 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        check_qubit_count(self.n_qubits, len(m), "rows")
+        object.__setattr__(self, "n_qubits", check_qubit_count(self.n_qubits, len(m), "rows"))
         _require_finite(m, "density matrix")
         if max_abs(m - m.conj().T) > ATOL:
             raise ValueError(f"density matrix is not Hermitian within {ATOL:g}")
@@ -155,36 +174,25 @@ def bloch_qubit(theta: float, phi: float) -> PureState:
     """Single qubit cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError("angles must be finite")
-    return PureState(
-        1,
-        np.array(
-            [math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)], dtype=complex
-        ),
-    )
+    amps = [math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)]
+    return trusted(PureState, n_qubits=1, amplitudes=amps)
 
 
 def make_named_state(name: str) -> PureState:
-    """Construct ghz, w, or bell(m,n) by name."""
+    """Construct ghz, w, or bell(m,n) by name; unit vectors by construction, so unchecked."""
     key = name.strip().lower()
-    if key == "ghz":
-        amps = np.zeros(8, dtype=complex)
-        amps[0] = amps[7] = 1.0 / _SQRT2
-        return PureState(3, amps)
-    if key == "w":
-        amps = np.zeros(8, dtype=complex)
-        amps[1] = amps[2] = amps[4] = 1.0 / math.sqrt(3.0)
-        return PureState(3, amps)
     match = _BELL_RE.match(key)
-    if match:
+    amps = np.zeros(4 if match else 8, dtype=complex)
+    if key == "ghz":
+        amps[0] = amps[7] = 1.0 / _SQRT2
+    elif key == "w":
+        amps[1] = amps[2] = amps[4] = 1.0 / math.sqrt(3.0)
+    elif match:
         m, n = int(match.group(1)), int(match.group(2))
-        sign = (-1.0) ** m
-        amps = np.zeros(4, dtype=complex)
-        if n == 0:
-            amps[0], amps[3] = 1.0 / _SQRT2, sign / _SQRT2
-        else:
-            amps[1], amps[2] = 1.0 / _SQRT2, sign / _SQRT2
-        return PureState(2, amps)
-    raise ValueError(f"unknown state name {name!r}; expected ghz, w, or bell(m,n)")
+        amps[[0, 3] if n == 0 else [1, 2]] = 1.0 / _SQRT2, (-1.0) ** m / _SQRT2
+    else:
+        raise ValueError(f"unknown state name {name!r}; expected ghz, w, or bell(m,n)")
+    return trusted(PureState, n_qubits=qubit_count(amps.size), amplitudes=amps)
 
 
 def make_w_like(x: complex, y: complex, z: complex) -> PureState:
@@ -220,7 +228,7 @@ def w_class_to_w_like(params: WClassParams) -> WLikeParams:
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out the complement of `keep` (0-based positions, ascending order kept)."""
     n = rho.n_qubits
-    kept = sorted(set(int(q) for q in keep))
+    kept = sorted(set(as_int(q, "qubit position") for q in keep))
     if any(q < 0 or q >= n for q in kept):
         raise ValueError(f"keep set {kept} out of range for {n} qubits")
     if not kept or len(kept) == n:
@@ -230,7 +238,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     tensor = rho.matrix.reshape((2,) * (2 * n)).transpose(perm)
     k, t = 2 ** len(kept), 2 ** len(traced)
     reduced = np.einsum("atbt->ab", tensor.reshape(k, t, k, t))
-    return DensityMatrix(len(kept), reduced)
+    return DensityMatrix(len(kept), reduced)  # checked: a density at the PSD edge can reduce across it
 
 
 def shannon_entropy(probs: np.ndarray) -> float:

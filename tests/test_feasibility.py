@@ -314,6 +314,17 @@ def test_haar_scan_rejects_zero_trials():
         haar_scan(make_named_state("w"), 0, seed=1)
 
 
+@pytest.mark.parametrize("trials", [True, 2.5, 3.0, "3"])
+def test_haar_scan_trials_must_be_integers(trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        haar_scan(make_named_state("w"), trials, seed=0)
+
+
+def test_haar_scan_stores_numpy_integer_trials_as_int():
+    result = haar_scan(make_named_state("w"), np.int64(3), seed=0)
+    assert type(result.trials) is int and result == haar_scan(make_named_state("w"), 3, seed=0)
+
+
 def test_haar_scan_caps_trials_to_bound_run_time(monkeypatch):
     # checked before any work: a scan that started would fail here, not run for a day
     monkeypatch.setattr(feasibility, "haar_unitaries", None)

@@ -206,6 +206,14 @@ def test_schmidt_rejects_empty_and_full_cuts():
         schmidt_decompose(amps, (0, 1))
 
 
+@pytest.mark.parametrize("cut", [[0.5], [True], [0, 1.0]])
+def test_schmidt_cut_qubits_must_be_integers(cut):
+    w = np.zeros(8, dtype=complex)
+    w[[1, 2, 4]] = 1.0 / np.sqrt(3.0)
+    with pytest.raises(ValueError, match="cut qubit must be an integer"):
+        schmidt_decompose(w, cut)
+
+
 def test_complete_orthonormal_is_deterministic_and_unitary():
     rows = np.array([[1.0, 1.0, 0.0, 0.0]], dtype=complex) / np.sqrt(2.0)
     a = complete_orthonormal(rows, 4)

@@ -791,6 +791,19 @@ def test_sample_teleport_caps_trials_before_drawing(no_draws):
         sample_teleport(run_teleport(bloch_qubit(0.4, 0.0), ghz_protocol()), 2**32 + 1, seed=1)
 
 
+@pytest.mark.parametrize("trials", [True, 2.5, 3.0])
+def test_sample_teleport_trials_must_be_integers(no_draws, trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        sample_teleport(run_teleport(bloch_qubit(0.4, 0.0), ghz_protocol()), trials, seed=1)
+
+
+def test_sample_teleport_stores_numpy_integer_trials_as_int():
+    exact = run_teleport(bloch_qubit(0.4, 0.0), ghz_protocol())
+    sample = sample_teleport(exact, np.int64(5), seed=1)
+    assert type(sample.trials) is int
+    assert sample.counts.tobytes() == sample_teleport(exact, 5, seed=1).counts.tobytes()
+
+
 def test_sample_teleport_rejects_zero_trials():
     with pytest.raises(ValueError):
         sample_teleport(run_teleport(bloch_qubit(0.4, 0.0), ghz_protocol()), 0, seed=1)

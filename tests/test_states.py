@@ -1,9 +1,17 @@
+import dataclasses
+import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from teleport3q.linalg import max_abs
+from teleport3q import cli, states
+from teleport3q.feasibility import componentwise_disentangler, schmidt_disentangler
+from teleport3q.linalg import haar_random_unitary, max_abs
+from teleport3q.protocols import MeasurementBasis
 from teleport3q.states import (
     DensityMatrix,
     PureState,
@@ -17,6 +25,7 @@ from teleport3q.states import (
     make_w_like,
     partial_trace,
     w_class_to_w_like,
+    trusted,
     w_like_from_params,
 )
 
@@ -242,3 +251,145 @@ def test_w_like_entropy_always_one():
         params = WLikeParams(*(float(x) for x in rng.uniform(-math.pi, math.pi, 3)))
         reduced = partial_trace(w_like_from_params(params).density(), keep=(2,))
         assert entanglement_entropy(reduced) == pytest.approx(1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------- one integer rule
+
+
+@pytest.mark.parametrize(
+    "n_qubits, name", [(3.0, "ghz"), (2.5, "ghz"), (np.float64(3.0), "ghz"), ("3", "ghz"), (True, "zero")]
+)
+def test_qubit_counts_must_be_integers(n_qubits, name):
+    amps = np.array([1.0, 0.0]) if name == "zero" else make_named_state(name).amplitudes
+    with pytest.raises(ValueError, match=re.escape(f"n_qubits must be an integer, got {n_qubits!r}")):
+        PureState(n_qubits, amps)
+    with pytest.raises(ValueError, match="n_qubits must be an integer"):
+        DensityMatrix(n_qubits, np.outer(amps, amps.conj()))
+
+
+def test_numpy_integer_qubit_counts_are_stored_as_int():
+    state = PureState(np.int64(1), [1.0, 0.0])
+    rho = DensityMatrix(np.int32(1), np.eye(2) / 2.0)
+    assert type(state.n_qubits) is int and type(rho.n_qubits) is int
+    assert state.n_qubits == rho.n_qubits == 1
+    # the stored int reaches partial_trace, which a float count broke with a TypeError
+    assert partial_trace(PureState(np.int64(2), make_named_state("bell(0,0)").amplitudes).density(), [1]).n_qubits == 1
+
+
+@pytest.mark.parametrize("keep", [[1.5], [True], [np.float64(1.0)], [0, 2.0]])
+def test_partial_trace_positions_must_be_integers(keep):
+    with pytest.raises(ValueError, match="qubit position must be an integer"):
+        partial_trace(make_named_state("w").density(), keep)
+
+
+def test_partial_trace_accepts_numpy_integer_positions():
+    rho = make_named_state("w").density()
+    assert partial_trace(rho, [np.int64(2)]).matrix.tobytes() == partial_trace(rho, [2]).matrix.tobytes()
+
+
+# ---------------------------------------------------------------- trusted builds
+
+ANGLE = st.floats(-4 * math.pi, 4 * math.pi)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def assert_same_store(built, checked):
+    """`built` came from trusted() and `checked` from the public constructor
+    over the same values: the same type, scalars and objects, and each array
+    complex, C-ordered, read-only and of the same bits."""
+    assert type(built) is type(checked)
+    for field in dataclasses.fields(built):
+        ours, theirs = getattr(built, field.name), getattr(checked, field.name)
+        if isinstance(theirs, np.ndarray):
+            for stored in (ours, theirs):
+                assert stored.dtype == complex and stored.flags.c_contiguous and not stored.flags.writeable
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+        else:
+            assert type(ours) is type(theirs) and (ours is theirs or ours == theirs)
+
+
+def rechecked(built):
+    """The public constructor over the fields a trusted build stored."""
+    return type(built)(**{f.name: getattr(built, f.name) for f in dataclasses.fields(built)})
+
+
+def test_trusted_runs_no_checks(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(PureState, "__post_init__", refuse)
+    state = trusted(PureState, n_qubits=1, amplitudes=[1.0, 0.0])
+    assert state.amplitudes.tobytes() == np.array([1.0, 0.0], dtype=complex).tobytes()
+
+
+def test_trusted_builds_only_the_checked_types():
+    with pytest.raises(TypeError, match="trusted builds only"):
+        trusted(WLikeParams, gamma=0.0, phi=0.0, omega=0.0)
+
+
+def test_trusted_is_the_only_unchecked_construction():
+    source = Path(states.__file__).parent
+    news = {p.name: p.read_text().count("object.__new__(") for p in source.glob("*.py")}
+    assert {name: count for name, count in news.items() if count} == {"states.py": 1}
+
+
+def test_trusted_copies_its_arrays():
+    amps = np.array([1.0, 0.0], dtype=complex)
+    state = trusted(PureState, n_qubits=1, amplitudes=amps)
+    amps[0] = 0.0
+    assert state.amplitudes[0] == 1.0
+
+
+@pytest.mark.parametrize("name", ["ghz", "w", "bell(0,0)", "bell(0,1)", "bell(1,0)", "bell(1,1)"])
+def test_named_states_store_the_public_constructors_bits(name):
+    built = make_named_state(name)
+    amps = np.zeros(2**built.n_qubits, dtype=complex)
+    if name == "ghz":
+        amps[[0, 7]] = 1.0 / SQRT2
+    elif name == "w":
+        amps[[1, 2, 4]] = 1.0 / SQRT3
+    else:
+        m, n = int(name[5]), int(name[7])
+        amps[[0, 3] if n == 0 else [1, 2]] = 1.0 / SQRT2, (-1.0) ** m / SQRT2
+    assert_same_store(built, PureState(built.n_qubits, amps))
+    assert_same_store(built, rechecked(built))
+
+
+@given(theta=ANGLE, phi=ANGLE)
+def test_bloch_qubits_store_the_public_constructors_bits(theta, phi):
+    built = bloch_qubit(theta, phi)
+    amps = np.array([math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)], dtype=complex)
+    assert_same_store(built, PureState(1, amps))
+
+
+@given(n_qubits=st.integers(1, 4), seed=SEEDS)
+def test_densities_store_the_public_constructors_bits(n_qubits, seed):
+    state = haar_random_state(n_qubits, seed)
+    built = state.density()
+    assert_same_store(built, DensityMatrix(n_qubits, np.outer(state.amplitudes, state.amplitudes.conj())))
+
+
+@given(seed=SEEDS)
+def test_schmidt_residuals_store_the_public_constructors_bits(seed):
+    built = schmidt_disentangler(haar_random_state(3, seed)).residual
+    assert_same_store(built, rechecked(built))
+
+
+@given(seed=SEEDS, rows=st.sampled_from(list(itertools.combinations(range(4), 2))))
+def test_componentwise_residuals_store_the_public_constructors_bits(seed, rows):
+    """Random states on two sender-pair kets, the support the componentwise disentangler needs."""
+    rng = np.random.default_rng(seed)
+    amps = np.zeros((4, 2), dtype=complex)
+    amps[list(rows)] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    result = componentwise_disentangler(PureState(3, amps.reshape(-1) / np.linalg.norm(amps)))
+    assert result.exists
+    assert_same_store(result.residual, rechecked(result.residual))
+
+
+@given(seed=SEEDS, shared=st.sampled_from(["w", "ghz", "bell(0,1)"]))
+def test_cli_haar_basis_stores_the_public_constructors_bits(seed, shared):
+    args = cli.build_parser().parse_args(["teleport", "--shared", shared, "--basis", f"haar:{seed}", "--theta", "1"])
+    protocol, _ = cli._resolve_protocol(args)
+    dim = len(protocol.basis.rows)
+    assert_same_store(protocol.basis, MeasurementBasis.from_unitary_columns(haar_random_unitary(dim, seed)))
+    assert_same_store(protocol, rechecked(protocol))
