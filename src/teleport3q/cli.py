@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from functools import cache, partial
@@ -66,7 +67,13 @@ def _emit(text: str, out: str | None) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write output file {out!r}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # what is left in the buffer goes to devnull at exit, not to a second error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(f"cannot write to stdout: {exc.strerror}") from exc
 
 
 def _parse_w_like_params(text: str) -> WLikeParams:

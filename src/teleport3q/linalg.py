@@ -125,6 +125,7 @@ def _haar_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed dim x dim unitary, deterministic for a fixed seed."""
+    dim = as_int(dim, "dim")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     return _haar_from_rng(dim, np.random.default_rng(seed))

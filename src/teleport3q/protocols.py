@@ -316,6 +316,9 @@ def _protocol_from_corrections(
     where S does not.
     """
     dim, keys = len(shared.amplitudes), sorted(live)
+    if keys[-1] >= dim:
+        needed = keys[-1].bit_length()
+        raise ValueError(f"the live outcomes need a shared state of at least {needed} qubits, got {shared.n_qubits}")
     free = s is not None
     s = s if free else IDENTITY
     # a non-finite S gives NaN products (0 * inf), which fail the check without a RuntimeWarning

@@ -60,11 +60,17 @@ def check_unit_norm(amplitudes: np.ndarray) -> None:
         raise ValueError(f"squared norm deviates from 1 by {deviation:.3e} (> {ATOL:g})")
 
 
-def check_qubit_count(n_qubits: int, size: int, what: str = "amplitudes") -> int:
-    """n_qubits as a Python int; raise unless it is an integer >= 1 and `size` is 2**n_qubits."""
+def as_qubit_count(n_qubits: int) -> int:
+    """n_qubits as a Python int; raise unless it is an integer >= 1."""
     n_qubits = as_int(n_qubits, "n_qubits")
     if n_qubits < 1:
         raise ValueError("n_qubits must be at least 1")
+    return n_qubits
+
+
+def check_qubit_count(n_qubits: int, size: int, what: str = "amplitudes") -> int:
+    """n_qubits as a Python int; raise unless it is an integer >= 1 and `size` is 2**n_qubits."""
+    n_qubits = as_qubit_count(n_qubits)
     # compare qubit counts: 2**n_qubits of an unchecked n_qubits may be huge
     if qubit_count(size) != n_qubits:
         raise ValueError(f"expected 2**{n_qubits} {what}, got {size}")
@@ -238,7 +244,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     tensor = rho.matrix.reshape((2,) * (2 * n)).transpose(perm)
     k, t = 2 ** len(kept), 2 ** len(traced)
     reduced = np.einsum("atbt->ab", tensor.reshape(k, t, k, t))
-    return DensityMatrix(len(kept), reduced)  # checked: a density at the PSD edge can reduce across it
+    return trusted(DensityMatrix, n_qubits=len(kept), matrix=reduced)  # a reduction keeps the tolerance rho was checked to
 
 
 def shannon_entropy(probs: np.ndarray) -> float:
@@ -257,5 +263,6 @@ def entanglement_entropy(rho: DensityMatrix) -> float:
 
 
 def haar_random_state(n_qubits: int, seed: int) -> PureState:
-    """Haar-random pure state: first column of a Haar-random unitary."""
-    return PureState(n_qubits, haar_random_unitary(2**n_qubits, seed)[:, 0])
+    """Haar-random pure state: first column of a Haar-random unitary, unit to 64 eps."""
+    n_qubits = as_qubit_count(n_qubits)
+    return trusted(PureState, n_qubits=n_qubits, amplitudes=haar_random_unitary(2**n_qubits, seed)[:, 0])

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,13 @@ def run_cli(*args):
         [sys.executable, "-m", "teleport3q", *args],
         capture_output=True,
         text=True,
+    )
+
+
+def run_cli_into(stdout, *args):
+    """run_cli with stdout written to `stdout`, a file descriptor or an open file."""
+    return subprocess.run(
+        [sys.executable, "-m", "teleport3q", *args], stdout=stdout, stderr=subprocess.PIPE, text=True
     )
 
 
@@ -280,8 +288,7 @@ def test_single_fault_basis_element_error_text(tmp_path, capsys, fault, row):
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("target", ["missing-directory", "directory"])
-@pytest.mark.parametrize(
+EVERY_SUBCOMMAND = pytest.mark.parametrize(
     "args",
     [
         ["teleport", "--shared", "ghz", "--theta", "1"],
@@ -291,6 +298,10 @@ def test_single_fault_basis_element_error_text(tmp_path, capsys, fault, row):
     ],
     ids=["teleport", "analyze", "scan", "basis-gen"],
 )
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@EVERY_SUBCOMMAND
 def test_unwritable_out_exits_2(tmp_path, capsys, args, target):
     out = tmp_path / "no" / "such" / "out.txt" if target == "missing-directory" else tmp_path
     assert cli.main(args + ["--out", str(out)]) == 2
@@ -298,6 +309,26 @@ def test_unwritable_out_exits_2(tmp_path, capsys, args, target):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write output file {str(out)!r}: ")
     assert captured.err.count("\n") == 1
+
+
+@EVERY_SUBCOMMAND
+def test_closed_stdout_exits_2(args):
+    """The reader of stdout is gone before the child starts. The error is one line,
+    and the interpreter's exit-time flush adds nothing and keeps the exit code."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli_into(write_end, *args)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write to stdout: Broken pipe\n")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
+def test_full_stdout_exits_2():
+    with open("/dev/full", "w") as full:
+        proc = run_cli_into(full, "analyze", "--shared", "ghz", "--scan-trials", "1")
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write to stdout: No space left on device\n")
 
 
 def test_canonical_protocols_take_no_polar_factors(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,8 +150,14 @@ def test_haar_marginal_mean():
 
 
 def test_haar_rejects_bad_dim():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dim must be >= 1"):
         haar_random_unitary(0, 1)
+
+
+@pytest.mark.parametrize("dim", [True, 2.5, 2.0, np.float64(4.0), "4"])
+def test_haar_dim_must_be_an_integer(dim):
+    with pytest.raises(ValueError, match=f"dim must be an integer, got {re.escape(repr(dim))}"):
+        haar_random_unitary(dim, 0)
 
 
 def test_schmidt_bell_coefficients():

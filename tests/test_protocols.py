@@ -346,6 +346,22 @@ def test_bell_protocol_defaults_to_bell00_and_needs_a_mixed_receiver():
             bell_protocol(shared)
 
 
+@pytest.mark.parametrize(
+    "builder, shared, needed",
+    [
+        (ghz_protocol, "bell(0,0)", 3),
+        (ghz_protocol, "one qubit", 3),
+        (bell_protocol, "one qubit", 2),
+        (lambda shared: w_like_protocol(WLikeParams(0.3, 0.0, 0.0), shared), "one qubit", 2),
+    ],
+)
+def test_builders_reject_a_shared_state_too_small_for_their_live_outcomes(builder, shared, needed):
+    state = bloch_qubit(1.0, 0.0) if shared == "one qubit" else make_named_state(shared)
+    message = f"live outcomes need a shared state of at least {needed} qubits, got {state.n_qubits}"
+    with pytest.raises(ValueError, match=message):
+        builder(state)
+
+
 def random_w_like_params(count: int, seed: int) -> list[WLikeParams]:
     rng = np.random.default_rng(seed)
     return [WLikeParams(*(float(x) for x in rng.uniform(-math.pi, math.pi, 3))) for _ in range(count)]

@@ -287,6 +287,15 @@ def test_partial_trace_accepts_numpy_integer_positions():
     assert partial_trace(rho, [np.int64(2)]).matrix.tobytes() == partial_trace(rho, [2]).matrix.tobytes()
 
 
+@pytest.mark.parametrize("n_qubits", [2.5, 3.0, "3", True, 0, -1])
+def test_haar_random_state_qubit_counts_must_be_integers(n_qubits):
+    """Checked before any 2**n_qubits or draw."""
+    integer = type(n_qubits) is int
+    message = "n_qubits must be at least 1" if integer else f"n_qubits must be an integer, got {n_qubits!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        haar_random_state(n_qubits, 0)
+
+
 # ---------------------------------------------------------------- trusted builds
 
 ANGLE = st.floats(-4 * math.pi, 4 * math.pi)
@@ -393,3 +402,19 @@ def test_cli_haar_basis_stores_the_public_constructors_bits(seed, shared):
     dim = len(protocol.basis.rows)
     assert_same_store(protocol.basis, MeasurementBasis.from_unitary_columns(haar_random_unitary(dim, seed)))
     assert_same_store(protocol, rechecked(protocol))
+
+
+@given(n_qubits=st.integers(1, 4), seed=SEEDS)
+def test_haar_states_store_the_public_constructors_bits(n_qubits, seed):
+    built = haar_random_state(n_qubits, seed)
+    assert_same_store(built, PureState(n_qubits, haar_random_unitary(2**n_qubits, seed)[:, 0]))
+
+
+@given(n_qubits=st.integers(2, 4), seed=SEEDS)
+def test_partial_traces_store_the_public_constructors_bits(n_qubits, seed):
+    """Every nonempty proper keep set; a 1-qubit state has none."""
+    rho = haar_random_state(n_qubits, seed).density()
+    for size in range(1, n_qubits):
+        for keep in itertools.combinations(range(n_qubits), size):
+            built = partial_trace(rho, keep)
+            assert_same_store(built, rechecked(built))
