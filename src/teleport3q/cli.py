@@ -164,8 +164,7 @@ def _resolve_state(args) -> tuple[PureState, str, Callable[[], TeleportProtocol]
     lowered = spec.lower()
     if lowered.startswith("w-like:"):
         params = _parse_w_like_params(spec[len("w-like:"):])
-        state = w_like_from_params(params)
-        return state, spec, partial(w_like_protocol, params, state)
+        return w_like_from_params(params), spec, partial(w_like_protocol, params)
     try:
         state = make_named_state(lowered)
     except ValueError:

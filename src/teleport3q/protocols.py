@@ -60,10 +60,6 @@ SAMPLE_CHUNK = 2**16
 _S_NOT_UNITARY = f"S is not unitary (2x2 within tolerance {ATOL:g} required)"
 
 
-def _apply_to_last_qubit(amplitudes: np.ndarray, op: np.ndarray) -> np.ndarray:
-    return (amplitudes.reshape(-1, 2) @ op.T).reshape(-1)
-
-
 def check_trials(trials: int) -> int:
     """trials as an int; raise unless it is an integer in [1, 2**32], a cap on a scan's or a sample's run time."""
     trials = as_int(trials, "trials")
@@ -163,10 +159,6 @@ class MeasurementBasis:
     @property
     def n_qubits(self) -> int:
         return qubit_count(len(self.rows))
-
-    @classmethod
-    def from_unitary_columns(cls, u: np.ndarray) -> "MeasurementBasis":
-        return cls(np.asarray(u).T)
 
 
 @dataclass(frozen=True)
@@ -326,7 +318,7 @@ def _protocol_from_corrections(
         corrections = np.array([live[k] @ s if k in live else IDENTITY for k in range(dim)])
     if free and not is_unitary(corrections, ATOL).all():
         raise ValueError(_S_NOT_UNITARY)
-    moved = [_apply_to_last_qubit(shared.amplitudes, dagger(s) @ live[k]).reshape(-1, 2).T for k in keys]
+    moved = [(shared.amplitudes.reshape(-1, 2) @ (dagger(s) @ live[k]).T).T for k in keys]
     full = complete_orthonormal(np.reshape(moved, (len(keys), dim)), dim)
     # the completion lists the live elements first, in key order, then the extras
     rows = np.empty_like(full)
@@ -354,12 +346,12 @@ def ghz_protocol(shared: PureState | None = None) -> TeleportProtocol:
     return _protocol_from_corrections(shared, {0: IDENTITY, 1: PAULI_Z, 4: PAULI_X, 5: -1j * PAULI_Y})
 
 
-def w_like_protocol(params: WLikeParams, shared: PureState | None = None) -> TeleportProtocol:
+def w_like_protocol(params: WLikeParams) -> TeleportProtocol:
     """Perfect protocol over the W-like state of `params` (_protocol_from_corrections),
-    or over `shared` when the caller has built that state already: outcomes
-    000..011 are live with corrections C_k = I, Z, X, -iY and branch
-    operators ±C_k/2 = I/2, Z/2, X/2, iY/2; 100..111 are dead."""
-    shared = w_like_from_params(params) if shared is None else shared
+    which it builds itself: outcomes 000..011 are live with corrections
+    C_k = I, Z, X, -iY and branch operators ±C_k/2 = I/2, Z/2, X/2, iY/2;
+    100..111 are dead."""
+    shared = w_like_from_params(params)
     return _protocol_from_corrections(shared, {0: IDENTITY, 1: PAULI_Z, 2: PAULI_X, 3: -1j * PAULI_Y})
 
 

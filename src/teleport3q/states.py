@@ -21,7 +21,6 @@ from .linalg import ATOL, as_int, haar_random_unitary, max_abs, qubit_count
 __all__ = [
     "DensityMatrix",
     "PureState",
-    "WClassParams",
     "WLikeParams",
     "bloch_qubit",
     "entanglement_entropy",
@@ -30,7 +29,6 @@ __all__ = [
     "make_named_state",
     "make_w_like",
     "partial_trace",
-    "w_class_to_w_like",
     "w_like_from_params",
 ]
 
@@ -155,22 +153,6 @@ class WLikeParams:
                 raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class WClassParams:
-    """Weight parameter n >= 0 and phases of the earlier modified-W family."""
-
-    n: float
-    p: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        for name in ("n", "p", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.n < 0:
-            raise ValueError("n must be non-negative")
-
-
 def fidelity(a: PureState, b: PureState) -> float:
     """|<a|b>|^2; the phase-insensitive notion of state equality used throughout."""
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
@@ -219,16 +201,6 @@ def w_like_from_params(params: WLikeParams) -> PureState:
         np.exp(1j * params.phi) * math.cos(params.gamma) / _SQRT2,
         np.exp(1j * params.omega) * math.sin(params.gamma) / _SQRT2,
     )
-
-
-def w_class_to_w_like(params: WClassParams) -> WLikeParams:
-    """Change of variables from the (n, p, delta) family into W-like angles.
-
-    The returned angles reproduce the source state up to the global phase
-    e^{-i delta}: gamma = arccos sqrt(n/(n+1)), phi = p - delta, omega = -delta.
-    """
-    gamma = math.acos(math.sqrt(params.n / (params.n + 1.0)))
-    return WLikeParams(gamma=gamma, phi=params.p - params.delta, omega=-params.delta)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

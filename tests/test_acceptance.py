@@ -118,13 +118,13 @@ def test_criterion_04_w_reduced_state_and_entropy():
 def test_criterion_05_sum_rule_contradiction():
     w = make_named_state("w")
     for seed in range(50):
-        basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, 50_000 + seed))
+        basis = MeasurementBasis(haar_random_unitary(8, 50_000 + seed).T)
         row0, row1 = sum_rule(w, basis)
         assert abs(row0 - 4 / 3) <= 1e-9
         assert abs(row1 - 2 / 3) <= 1e-9
     rng = np.random.default_rng(5)
     for seed in range(5):
-        basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, 51_000 + seed))
+        basis = MeasurementBasis(haar_random_unitary(8, 51_000 + seed).T)
         row0, row1 = sum_rule(w_like_from_params(_random_params(rng)), basis)
         assert abs(row0 - 1.0) <= 1e-9
         assert abs(row1 - 1.0) <= 1e-9
@@ -179,7 +179,7 @@ def test_criterion_08_disentangler_suite():
 def test_criterion_09_unconditional_identities():
     for k in range(100):
         shared = haar_random_state(3, 90_000 + k)
-        basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, 91_000 + k))
+        basis = MeasurementBasis(haar_random_unitary(8, 91_000 + k).T)
         psi = haar_random_state(1, 92_000 + k).amplitudes
         ops = branch_operators(basis, shared).ops
         completeness = sum(dagger(t) @ t for t in ops)

@@ -157,7 +157,7 @@ def test_branch_operators_match_oracle_on_ghz_basis():
 def test_branch_operators_match_oracle_on_haar_bases():
     shared = haar_random_state(3, 7)
     for seed in range(5):
-        basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, seed))
+        basis = MeasurementBasis(haar_random_unitary(8, seed).T)
         family = branch_operators(basis, shared)
         for k, element in enumerate(basis.rows):
             expected = oracle_branch_op(element, shared.amplitudes)
@@ -167,7 +167,7 @@ def test_branch_operators_match_oracle_on_haar_bases():
 def test_branch_completeness_over_haar_bases():
     for seed in range(20):
         shared = haar_random_state(3, 1000 + seed)
-        basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, seed))
+        basis = MeasurementBasis(haar_random_unitary(8, seed).T)
         total = sum(dagger(t) @ t for t in branch_operators(basis, shared).ops)
         assert max_abs(total - np.eye(2)) <= 1e-10
 
@@ -178,7 +178,7 @@ def test_branch_reduced_state_identity():
     for seed in range(20):
         shared = haar_random_state(3, 2000 + seed)
         rho_b = partial_trace(shared.density(), keep=(2,)).matrix
-        basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, 50 + seed))
+        basis = MeasurementBasis(haar_random_unitary(8, 50 + seed).T)
         ops = branch_operators(basis, shared).ops
         psi = messages[seed].amplitudes
         total = sum(t @ np.outer(psi, psi.conj()) @ dagger(t) for t in ops)
@@ -352,7 +352,6 @@ def test_bell_protocol_defaults_to_bell00_and_needs_a_mixed_receiver():
         (ghz_protocol, "bell(0,0)", 3),
         (ghz_protocol, "one qubit", 3),
         (bell_protocol, "one qubit", 2),
-        (lambda shared: w_like_protocol(WLikeParams(0.3, 0.0, 0.0), shared), "one qubit", 2),
     ],
 )
 def test_builders_reject_a_shared_state_too_small_for_their_live_outcomes(builder, shared, needed):
@@ -396,7 +395,7 @@ def test_canonical_branch_operators_are_half_corrections(builder):
 
 def test_protocol_probabilities_sum_to_one():
     shared = haar_random_state(3, 9)
-    basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, 77))
+    basis = MeasurementBasis(haar_random_unitary(8, 77).T)
     protocol = protocol_from_basis(shared, basis)
     result = run_teleport(bloch_qubit(0.77, 0.1), protocol)
     assert sum(o.probability for o in result.outcomes) == pytest.approx(1.0, abs=1e-10)
@@ -404,13 +403,13 @@ def test_protocol_probabilities_sum_to_one():
 
 def test_protocol_from_basis_coefficients_normalized():
     shared = make_named_state("w")
-    basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, 3))
+    basis = MeasurementBasis(haar_random_unitary(8, 3).T)
     protocol = protocol_from_basis(shared, basis)
     assert np.sum(protocol.coefficients**2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_protocol_from_basis_rejects_a_basis_on_another_qubit_count():
-    basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(4, 3))
+    basis = MeasurementBasis(haar_random_unitary(4, 3).T)
     with pytest.raises(ValueError, match="^basis must act on as many qubits as the shared state$"):
         protocol_from_basis(make_named_state("w"), basis)
 
@@ -557,6 +556,19 @@ def test_w_like_builds_pass_the_public_checks(angles):
     assert_public_checks_pass(w_like_protocol(WLikeParams(*angles)))
 
 
+@given(angles=ANGLES)
+def test_w_like_protocol_is_built_over_the_state_of_its_angles(angles):
+    params = WLikeParams(*angles)
+    built = w_like_protocol(params).shared.amplitudes
+    assert built.tobytes() == w_like_from_params(params).amplitudes.tobytes()
+
+
+def test_w_like_protocol_takes_no_shared_state():
+    # its angles are the one input, so a caller's state cannot disagree with them
+    with pytest.raises(TypeError):
+        w_like_protocol(WLikeParams(0.0, 0.0, 0.0), make_named_state("bell(0,0)"))
+
+
 @given(angles=ANGLES, seed=SEEDS)
 def test_basis_from_haar_S_passes_the_public_checks(angles, seed):
     assert_public_checks_pass(basis_from_S(WLikeParams(*angles), haar_random_unitary(2, seed)))
@@ -584,7 +596,7 @@ def test_basis_from_S_at_the_tolerance_edge_stores_only_checked_products(angles,
 @given(basis_seed=SEEDS, state_seed=st.one_of(st.none(), SEEDS))
 def test_polar_factor_builds_pass_the_public_checks(basis_seed, state_seed):
     shared = make_named_state("w") if state_seed is None else haar_random_state(3, state_seed)
-    basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, basis_seed))
+    basis = MeasurementBasis(haar_random_unitary(8, basis_seed).T)
     assert_public_checks_pass(protocol_from_basis(shared, basis))
 
 
@@ -639,7 +651,7 @@ def test_array_execution_is_bitwise_the_per_branch_loop(state):
     shared = REFERENCE_STATES[state]()
     messages = [haar_random_state(1, 40 + m) for m in range(3)] + [bloch_qubit(0.0, 0.0)]
     for seed in range(4):
-        basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, 100 * seed + 9))
+        basis = MeasurementBasis(haar_random_unitary(8, 100 * seed + 9).T)
         protocol = protocol_from_basis(shared, basis)
         assert protocol.corrections.tobytes() == reference_corrections(basis, shared).tobytes()
         for psi in messages:
@@ -707,7 +719,7 @@ def test_sample_teleport_draws_in_chunks_with_the_one_call_counts(monkeypatch, c
         monkeypatch.setattr(protocols, "SAMPLE_CHUNK", chunk)
     chunk = protocols.SAMPLE_CHUNK
     psi = bloch_qubit(1.1, 0.4)
-    basis = MeasurementBasis.from_unitary_columns(haar_random_unitary(8, 2))
+    basis = MeasurementBasis(haar_random_unitary(8, 2).T)
     protocol = protocol_from_basis(make_named_state("w"), basis)
     exact = run_teleport(psi, protocol)
     probs = np.array([o.probability for o in exact.outcomes])

@@ -15,7 +15,6 @@ from teleport3q.protocols import MeasurementBasis
 from teleport3q.states import (
     DensityMatrix,
     PureState,
-    WClassParams,
     WLikeParams,
     bloch_qubit,
     entanglement_entropy,
@@ -24,7 +23,6 @@ from teleport3q.states import (
     make_named_state,
     make_w_like,
     partial_trace,
-    w_class_to_w_like,
     trusted,
     w_like_from_params,
 )
@@ -145,45 +143,6 @@ def test_w_like_params_gamma_zero():
     expected[1] = 1 / SQRT2
     expected[2] = np.exp(1j * phi) / SQRT2
     assert max_abs(state.amplitudes - expected) <= 1e-12
-
-
-def test_w_class_gamma_limits():
-    assert w_class_to_w_like(WClassParams(0.0, 0.0, 0.0)).gamma == pytest.approx(math.pi / 2)
-    converted = w_class_to_w_like(WClassParams(1.0, 0.0, 0.0))
-    assert converted.gamma == pytest.approx(math.pi / 4)
-    assert converted.phi == 0.0 and converted.omega == 0.0
-
-
-def test_w_class_rejects_negative_n():
-    with pytest.raises(ValueError):
-        WClassParams(-1.0, 0.0, 0.0)
-
-
-def _w_class_state_direct(n: float, p: float, delta: float) -> PureState:
-    # expand the (n, p, delta) family without the angle substitution
-    norm = math.sqrt(2.0 + 2.0 * n)
-    return make_w_like(
-        math.sqrt(n + 1.0) * np.exp(1j * delta) / norm,
-        math.sqrt(n) * np.exp(1j * p) / norm,
-        1.0 / norm,
-    )
-
-
-def test_w_class_round_trip_random():
-    rng = np.random.default_rng(2024)
-    for _ in range(100):
-        n = float(rng.uniform(0.0, 50.0))
-        p, delta = (float(x) for x in rng.uniform(-math.pi, math.pi, 2))
-        direct = _w_class_state_direct(n, p, delta)
-        converted = w_like_from_params(w_class_to_w_like(WClassParams(n, p, delta)))
-        assert fidelity(direct, converted) >= 1.0 - 1e-10
-
-
-def test_w_class_large_n_limit():
-    params = w_class_to_w_like(WClassParams(1e6, 0.8, 0.1))
-    state = w_like_from_params(params)
-    limit = w_like_from_params(WLikeParams(0.0, 0.8 - 0.1, 0.0))
-    assert fidelity(state, limit) >= 1.0 - 1e-3
 
 
 def test_partial_trace_w_receiver():
@@ -400,7 +359,7 @@ def test_cli_haar_basis_stores_the_public_constructors_bits(seed, shared):
     args = cli.build_parser().parse_args(["teleport", "--shared", shared, "--basis", f"haar:{seed}", "--theta", "1"])
     protocol, _ = cli._resolve_protocol(args)
     dim = len(protocol.basis.rows)
-    assert_same_store(protocol.basis, MeasurementBasis.from_unitary_columns(haar_random_unitary(dim, seed)))
+    assert_same_store(protocol.basis, MeasurementBasis(haar_random_unitary(dim, seed).T))
     assert_same_store(protocol, rechecked(protocol))
 
 
