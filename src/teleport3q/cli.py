@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -26,6 +25,7 @@ from .protocols import (
     TeleportProtocol,
     basis_from_S,
     bell_protocol,
+    check_tolerance,
     ghz_protocol,
     protocol_from_basis,
     run_teleport,
@@ -89,13 +89,10 @@ def _parse_w_like_params(text: str) -> WLikeParams:
 
 def _tolerance(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:  # not a number: rejected as NaN is
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
-    # "-0" and negatives that underflow, such as "-1e-400", parse to -0.0, which would echo as -0
-    return value + 0.0
+        # "-0" and negatives that underflow, such as "-1e-400", parse to -0.0, which it returns as 0.0
+        return check_tolerance(float(text))
+    except ValueError:  # not a number, or not a tolerance
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}") from None
 
 
 def _int_within(text: str, low: int, high: int) -> int | None:

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ZERO_ATOL, complete_orthonormal, haar_unitaries, schmidt_decompose
+from .linalg import ZERO_ATOL, complete_orthonormal, complex_gaussians, dagger, haar_from_gaussians, schmidt_decompose
 from .protocols import (
-    MeasurementBasis, branch_operators, branch_tensor, check_basis_qubits, check_trials, scale_and_deviation
+    MeasurementBasis, branch_operators, branch_tensor, check_basis_qubits, check_tolerance, check_trials,
+    scale_and_deviation,
 )
 from .states import DensityMatrix, PureState, entanglement_entropy, partial_trace, shannon_entropy, trusted
 
@@ -37,11 +38,12 @@ __all__ = [
 ENTROPY_ATOL = 1e-9
 SUM_RULE_ATOL = 1e-9
 SCAN_TOL = 1e-8
-# Trials per batched kernel call in haar_scan. Larger chunks only raise peak
-# memory, at the same speed: on a 2-CPU machine a process running an
-# 8 000-trial W scan peaks at 36.1 MB with 64, 37.7 MB with 256 and 61.7 MB
-# with 4 096.
+# Trials per batched kernel call in haar_scan; larger chunks were not faster, and a 64-trial chunk peaks at 0.55 MB.
 SCAN_CHUNK = 64
+# haar_scan decides a trial on the exact path when a screened deviation is NaN or within SCREEN_BAND of the
+# tolerance, when its screen defect is not below SCREEN_DEFECT, or when its chunk's Cholesky fails.
+SCREEN_BAND = 1e-6
+SCREEN_DEFECT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,46 @@ def schmidt_disentangler(shared: PureState) -> SchmidtDisentangler:
     )
 
 
+def _screen(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Screened branch deviations (count, d) and defects (count,) of a stack [z | V] (count, d, d + 4):
+    z a chunk's Gaussians, V[j d/2 + s, 2b + j] = A[s, b] for A the amplitudes as a (d/2, 2) matrix.
+    With L the Cholesky factor of [z | V]†[z | V] + (0 ⊕ I4), L[d:, :d]† = U†V holds the branch
+    operators of z's Mezzadri-phased Haar unitary U, and the defect is the largest deviation from I
+    of L[d:, d:], which is I exactly (README, "scan"). Raises LinAlgError if a Cholesky fails."""
+    count, dim = stack.shape[:2]
+    gram = dagger(stack) @ stack
+    gram[:, dim:, dim:] += np.eye(4)
+    factor = np.linalg.cholesky(gram)
+    _, deviations = scale_and_deviation(dagger(factor[:, dim:, :dim]).reshape(count, dim, 2, 2))
+    return deviations, np.abs(factor[:, dim:, dim:] - np.eye(4)).max(axis=(-2, -1))
+
+
+def _branch_verdicts(shared: PureState, trials: int, seed: int, inject: MeasurementBasis | None, tol: float):
+    """Per chunk of haar_scan's trials, each trial's branch verdicts at `tol`, a (count, d) bool array."""
+    dim = 2**shared.n_qubits
+    rng = np.random.default_rng(seed)
+    # each chunk's Gaussians go in front of the screen matrix V (see _screen)
+    stack = np.zeros((min(SCAN_CHUNK, trials), dim, dim + 4), dtype=complex)
+    stack[:, : dim // 2, dim::2] = stack[:, dim // 2 :, dim + 1 :: 2] = shared.amplitudes.reshape(-1, 2)
+    for start in range(0, trials, SCAN_CHUNK):
+        count, injected = min(SCAN_CHUNK, trials - start), inject is not None and start == 0
+        chunk = complex_gaussians(rng, count, dim, stack[:count, :, :dim])
+        try:
+            deviations, defects = _screen(stack[:count])
+            # a NaN fails both compares, so it goes exact
+            exact = ~(np.abs(deviations - tol) > SCREEN_BAND).all(axis=-1) | ~(defects < SCREEN_DEFECT)
+        except np.linalg.LinAlgError:
+            deviations, exact = np.empty((count, dim)), np.ones(count, dtype=bool)
+        exact[0] |= injected
+        if exact.any():
+            # basis element k is column k of the unitary
+            rows = haar_from_gaussians(chunk[exact]).swapaxes(-1, -2)
+            if injected:
+                rows[0] = inject.rows
+            _, deviations[exact] = scale_and_deviation(branch_tensor(rows, shared.amplitudes))
+        yield deviations <= tol
+
+
 def haar_scan(
     shared: PureState,
     trials: int,
@@ -180,47 +222,32 @@ def haar_scan(
 ) -> ScanResult:
     """Feasibility search over Haar-random measurement bases.
 
-    Trial i measures in the i-th Haar unitary drawn in sequence from
-    default_rng(seed), so trial 0 is haar_random_unitary(dim, seed), the basis
-    `haar:seed` names, and the result does not depend on SCAN_CHUNK. When
-    `inject` is given its rows overwrite trial 0's drawn basis, a positive
-    control; trial 0's Gaussians are still drawn, so every other trial keeps its
-    draw. The scan tolerance is looser than construction tolerances because
-    random bases miss proportional-unitarity by O(1), not by rounding.
+    Trial i measures in the i-th Haar unitary drawn in sequence from default_rng(seed), so trial 0 is
+    haar_random_unitary(dim, seed), the basis `haar:seed` names, and the result does not depend on
+    SCAN_CHUNK. When `inject` is given its rows overwrite trial 0's drawn basis, a positive control;
+    trial 0's Gaussians are still drawn, so every other trial keeps its draw. The scan tolerance is
+    looser than construction tolerances because random bases miss by O(1), not by rounding.
 
-    Trials run in chunks of SCAN_CHUNK as one array computation: one
-    standard_normal call and one batched QR give a chunk's rows, one
-    contraction of their conjugates its branch operators, and
-    scale_and_deviation its closed-form verdicts. Nothing is re-checked per
-    chunk: QR rows are orthonormal to a few ulps (a test pins it), `inject` is
-    a checked MeasurementBasis and `shared` a checked PureState, so the
-    branch families are complete. An injected basis must act on as many
-    qubits as `shared`, which is checked before any draw.
+    Trials run in chunks of SCAN_CHUNK, each drawn by one standard_normal call and screened by one
+    batched Cholesky (see _screen). The trials the screen leaves open (see SCREEN_BAND) and the
+    injected trial 0 take the exact path, haar_unitaries' QR rows bit for bit and their closed-form
+    verdicts, so the counts are the exact path's. Nothing is re-checked: QR rows are orthonormal to a
+    few ulps (a test pins it), and the checked `inject` and `shared` give complete branch families.
+    `tol` is checked, and so is, before any draw, that an injected basis acts on as many qubits as `shared`.
 
-    One stream cannot be split: a Gaussian takes a varying number of the
-    generator's words, so trial i's draw cannot be found without the ones
-    before it. Per-trial keyed streams allowed a split but made every trial
-    15-37% slower, and nothing split a scan; over 2 forked processes on a
-    2-CPU machine a 40 000-trial W scan with keyed streams ran 0.96-2.0 times
-    as fast as in one. At most 2**32 trials are taken, which bounds the run
-    time (about 12 hours for W at 10 us per trial).
+    One stream cannot be split: a Gaussian takes a varying number of the generator's words, so trial
+    i's draw needs the ones before it (keyed per-trial streams allowed a split, but every trial ran
+    15-37% slower, and 2 forked processes on 2 CPUs 0.96-2.0 times as fast as one). At most 2**32
+    trials are taken, which bounds the run time (about 10 hours for W at 8.5 us per trial).
     """
     trials = check_trials(trials)
+    tol = check_tolerance(tol)
     if inject is not None:
         check_basis_qubits(inject, shared)
-    dim = 2**shared.n_qubits
-    rng = np.random.default_rng(seed)
-    feasible_count = 0
-    max_passing = 0
-    for start in range(0, trials, SCAN_CHUNK):
-        count = min(SCAN_CHUNK, trials - start)
-        # basis element k is column k of the unitary
-        rows = haar_unitaries(rng, count, dim).swapaxes(-1, -2)
-        if inject is not None and start == 0:
-            rows[0] = inject.rows
-        _, deviations = scale_and_deviation(branch_tensor(rows, shared.amplitudes))
-        passing = np.count_nonzero(deviations <= tol, axis=-1)
-        feasible_count += int(np.count_nonzero(passing == dim))
+    feasible_count = max_passing = 0
+    for verdicts in _branch_verdicts(shared, trials, seed, inject, tol):
+        passing = np.count_nonzero(verdicts, axis=-1)
+        feasible_count += int(np.count_nonzero(passing == verdicts.shape[-1]))
         max_passing = max(max_passing, int(passing.max()))
     return ScanResult(
         trials=trials,

@@ -90,24 +90,26 @@ def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool | np.ndarray:
 
 
 def haar_unitaries(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Stack of `count` Haar dim x dim unitaries, the next ones in `rng`'s
-    stream: unitary i draws, within one standard_normal call, its real then
-    its imaginary part, so it is the unitary a one-at-a-time draw would give.
+    """Stack of `count` Haar dim x dim unitaries, the next ones in `rng`'s stream: unitary i draws,
+    within one standard_normal call, its real then its imaginary part, so it is the unitary a
+    one-at-a-time draw would give. The stack is laid out column by column, so its swapaxes(-1, -2),
+    the basis rows, is C-ordered without a copy."""
+    return haar_from_gaussians(complex_gaussians(rng, count, dim, np.empty((count, dim, dim), dtype=complex)))
 
-    The stack is laid out column by column, so its swapaxes(-1, -2), the
-    basis rows, is C-ordered without a copy.
-    """
+
+def complex_gaussians(rng: np.random.Generator, count: int, dim: int, out: np.ndarray) -> np.ndarray:
+    """`out`, a (count, dim, dim) complex array or view, filled with the next (re + 1j im) / sqrt(2)."""
     parts = rng.standard_normal((count, 2, dim, dim))
-    # (re + 1j im) / sqrt(2) without complex temporaries: numpy divides by the
-    # complex sqrt(2) + 0j as Smith's method does, scaling each part by
-    # 1 / (sqrt(2) + 0 * 0); the bits agree for every part but -0.0, a draw
-    # of probability 2**-52
-    z = np.empty((count, dim, dim), dtype=complex)
+    # without complex temporaries: numpy divides by the complex sqrt(2) + 0j as Smith's method does,
+    # scaling each part by 1 / (sqrt(2) + 0 * 0); the bits agree for every part but -0.0 (p = 2**-52)
     scale = 1.0 / (np.sqrt(2.0) + 0.0 * 0.0)
-    np.multiply(parts[:, 0], scale, out=z.real)
-    np.multiply(parts[:, 1], scale, out=z.imag)
-    # each array is dropped once spent, so fewer are held at the peak
-    del parts
+    np.multiply(parts[:, 0], scale, out=out.real)
+    np.multiply(parts[:, 1], scale, out=out.imag)
+    return out
+
+
+def haar_from_gaussians(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries of a stack of complex Gaussians z, each factored alone; z is overwritten with their rows."""
     # QR of a complex Gaussian is not Haar until the R diagonal phases are
     # absorbed into Q (Mezzadri construction).
     q, r = np.linalg.qr(z)

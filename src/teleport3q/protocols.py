@@ -13,6 +13,8 @@ The Pauli index map used by the S-parameterized builder is fixed as
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +70,17 @@ def check_trials(trials: int) -> int:
     if trials > 2**32:
         raise ValueError("trials must be <= 2**32")
     return trials
+
+
+def check_tolerance(tol) -> float:
+    """tol as a float; raise unless it is a finite, non-negative real number that is not a bool."""
+    try:
+        value = math.nan if isinstance(tol, bool) or not isinstance(tol, numbers.Real) else float(tol)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        value = math.inf
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    return value + 0.0  # -0.0 would be stored, and printed, as -0
 
 
 def check_basis_rows(rows: np.ndarray) -> None:

@@ -569,7 +569,7 @@ def test_state_file_amplitudes_must_be_number_pairs(tmp_path, entry):
 def test_scan_trials_capped_to_bound_run_time(monkeypatch, capsys):
     # in process, with the Haar draw removed: a scan that started fails at once
     # instead of running for a day
-    monkeypatch.setattr(feasibility, "haar_unitaries", None)
+    monkeypatch.setattr(feasibility, "complex_gaussians", None)
     with pytest.raises(SystemExit) as exc:
         cli.main(["scan", "--shared", "w", "--trials", str(2**32 + 1)])
     assert exc.value.code == 2

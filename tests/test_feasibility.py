@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from teleport3q import feasibility
 from teleport3q.feasibility import (
     SCAN_CHUNK,
     SCAN_TOL,
+    SCREEN_DEFECT,
     ScanResult,
     build_feasibility_report,
     componentwise_disentangler,
@@ -21,6 +23,8 @@ from teleport3q.linalg import (
     ATOL,
     PAULI_X,
     _haar_from_rng,
+    complex_gaussians,
+    haar_from_gaussians,
     haar_random_unitary,
     haar_unitaries,
     is_unitary,
@@ -338,7 +342,7 @@ def test_haar_scan_stores_numpy_integer_trials_as_int():
 
 def test_haar_scan_caps_trials_to_bound_run_time(monkeypatch):
     # checked before any work: a scan that started would fail here, not run for a day
-    monkeypatch.setattr(feasibility, "haar_unitaries", None)
+    monkeypatch.setattr(feasibility, "complex_gaussians", None)
     with pytest.raises(ValueError, match=r"trials must be <= 2\*\*32"):
         haar_scan(make_named_state("w"), 2**32 + 1, seed=0)
 
@@ -390,6 +394,23 @@ def reference_scan_ops(shared, trials, seed, inject):
 def reference_passing(trial_ops, tol):
     """Per trial, how many branches pass a per-branch unitarity_verdict."""
     return [sum(unitarity_verdict(t, tol).is_proportional_unitary for t in ops) for ops in trial_ops]
+
+
+def scan_verdicts(shared, trials, seed, inject=None, tol=SCAN_TOL):
+    """Each scan trial's branch verdicts, a (trials, outcomes) bool array."""
+    return np.concatenate(list(feasibility._branch_verdicts(shared, trials, seed, inject, tol)))
+
+
+def record_exact(monkeypatch):
+    """The number of trials each exact-path call of the scan builds rows for."""
+    sizes = []
+
+    def recording(z):
+        sizes.append(len(z))
+        return haar_from_gaussians(z)
+
+    monkeypatch.setattr(feasibility, "haar_from_gaussians", recording)
+    return sizes
 
 
 def _w_like_case():
@@ -455,6 +476,156 @@ def test_haar_scan_trial_zero_measures_in_the_haar_seed_basis(seed):
             assert haar_scan(shared, 1, seed, tol=below).max_passing_branches == expected
 
 
+SCREEN_CASES = {
+    **SCAN_CASES,
+    **{f"haar-{n}q": (lambda n=n: (haar_random_state(n, 30 + n), None)) for n in (1, 2, 4)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+def test_haar_scan_screen_decides_as_the_exact_path(monkeypatch, case):
+    """With SCREEN_BAND infinite every trial takes the exact path; the screened
+    scan gives the same verdict for every branch of every trial."""
+    shared, inject = SCREEN_CASES[case]()
+    runs = [
+        (seed, tol, trials)
+        for seed in (0, 1, 7)
+        for tol in (0.0, SCAN_TOL, 0.05, 0.3)
+        for trials in (1, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 257)
+    ]
+
+    def scans():
+        return [
+            (
+                haar_scan(shared, trials, seed, inject=inject, tol=tol),
+                scan_verdicts(shared, trials, seed, inject, tol),
+            )
+            for seed, tol, trials in runs
+        ]
+
+    screened = scans()
+    monkeypatch.setattr(feasibility, "SCREEN_BAND", math.inf)
+    exact_sizes = record_exact(monkeypatch)
+    for (result, verdicts), (exact_result, exact_verdicts) in zip(screened, scans(), strict=True):
+        assert result == exact_result
+        assert np.array_equal(verdicts, exact_verdicts)
+    assert sum(exact_sizes) == 2 * sum(trials for _, _, trials in runs)
+
+
+@pytest.mark.parametrize("shared", ["w", "ghz"])
+def test_haar_scan_screen_decides_20000_trials_as_the_exact_path(monkeypatch, shared):
+    state = make_named_state(shared)
+    screened = scan_verdicts(state, 20_000, 3, tol=0.05)
+    monkeypatch.setattr(feasibility, "SCREEN_BAND", math.inf)
+    assert np.array_equal(scan_verdicts(state, 20_000, 3, tol=0.05), screened)
+
+
+@given(seed=st.integers(0, 2**64 - 1), case=st.sampled_from(["w", "ghz", "bell(0,0)", "haar"]))
+def test_screen_deviations_are_the_exact_ones_to_1e_9(seed, case):
+    """On a chunk of SCAN_CHUNK draws, every trial the Cholesky screen decides
+    (defect below SCREEN_DEFECT) has deviations within 1e-9 of the exact
+    path's, and the screen decides all but at most one. Over 2 048 000 W
+    trials one defect reached SCREEN_DEFECT (2.9e-9, cond(z) about 3e4, its
+    error 3.1e-9), and no error exceeded 8 defects."""
+    shared = haar_random_state(3, seed % 1000) if case == "haar" else make_named_state(case)
+    dim = 2**shared.n_qubits
+    half = shared.amplitudes.reshape(dim // 2, 2)
+    screen = np.zeros((dim, 4), dtype=complex)
+    for j in range(2):
+        for s in range(dim // 2):
+            for b in range(2):
+                screen[j * dim // 2 + s, 2 * b + j] = half[s, b]
+    stack = np.empty((SCAN_CHUNK, dim, dim + 4), dtype=complex)
+    complex_gaussians(np.random.default_rng(seed), SCAN_CHUNK, dim, stack[..., :dim])
+    stack[..., dim:] = screen
+    screened, defects = feasibility._screen(stack)
+    rows = haar_unitaries(np.random.default_rng(seed), SCAN_CHUNK, dim).swapaxes(-1, -2)
+    _, deviations = scale_and_deviation(branch_tensor(rows, shared.amplitudes))
+    decided = defects < SCREEN_DEFECT
+    assert np.abs(screened - deviations)[decided].max() <= 1e-9
+    assert np.count_nonzero(decided) >= SCAN_CHUNK - 1
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40])
+def test_haar_scan_decides_a_mid_chunk_trial_at_its_own_deviation(monkeypatch, seed):
+    """As trial 0 does in the test above, a trial in the middle of the second
+    chunk passes each branch at that branch's exact deviation and fails it one
+    ulp below, through the exact path; every other verdict is unchanged."""
+    shared, trials, trial = haar_random_state(3, 11), 2 * SCAN_CHUNK + 5, SCAN_CHUNK + SCAN_CHUNK // 2
+    deviations = np.array([scale_and_deviation(ops)[1] for ops in reference_scan_ops(shared, trials, seed, None)])
+    exact_sizes = record_exact(monkeypatch)
+    for tol in deviations[trial].tolist():
+        for below in (tol, np.nextafter(tol, 0.0)):
+            exact_sizes.clear()
+            assert np.array_equal(scan_verdicts(shared, trials, seed, tol=below), deviations <= below)
+            assert exact_sizes == [1]
+
+
+def test_haar_scan_sends_a_chunk_whose_cholesky_fails_exact(monkeypatch):
+    """A Cholesky that raises sends its whole chunk, and only that chunk, to
+    the exact path, with the same verdicts."""
+    shared, trials = make_named_state("w"), 2 * SCAN_CHUNK + 5
+    expected = {
+        tol: (haar_scan(shared, trials, 1, tol=tol), scan_verdicts(shared, trials, 1, tol=tol))
+        for tol in (SCAN_TOL, 0.3)
+    }
+    cholesky, chunks = np.linalg.cholesky, []
+
+    def failing_on_the_second_chunk(a):
+        chunks.append(len(a))
+        if len(chunks) == 2:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_on_the_second_chunk)
+    exact_sizes = record_exact(monkeypatch)
+
+    def with_the_second_chunk_exact(scan):
+        chunks.clear()
+        exact_sizes.clear()
+        out = scan()
+        assert chunks == [SCAN_CHUNK, SCAN_CHUNK, 5] and exact_sizes == [SCAN_CHUNK]
+        return out
+
+    for tol, (result, verdicts) in expected.items():
+        assert with_the_second_chunk_exact(lambda: haar_scan(shared, trials, 1, tol=tol)) == result
+        assert np.array_equal(with_the_second_chunk_exact(lambda: scan_verdicts(shared, trials, 1, tol=tol)), verdicts)
+
+
+@pytest.mark.parametrize("case", ["w", "ghz-injected"])
+def test_haar_scan_with_no_defect_allowed_decides_every_trial_exactly(monkeypatch, case):
+    """At SCAN_TOL the screen decides every trial but the injected one; with
+    SCREEN_DEFECT = 0 every trial takes the exact path, with the same result."""
+    shared, inject = SCAN_CASES[case]()
+    trials = 2 * SCAN_CHUNK + 5
+    exact_sizes = record_exact(monkeypatch)
+    result = haar_scan(shared, trials, 2, inject=inject)
+    assert sum(exact_sizes) == (inject is not None)
+    monkeypatch.setattr(feasibility, "SCREEN_DEFECT", 0.0)
+    exact_sizes.clear()
+    assert haar_scan(shared, trials, 2, inject=inject) == result
+    assert exact_sizes == [SCAN_CHUNK, SCAN_CHUNK, 5]
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [True, False, np.True_, 1j, 0.1 + 0j, math.nan, np.float32("nan"), math.inf, -1e-3, -1, "0.1", None, 10**400],
+)
+def test_haar_scan_rejects_a_tolerance_that_is_not_a_finite_non_negative_real(monkeypatch, tol):
+    monkeypatch.setattr(feasibility, "complex_gaussians", None)
+    with pytest.raises(ValueError, match="^tolerance must be finite and non-negative, got "):
+        haar_scan(make_named_state("w"), 3, seed=0, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "tol, stored", [(0, 0.0), (-0.0, 0.0), (np.int64(1), 1.0), (np.float32(0.5), 0.5), (Fraction(1, 4), 0.25)]
+)
+def test_haar_scan_stores_the_tolerance_as_a_float(tol, stored):
+    result = haar_scan(make_named_state("w"), 3, seed=0, tol=tol)
+    assert type(result.tolerance) is float and math.copysign(1.0, result.tolerance) == 1.0
+    assert result == haar_scan(make_named_state("w"), 3, seed=0, tol=stored)
+
+
 def test_kernel_checks_reject_bad_rows():
     rows = np.stack([haar_random_unitary(8, seed).T for seed in (1, 2)])
     check_basis_rows(rows)
@@ -475,8 +646,9 @@ def test_kernel_checks_reject_bad_rows():
 @pytest.mark.parametrize("dim", [2, 4, 8, 16])
 @given(seed=st.integers(0, 2**64 - 1))
 def test_haar_draws_are_orthonormal_to_a_few_ulps(dim, seed):
-    """The scan measures in QR rows without checking them; their isometry
-    deviation stays far below ATOL (at most 8 eps seen over 400 chunks)."""
+    """The scan's exact path and the CLI's `haar:SEED` basis use QR rows
+    without checking them; their isometry deviation stays far below ATOL (at
+    most 8 eps seen over 400 chunks)."""
     drawn = haar_unitaries(np.random.default_rng(seed), 64, dim)
     assert isometry_deviation(drawn).max() <= 64 * np.finfo(float).eps
 
@@ -503,7 +675,7 @@ def test_branch_tensor_matches_branch_operators_on_a_stack():
 
 def test_haar_scan_rejects_an_injected_basis_of_another_size(monkeypatch):
     # checked before any draw, with the message TeleportProtocol gives
-    monkeypatch.setattr(feasibility, "haar_unitaries", None)
+    monkeypatch.setattr(feasibility, "complex_gaussians", None)
     with pytest.raises(ValueError, match="^basis must act on as many qubits as the shared state$"):
         haar_scan(make_named_state("w"), 3, seed=0, inject=bell_protocol().basis)
 
@@ -520,28 +692,22 @@ def textbook_haar(rng, dim):
 
 @pytest.mark.parametrize("seed", [0, 5, 2**40])
 @pytest.mark.parametrize("shared", ["bell(0,0)", "w"])
-def test_haar_draws_match_the_textbook_construction(monkeypatch, seed, shared):
-    """haar_unitaries, haar_random_unitary and the rows a scan measures in are,
-    bit for bit, the textbook unitaries drawn in sequence from default_rng(seed)."""
+def test_haar_draws_match_the_textbook_construction(seed, shared):
+    """haar_unitaries and haar_random_unitary are, bit for bit, the textbook
+    unitaries drawn in sequence from default_rng(seed), and each scan trial
+    passes and fails each branch as its textbook unitary does."""
     state = make_named_state(shared)
     dim = 2**state.n_qubits
     counts = (1, 63, 64, 65, 257)
     rng = np.random.default_rng(seed)
     expected = np.stack([textbook_haar(rng, dim) for _ in range(max(counts))])
     assert haar_random_unitary(dim, seed).tobytes() == expected[0].tobytes()
-    seen = []
-
-    def recording(rows, amplitudes):
-        seen.append(rows.copy())
-        return branch_tensor(rows, amplitudes)
-
-    monkeypatch.setattr(feasibility, "branch_tensor", recording)
+    _, deviations = scale_and_deviation(branch_tensor(expected.swapaxes(-1, -2), state.amplitudes))
     for count in counts:
         drawn = haar_unitaries(np.random.default_rng(seed), count, dim)
         assert drawn.tobytes() == expected[:count].tobytes()
-        seen.clear()
-        haar_scan(state, count, seed)
-        assert np.concatenate(seen).tobytes() == expected[:count].swapaxes(-1, -2).tobytes()
+        for tol in (SCAN_TOL, 0.05, 0.3):
+            assert np.array_equal(scan_verdicts(state, count, seed, tol=tol), deviations[:count] <= tol)
 
 
 def test_kernel_checks_decide_near_misses_exactly():
