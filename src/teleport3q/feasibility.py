@@ -9,11 +9,12 @@ disentangler constructions on the sender's qubit pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ZERO_ATOL, complete_orthonormal, complex_gaussians, dagger, haar_from_gaussians, schmidt_decompose
+from .linalg import ZERO_ATOL, complete_orthonormal, complex_gaussians, haar_from_gaussians, schmidt_decompose
 from .protocols import (
     MeasurementBasis, branch_operators, branch_tensor, check_basis_qubits, check_tolerance, check_trials,
     scale_and_deviation,
@@ -38,8 +39,12 @@ __all__ = [
 ENTROPY_ATOL = 1e-9
 SUM_RULE_ATOL = 1e-9
 SCAN_TOL = 1e-8
-# Trials per batched kernel call in haar_scan; larger chunks were not faster, and a 64-trial chunk peaks at 0.55 MB.
-SCAN_CHUNK = 64
+# Trials per batched kernel call in haar_scan. A scan draws and screens every chunk in one workspace
+# (see _branch_verdicts), so a chunk allocates only its Cholesky factor and small 2x2 temporaries; with
+# it 128-trial chunks are faster than 64 (ROADMAP "Aim 1" lists the measured alternatives). A scan's
+# tracemalloc peak does not grow with its trials and stays below SCAN_PEAK_BYTES for 3 and 4 qubits.
+SCAN_CHUNK = 128
+SCAN_PEAK_BYTES = {3: 1_500_000, 4: 4_300_000}
 # haar_scan decides a trial on the exact path when a screened deviation is NaN or within SCREEN_BAND of the
 # tolerance, when its screen defect is not below SCREEN_DEFECT, or when its chunk's Cholesky fails.
 SCREEN_BAND = 1e-6
@@ -173,32 +178,40 @@ def schmidt_disentangler(shared: PureState) -> SchmidtDisentangler:
     )
 
 
-def _screen(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _screen(stack: np.ndarray, conj: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Screened branch deviations (count, d) and defects (count,) of a stack [z | V] (count, d, d + 4):
     z a chunk's Gaussians, V[j d/2 + s, 2b + j] = A[s, b] for A the amplitudes as a (d/2, 2) matrix.
     With L the Cholesky factor of [z | V]†[z | V] + (0 ⊕ I4), L[d:, :d]† = U†V holds the branch
     operators of z's Mezzadri-phased Haar unitary U, and the defect is the largest deviation from I
-    of L[d:, d:], which is I exactly (README, "scan"). Raises LinAlgError if a Cholesky fails."""
+    of L[d:, d:], which is I exactly (README, "scan"). `conj` (the stack's shape) and `gram`
+    (count, d + 4, d + 4) are overwritten. Raises LinAlgError if a Cholesky fails."""
     count, dim = stack.shape[:2]
-    gram = dagger(stack) @ stack
+    np.matmul(np.conjugate(stack, out=conj).swapaxes(-1, -2), stack, out=gram)
     gram[:, dim:, dim:] += np.eye(4)
     factor = np.linalg.cholesky(gram)
-    _, deviations = scale_and_deviation(dagger(factor[:, dim:, :dim]).reshape(count, dim, 2, 2))
+    # the view holds conj(T_k), whose deviation is T_k's bit for bit: conjugation flips signs only
+    _, deviations = scale_and_deviation(factor[:, dim:, :dim].swapaxes(-1, -2).reshape(count, dim, 2, 2))
     return deviations, np.abs(factor[:, dim:, dim:] - np.eye(4)).max(axis=(-2, -1))
 
 
 def _branch_verdicts(shared: PureState, trials: int, seed: int, inject: MeasurementBasis | None, tol: float):
     """Per chunk of haar_scan's trials, each trial's branch verdicts at `tol`, a (count, d) bool array."""
-    dim = 2**shared.n_qubits
+    dim, size = 2**shared.n_qubits, min(SCAN_CHUNK, trials)
     rng = np.random.default_rng(seed)
-    # each chunk's Gaussians go in front of the screen matrix V (see _screen)
-    stack = np.zeros((min(SCAN_CHUNK, trials), dim, dim + 4), dtype=complex)
+    # the workspace: one buffer carved into the stack [z | V] (see _screen), its conjugate, the Gram
+    # stack and the real normals; as separate buffers, malloc trimmed them at each short scan's end
+    # and faulted them back in at the next
+    shapes = ((size, dim, dim + 4), (size, dim, dim + 4), (size, dim + 4, dim + 4), (size, dim, dim))
+    sizes = [math.prod(shape) for shape in shapes]
+    parts = np.split(np.zeros(sum(sizes), dtype=complex), np.cumsum(sizes[:-1]))
+    stack, conj, gram, normals = (part.reshape(shape) for part, shape in zip(parts, shapes))
+    normals = normals.view(float).reshape(size, 2, dim, dim)
     stack[:, : dim // 2, dim::2] = stack[:, dim // 2 :, dim + 1 :: 2] = shared.amplitudes.reshape(-1, 2)
     for start in range(0, trials, SCAN_CHUNK):
         count, injected = min(SCAN_CHUNK, trials - start), inject is not None and start == 0
-        chunk = complex_gaussians(rng, count, dim, stack[:count, :, :dim])
+        chunk = complex_gaussians(rng, count, dim, stack[:count, :, :dim], normals[:count])
         try:
-            deviations, defects = _screen(stack[:count])
+            deviations, defects = _screen(stack[:count], conj[:count], gram[:count])
             # a NaN fails both compares, so it goes exact
             exact = ~(np.abs(deviations - tol) > SCREEN_BAND).all(axis=-1) | ~(defects < SCREEN_DEFECT)
         except np.linalg.LinAlgError:
@@ -229,16 +242,17 @@ def haar_scan(
     looser than construction tolerances because random bases miss by O(1), not by rounding.
 
     Trials run in chunks of SCAN_CHUNK, each drawn by one standard_normal call and screened by one
-    batched Cholesky (see _screen). The trials the screen leaves open (see SCREEN_BAND) and the
-    injected trial 0 take the exact path, haar_unitaries' QR rows bit for bit and their closed-form
-    verdicts, so the counts are the exact path's. Nothing is re-checked: QR rows are orthonormal to a
-    few ulps (a test pins it), and the checked `inject` and `shared` give complete branch families.
+    batched Cholesky (see _screen) in a workspace allocated once per scan. The trials the screen
+    leaves open (see SCREEN_BAND) and the injected trial 0 take the exact path, haar_unitaries' QR
+    rows bit for bit and their closed-form verdicts, so the counts are the exact path's. Nothing is
+    re-checked: QR rows are orthonormal to a few ulps (a test pins it), and the checked `inject` and
+    `shared` give complete branch families.
     `tol` is checked, and so is, before any draw, that an injected basis acts on as many qubits as `shared`.
 
     One stream cannot be split: a Gaussian takes a varying number of the generator's words, so trial
     i's draw needs the ones before it (keyed per-trial streams allowed a split, but every trial ran
     15-37% slower, and 2 forked processes on 2 CPUs 0.96-2.0 times as fast as one). At most 2**32
-    trials are taken, which bounds the run time (about 10 hours for W at 8.5 us per trial).
+    trials are taken, which bounds the run time (about 9.5 hours for W at 8 us per trial).
     """
     trials = check_trials(trials)
     tol = check_tolerance(tol)

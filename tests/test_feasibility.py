@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from teleport3q import feasibility
 from teleport3q.feasibility import (
     SCAN_CHUNK,
+    SCAN_PEAK_BYTES,
     SCAN_TOL,
     SCREEN_DEFECT,
     ScanResult,
@@ -24,6 +26,7 @@ from teleport3q.linalg import (
     PAULI_X,
     _haar_from_rng,
     complex_gaussians,
+    dagger,
     haar_from_gaussians,
     haar_random_unitary,
     haar_unitaries,
@@ -456,10 +459,38 @@ def test_haar_scan_matches_per_trial_reference(case, seed):
 def test_haar_scan_does_not_depend_on_the_chunk_size(monkeypatch, case):
     shared, inject = SCAN_CASES[case]()
     expected = {tol: haar_scan(shared, 300, 4, inject=inject, tol=tol) for tol in (0.05, 0.3, 0.5)}
-    for chunk in (1, 7, 64, 1000):
+    for chunk in (1, 7, 64, 128, 129, 1000):
         monkeypatch.setattr(feasibility, "SCAN_CHUNK", chunk)
         for tol, result in expected.items():
             assert haar_scan(shared, 300, 4, inject=inject, tol=tol) == result
+
+
+def w_state(n: int) -> PureState:
+    amps = np.zeros(2**n, dtype=complex)
+    amps[[2**k for k in range(n)]] = 1.0 / math.sqrt(n)
+    return PureState(n, amps)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_haar_scan_memory_is_flat_in_trials(n):
+    """A scan allocates its workspace once, so the tracemalloc peak of a
+    20 000-trial W scan is within 64 KB of a one-chunk scan's, and below the
+    bound SCAN_PEAK_BYTES documents."""
+    shared = w_state(n)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            haar_scan(shared, trials, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # numpy's first calls build caches that later scans reuse
+    haar_scan(shared, SCAN_CHUNK, 0)
+    one_chunk, long = peak(SCAN_CHUNK), peak(20_000)
+    assert abs(long - one_chunk) <= 64 * 1024
+    assert long < SCAN_PEAK_BYTES[n]
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**40])
@@ -520,6 +551,38 @@ def test_haar_scan_screen_decides_20000_trials_as_the_exact_path(monkeypatch, sh
     assert np.array_equal(scan_verdicts(state, 20_000, 3, tol=0.05), screened)
 
 
+def screen_stack(shared, seed, count):
+    """The stack [z | V] of _screen for a chunk of `count` draws from default_rng(seed), with
+    V[j d/2 + s, 2b + j] = A[s, b] built entry by entry."""
+    dim = 2**shared.n_qubits
+    half = shared.amplitudes.reshape(dim // 2, 2)
+    stack = np.zeros((count, dim, dim + 4), dtype=complex)
+    complex_gaussians(np.random.default_rng(seed), count, dim, stack[..., :dim])
+    for j in range(2):
+        for s in range(dim // 2):
+            for b in range(2):
+                stack[:, j * dim // 2 + s, dim + 2 * b + j] = half[s, b]
+    return stack
+
+
+def screen(stack):
+    """_screen with a fresh conjugate and Gram buffer, filled with NaN to show they are overwritten."""
+    count, _, wide = stack.shape
+    gram = np.full((count, wide, wide), np.nan, dtype=complex)
+    return feasibility._screen(stack, np.full_like(stack, np.nan), gram)
+
+
+def allocating_screen(stack):
+    """_screen's verdicts formed with new arrays: the Gram as dagger(stack) @ stack, and the branch
+    operators as the copied dagger(L[d:, :d])."""
+    count, dim = stack.shape[:2]
+    gram = dagger(stack) @ stack
+    gram[:, dim:, dim:] += np.eye(4)
+    factor = np.linalg.cholesky(gram)
+    _, deviations = scale_and_deviation(dagger(factor[:, dim:, :dim]).reshape(count, dim, 2, 2))
+    return deviations, np.abs(factor[:, dim:, dim:] - np.eye(4)).max(axis=(-2, -1))
+
+
 @given(seed=st.integers(0, 2**64 - 1), case=st.sampled_from(["w", "ghz", "bell(0,0)", "haar"]))
 def test_screen_deviations_are_the_exact_ones_to_1e_9(seed, case):
     """On a chunk of SCAN_CHUNK draws, every trial the Cholesky screen decides
@@ -529,21 +592,29 @@ def test_screen_deviations_are_the_exact_ones_to_1e_9(seed, case):
     error 3.1e-9), and no error exceeded 8 defects."""
     shared = haar_random_state(3, seed % 1000) if case == "haar" else make_named_state(case)
     dim = 2**shared.n_qubits
-    half = shared.amplitudes.reshape(dim // 2, 2)
-    screen = np.zeros((dim, 4), dtype=complex)
-    for j in range(2):
-        for s in range(dim // 2):
-            for b in range(2):
-                screen[j * dim // 2 + s, 2 * b + j] = half[s, b]
-    stack = np.empty((SCAN_CHUNK, dim, dim + 4), dtype=complex)
-    complex_gaussians(np.random.default_rng(seed), SCAN_CHUNK, dim, stack[..., :dim])
-    stack[..., dim:] = screen
-    screened, defects = feasibility._screen(stack)
+    screened, defects = screen(screen_stack(shared, seed, SCAN_CHUNK))
     rows = haar_unitaries(np.random.default_rng(seed), SCAN_CHUNK, dim).swapaxes(-1, -2)
     _, deviations = scale_and_deviation(branch_tensor(rows, shared.amplitudes))
     decided = defects < SCREEN_DEFECT
     assert np.abs(screened - deviations)[decided].max() <= 1e-9
     assert np.count_nonzero(decided) >= SCAN_CHUNK - 1
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    count=st.integers(1, SCAN_CHUNK),
+    case=st.sampled_from(["w", "ghz", "bell(0,0)", *(f"haar-{n}q" for n in range(1, 5))]),
+)
+def test_screen_in_its_buffers_gives_the_allocating_bits(seed, count, case):
+    """_screen's deviations and defects, from the Gram written into the given
+    buffers and the branch operators read as the copy-free conj(T_k), are bit
+    for bit those of the Gram dagger(stack) @ stack and the copied T_k."""
+    shared = haar_random_state(int(case[5]), seed % 1000) if case.startswith("haar") else make_named_state(case)
+    stack = screen_stack(shared, seed, count)
+    deviations, defects = screen(stack)
+    expected_deviations, expected_defects = allocating_screen(stack)
+    assert deviations.tobytes() == expected_deviations.tobytes()
+    assert defects.tobytes() == expected_defects.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**40])

@@ -6,7 +6,7 @@ exactly one `error:` line on stderr and nothing on stdout; valid inputs never
 exit 2. Mutated inputs start from a valid W state file, a basis-gen protocol
 file and valid --S matrices; each mutation retypes, nests, drops or
 duplicates one field. No generated state is valid above 3 qubits: a scan over
-n qubits allocates 64·2·4**n floats per chunk.
+n qubits allocates a workspace of SCAN_CHUNK·4·(2**n + 2)² complex numbers.
 """
 
 import contextlib

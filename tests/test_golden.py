@@ -78,7 +78,7 @@ CASES = {
         "scan", "--state-file", "inputs/random_state.json", "--trials", "20", "--seed", "3", "--format", "json",
     ],
     "scan_w_inject_rejected": ["scan", "--shared", "w", "--trials", "1", "--inject-known-basis"],
-    # scans that span several 64-trial kernel chunks (feasibility.SCAN_CHUNK)
+    # scans that span several kernel chunks of feasibility.SCAN_CHUNK trials
     "scan_w_600_text": ["scan", "--shared", "w", "--trials", "600", "--seed", "4"],
     "scan_random_state_300_json": [
         "scan", "--state-file", "inputs/random_state.json", "--trials", "300", "--seed", "8", "--format", "json",

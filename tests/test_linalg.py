@@ -12,6 +12,7 @@ from teleport3q.linalg import (
     PIVOT_TOL,
     closest_unitary,
     complete_orthonormal,
+    complex_gaussians,
     dagger,
     haar_random_unitary,
     haar_unitaries,
@@ -134,6 +135,19 @@ def test_haar_unitaries_continue_one_stream(dim):
     rng = np.random.default_rng(5)
     stacked = np.concatenate([haar_unitaries(rng, count, dim) for count in (7, 1, 12)])
     assert stacked.tobytes() == singles.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_complex_gaussians_drawn_into_a_given_buffer_keep_their_bits(dim):
+    """Normals drawn into a caller's buffer, or into a prefix of it as a scan's
+    last chunk does, give the Gaussians and the stream of a fresh draw."""
+    fresh, buffered = np.random.default_rng(9), np.random.default_rng(9)
+    normals = np.full((16, 2, dim, dim), np.nan)
+    for count in (16, 5, 16):
+        expected, drawn = (np.empty((count, dim, dim), dtype=complex) for _ in range(2))
+        complex_gaussians(fresh, count, dim, expected)
+        complex_gaussians(buffered, count, dim, drawn, normals[:count])
+        assert drawn.tobytes() == expected.tobytes()
 
 
 def test_haar_unitary_many_seeds():
