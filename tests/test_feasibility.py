@@ -11,6 +11,7 @@ from teleport3q.feasibility import (
     SCAN_CHUNK,
     SCAN_PEAK_BYTES,
     SCAN_TOL,
+    SCREEN_BAND,
     SCREEN_DEFECT,
     ScanResult,
     build_feasibility_report,
@@ -40,6 +41,7 @@ from teleport3q.protocols import (
     branch_operators,
     branch_tensor,
     check_basis_rows,
+    diagonal_deviation,
     ghz_protocol,
     scale_and_deviation,
     w_like_protocol,
@@ -565,22 +567,29 @@ def screen_stack(shared, seed, count):
     return stack
 
 
-def screen(stack):
-    """_screen with a fresh conjugate and Gram buffer, filled with NaN to show they are overwritten."""
+def screen(stack, floor=math.inf):
+    """_screen in a conjugate and a Gram buffer filled with NaN and set up as haar_scan sets up its
+    workspace; the NaN that stays in the Gram's strict upper block shows that the Cholesky never reads it.
+    At the default floor every trial is open."""
     count, _, wide = stack.shape
     gram = np.full((count, wide, wide), np.nan, dtype=complex)
-    return feasibility._screen(stack, np.full_like(stack, np.nan), gram)
+    feasibility._write_amplitude_gram(stack, gram)
+    return feasibility._screen(stack, np.full_like(stack, np.nan), gram, floor)
 
 
 def allocating_screen(stack):
-    """_screen's verdicts formed with new arrays: the Gram as dagger(stack) @ stack, and the branch
-    operators as the copied dagger(L[d:, :d])."""
+    """_screen's deviations and defects with every trial open, and the diagonal deviations it bounds
+    them by, formed with new arrays: the Hermitian Gram whose lower blocks are dagger(stack) @ z and
+    dagger(V) @ V + I, and the branch operators as the copied dagger(L[d:, :d])."""
     count, dim = stack.shape[:2]
-    gram = dagger(stack) @ stack
-    gram[:, dim:, dim:] += np.eye(4)
+    gram = np.empty((count, dim + 4, dim + 4), dtype=complex)
+    gram[..., :dim] = dagger(stack) @ stack[..., :dim]
+    gram[:, :dim, dim:] = dagger(gram[:, dim:, :dim])
+    gram[:, dim:, dim:] = dagger(stack[..., dim:]) @ stack[..., dim:] + np.eye(4)
     factor = np.linalg.cholesky(gram)
-    _, deviations = scale_and_deviation(dagger(factor[:, dim:, :dim]).reshape(count, dim, 2, 2))
-    return deviations, np.abs(factor[:, dim:, dim:] - np.eye(4)).max(axis=(-2, -1))
+    ops = dagger(factor[:, dim:, :dim]).reshape(count, dim, 2, 2)
+    _, deviations = scale_and_deviation(ops)
+    return deviations, np.abs(factor[:, dim:, dim:] - np.eye(4)).max(axis=(-2, -1)), diagonal_deviation(ops)
 
 
 @given(seed=st.integers(0, 2**64 - 1), case=st.sampled_from(["w", "ghz", "bell(0,0)", "haar"]))
@@ -589,15 +598,21 @@ def test_screen_deviations_are_the_exact_ones_to_1e_9(seed, case):
     (defect below SCREEN_DEFECT) has deviations within 1e-9 of the exact
     path's, and the screen decides all but at most one. Over 2 048 000 W
     trials one defect reached SCREEN_DEFECT (2.9e-9, cond(z) about 3e4, its
-    error 3.1e-9), and no error exceeded 8 defects."""
+    error 3.1e-9), and no error exceeded 8 defects. A decided trial that the
+    bound rules out at a floor has every exact deviation above the floor, to 1e-9."""
     shared = haar_random_state(3, seed % 1000) if case == "haar" else make_named_state(case)
     dim = 2**shared.n_qubits
-    screened, defects = screen(screen_stack(shared, seed, SCAN_CHUNK))
+    stack = screen_stack(shared, seed, SCAN_CHUNK)
+    screened, defects = screen(stack)
     rows = haar_unitaries(np.random.default_rng(seed), SCAN_CHUNK, dim).swapaxes(-1, -2)
     _, deviations = scale_and_deviation(branch_tensor(rows, shared.amplitudes))
     decided = defects < SCREEN_DEFECT
     assert np.abs(screened - deviations)[decided].max() <= 1e-9
     assert np.count_nonzero(decided) >= SCAN_CHUNK - 1
+    for tol in (SCAN_TOL, 0.05):
+        floor = tol + SCREEN_BAND
+        ruled_out = np.isposinf(screen(stack, floor)[0]).all(axis=-1) & decided
+        assert (deviations[ruled_out] > floor - 1e-9).all()
 
 
 @given(
@@ -606,15 +621,65 @@ def test_screen_deviations_are_the_exact_ones_to_1e_9(seed, case):
     case=st.sampled_from(["w", "ghz", "bell(0,0)", *(f"haar-{n}q" for n in range(1, 5))]),
 )
 def test_screen_in_its_buffers_gives_the_allocating_bits(seed, count, case):
-    """_screen's deviations and defects, from the Gram written into the given
-    buffers and the branch operators read as the copy-free conj(T_k), are bit
-    for bit those of the Gram dagger(stack) @ stack and the copied T_k."""
+    """With every trial open, _screen's deviations and defects, from the Gram
+    written into the given buffers and the branch operators read as the
+    copy-free conj(T_k), are bit for bit those of the allocating reference.
+    At a finite floor +inf marks exactly the trials whose every branch has a
+    reference diagonal deviation above the floor, and every other trial keeps its bits."""
     shared = haar_random_state(int(case[5]), seed % 1000) if case.startswith("haar") else make_named_state(case)
     stack = screen_stack(shared, seed, count)
     deviations, defects = screen(stack)
-    expected_deviations, expected_defects = allocating_screen(stack)
+    expected_deviations, expected_defects, bounds = allocating_screen(stack)
     assert deviations.tobytes() == expected_deviations.tobytes()
     assert defects.tobytes() == expected_defects.tobytes()
+    # the median floor rules out about half the trials
+    for floor in (0.0, SCAN_TOL + SCREEN_BAND, float(np.median(bounds.min(axis=-1))), 0.3):
+        deviations, defects = screen(stack, floor)
+        ruled_out = (bounds > floor).all(axis=-1)
+        assert np.array_equal(np.isposinf(deviations).all(axis=-1), ruled_out)
+        assert deviations[~ruled_out].tobytes() == expected_deviations[~ruled_out].tobytes()
+        assert defects.tobytes() == expected_defects.tobytes()
+
+
+def record_routing(monkeypatch):
+    """The scan's exact-path row builds and 2x2-verdict calls in order, as ("exact", trials) and
+    ("verdicts", trials)."""
+    log = []
+
+    def building(z):
+        log.append(("exact", len(z)))
+        return haar_from_gaussians(z)
+
+    def deciding(ops):
+        log.append(("verdicts", len(ops)))
+        return scale_and_deviation(ops)
+
+    monkeypatch.setattr(feasibility, "haar_from_gaussians", building)
+    monkeypatch.setattr(feasibility, "scale_and_deviation", deciding)
+    return log
+
+
+@pytest.mark.parametrize("case", ["w", "ghz-injected"])
+def test_haar_scan_at_the_default_tolerance_opens_no_trial(monkeypatch, case):
+    """At SCAN_TOL the bound rules out every drawn trial of 20 000, so the
+    screen forms no 2x2 verdict; the injected trial alone takes the exact path."""
+    shared, inject = SCAN_CASES[case]()
+    log = record_routing(monkeypatch)
+    result = haar_scan(shared, 20_000, 3, inject=inject)
+    assert (result.feasible_count, result.max_passing_branches) == ((1, 8) if inject else (0, 0))
+    assert log == ([("exact", 1), ("verdicts", 1)] if inject else [])
+
+
+@pytest.mark.parametrize(
+    "shared, tol, exact_trials", [("w", 0.05, 3), ("ghz", 0.05, 1), ("w", 0.3, 0), ("ghz", 0.3, 0)]
+)
+def test_haar_scan_sends_only_trials_near_the_tolerance_exact(monkeypatch, shared, tol, exact_trials):
+    """The trials the bound leaves open are decided by the screen's 2x2
+    verdicts, not the exact path, which takes only the trials screened within
+    SCREEN_BAND of the tolerance: 3 W and 1 GHZ trial of 20 000 at 0.05, none at 0.3."""
+    exact_sizes = record_exact(monkeypatch)
+    scan_verdicts(make_named_state(shared), 20_000, 3, tol=tol)
+    assert sum(exact_sizes) == exact_trials
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**40])
