@@ -39,15 +39,14 @@ __all__ = [
 ENTROPY_ATOL = 1e-9
 SUM_RULE_ATOL = 1e-9
 SCAN_TOL = 1e-8
-# Trials per batched kernel call in haar_scan. A scan draws and screens every chunk in one workspace
-# (see _branch_verdicts), so a chunk allocates only its Cholesky factor and small 2x2 temporaries; with
-# it 128-trial chunks are faster than 64 (ROADMAP "Aim 1" lists the measured alternatives). A scan's
-# tracemalloc peak does not grow with its trials and stays below SCAN_PEAK_BYTES for 3 and 4 qubits.
+# Trials per batched kernel call in haar_scan. A scan draws and screens every chunk in one workspace (see
+# _branch_verdicts), so a chunk allocates only its Cholesky factor, small temporaries and its open trials'
+# QR arrays; with it 128-trial chunks are faster than 64 (ROADMAP "Aim 1" lists the measured alternatives).
+# A scan's tracemalloc peak does not grow with its trials and stays below SCAN_PEAK_BYTES for 3 and 4 qubits.
 SCAN_CHUNK = 128
 SCAN_PEAK_BYTES = {3: 1_500_000, 4: 4_300_000}
-# haar_scan decides a trial on the exact path when a screened deviation is NaN or within SCREEN_BAND of the
-# tolerance, when its screen defect is not below SCREEN_DEFECT, or when its chunk's Cholesky fails. A trial
-# whose diagonal deviation exceeds the tolerance by more than SCREEN_BAND on every branch gets no 2x2 verdicts.
+# haar_scan's screen rules a trial out when its diagonal deviation exceeds the tolerance by more than
+# SCREEN_BAND on every branch and its screen defect is below SCREEN_DEFECT; the exact path decides the rest.
 SCREEN_BAND = 1e-6
 SCREEN_DEFECT = 1e-9
 
@@ -187,13 +186,13 @@ def _write_amplitude_gram(stack: np.ndarray, gram: np.ndarray) -> None:
     gram[:, dim:, dim:] = dagger(v) @ v + np.eye(4)
 
 
-def _screen(stack: np.ndarray, conj: np.ndarray, gram: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Screened branch deviations (count, d) and defects (count,) of a stack [z | V] (count, d, d + 4):
-    z a chunk's Gaussians, V[j d/2 + s, 2b + j] = A[s, b] for A the amplitudes as a (d/2, 2) matrix.
-    With L the Cholesky factor of [z | V]†[z | V] + (0 ⊕ I4), L[d:, :d]† = U†V holds the branch
-    operators of z's Mezzadri-phased Haar unitary U, and the defect is the largest deviation from I
-    of L[d:, d:], which is I exactly (README, "scan"). A trial whose diagonal_deviation exceeds
-    `floor` on every branch gets +inf deviations and no 2x2 verdicts.
+def _screen(stack: np.ndarray, conj: np.ndarray, gram: np.ndarray, floor: float) -> np.ndarray:
+    """The open trials, a (count,) bool mask, of a stack [z | V] (count, d, d + 4): z a chunk's
+    Gaussians, V[j d/2 + s, 2b + j] = A[s, b] for A the amplitudes as a (d/2, 2) matrix. With L the
+    Cholesky factor of [z | V]†[z | V] + (0 ⊕ I4), L[d:, :d]† = U†V holds the branch operators of z's
+    Mezzadri-phased Haar unitary U, and the defect is the largest deviation from I of L[d:, d:], which
+    is I exactly (README, "scan"). A trial is ruled out, and fails, when its diagonal_deviation exceeds
+    `floor` on every branch and its defect is below SCREEN_DEFECT; every other trial is open.
     `gram` (count, d + 4, d + 4) holds _write_amplitude_gram's block. Its lower blocks z†z and V†z
     and `conj` (the stack's shape) are overwritten; the Cholesky reads only the lower triangle, so
     the strict upper block gram[:, :d, d:] is neither written nor read. Raises LinAlgError if a
@@ -202,14 +201,11 @@ def _screen(stack: np.ndarray, conj: np.ndarray, gram: np.ndarray, floor: float)
     # the whole contiguous stack conjugates faster than its strided z block alone
     np.matmul(np.conjugate(stack, out=conj).swapaxes(-1, -2), stack[..., :dim], out=gram[..., :dim])
     factor = np.linalg.cholesky(gram)
-    # the view holds conj(T_k), whose deviations are T_k's bit for bit: conjugation flips signs only
+    # the view holds conj(T_k), whose bound is T_k's bit for bit: conjugation flips signs only
     ops = factor[:, dim:, :dim].swapaxes(-1, -2).reshape(count, dim, 2, 2)
-    # a NaN bound fails the compare, so its trial stays open
-    opened = ~(diagonal_deviation(ops) > floor).all(axis=-1)
-    deviations = np.full((count, dim), np.inf)
-    if opened.any():
-        _, deviations[opened] = scale_and_deviation(ops[opened])
-    return deviations, np.abs(factor[:, dim:, dim:] - np.eye(4)).max(axis=(-2, -1))
+    defects = np.abs(factor[:, dim:, dim:] - np.eye(4)).max(axis=(-2, -1))
+    # a NaN fails both compares, so its trial stays open
+    return ~(diagonal_deviation(ops) > floor).all(axis=-1) | ~(defects < SCREEN_DEFECT)
 
 
 def _branch_verdicts(shared: PureState, trials: int, seed: int, inject: MeasurementBasis | None, tol: float):
@@ -222,27 +218,28 @@ def _branch_verdicts(shared: PureState, trials: int, seed: int, inject: Measurem
     shapes = ((size, dim, dim + 4), (size, dim, dim + 4), (size, dim + 4, dim + 4), (size, dim, dim))
     sizes = [math.prod(shape) for shape in shapes]
     parts = np.split(np.zeros(sum(sizes), dtype=complex), np.cumsum(sizes[:-1]))
-    stack, conj, gram, normals = (part.reshape(shape) for part, shape in zip(parts, shapes))
-    normals = normals.view(float).reshape(size, 2, dim, dim)
+    stack, conj, gram, spare = (part.reshape(shape) for part, shape in zip(parts, shapes))
+    normals = spare.view(float).reshape(size, 2, dim, dim)
     stack[:, : dim // 2, dim::2] = stack[:, dim // 2 :, dim + 1 :: 2] = shared.amplitudes.reshape(-1, 2)
     _write_amplitude_gram(stack, gram)
     for start in range(0, trials, SCAN_CHUNK):
         count, injected = min(SCAN_CHUNK, trials - start), inject is not None and start == 0
         chunk = complex_gaussians(rng, count, dim, stack[:count, :, :dim], normals[:count])
         try:
-            deviations, defects = _screen(stack[:count], conj[:count], gram[:count], tol + SCREEN_BAND)
-            # a NaN fails both compares, so it goes exact
-            exact = ~(np.abs(deviations - tol) > SCREEN_BAND).all(axis=-1) | ~(defects < SCREEN_DEFECT)
+            exact = _screen(stack[:count], conj[:count], gram[:count], tol + SCREEN_BAND)
         except np.linalg.LinAlgError:
-            deviations, exact = np.empty((count, dim)), np.ones(count, dtype=bool)
+            exact = np.ones(count, dtype=bool)
         exact[0] |= injected
+        verdicts = np.zeros((count, dim), dtype=bool)
         if exact.any():
+            # the normals are spent once drawn, so their buffer takes the open trials' Gaussians, then their rows
+            z = np.compress(exact, chunk, axis=0, out=spare[: np.count_nonzero(exact)])
             # basis element k is column k of the unitary
-            rows = haar_from_gaussians(chunk[exact]).swapaxes(-1, -2)
+            rows = haar_from_gaussians(z).swapaxes(-1, -2)
             if injected:
                 rows[0] = inject.rows
-            _, deviations[exact] = scale_and_deviation(branch_tensor(rows, shared.amplitudes))
-        yield deviations <= tol
+            verdicts[exact] = scale_and_deviation(branch_tensor(rows, shared.amplitudes))[1] <= tol
+        yield verdicts
 
 
 def haar_scan(
@@ -261,12 +258,11 @@ def haar_scan(
     looser than construction tolerances because random bases miss by O(1), not by rounding.
 
     Trials run in chunks of SCAN_CHUNK, each drawn by one standard_normal call and screened by one
-    batched Cholesky (see _screen) in a workspace allocated once per scan. A trial whose diagonal
-    deviation exceeds tol + SCREEN_BAND on every branch fails without its 2x2 verdicts. The trials
-    the screen cannot decide (see SCREEN_BAND) and the injected trial 0 take the exact path,
-    haar_unitaries' QR rows bit for bit and their closed-form verdicts, so the counts are the exact
-    path's. Nothing is re-checked: QR rows are orthonormal to a few ulps (a test pins it), and the
-    checked `inject` and `shared` give complete branch families.
+    batched Cholesky (see _screen) in a workspace allocated once per scan. The screen only rules trials
+    out (see SCREEN_BAND); every other trial and the injected trial 0 is decided on the exact path,
+    haar_unitaries' QR rows bit for bit and their closed-form verdicts. Nothing is re-checked: QR rows
+    are orthonormal to a few ulps (a test pins it), and the checked `inject` and `shared` give complete
+    branch families.
     `tol` is checked, and so is, before any draw, that an injected basis acts on as many qubits as `shared`.
 
     One stream cannot be split: a Gaussian takes a varying number of the generator's words, so trial

@@ -85,6 +85,12 @@ CASES = {
     ],
     "scan_bell00_inject_257_text": ["scan", "--shared", "bell(0,0)", "--trials", "257", "--inject-known-basis"],
     "analyze_w_300_json": ["analyze", "--shared", "w", "--scan-trials", "300", "--format", "json"],
+    # loose tolerances, where most trials are decided on the exact path
+    "scan_w_600_tol_005_text": ["scan", "--shared", "w", "--trials", "600", "--seed", "4", "--tolerance", "0.05"],
+    "scan_random_state_300_tol_02_json": [
+        "scan", "--state-file", "inputs/random_state.json", "--trials", "300", "--seed", "8",
+        "--tolerance", "0.2", "--format", "json",
+    ],
     # basis-gen: exit 0 / 2
     "basis_gen_h": ["basis-gen", "--params", "0.5,0.2,0.9", "--S", "H"],
     "basis_gen_identity": ["basis-gen", "--params", "0.7854,0,0", "--S", "I"],
