@@ -57,7 +57,7 @@ SIGMA_BY_INDEX = (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z)
 # Branch probabilities below this are treated as unreachable: their fidelity
 # is reported as None so averages are never polluted by dead branches.
 PROB_FLOOR = 1e-24
-# Uniforms drawn per call in sample_teleport: 8 bytes each.
+# Philox words drawn per call in sample_teleport: 8 bytes each.
 SAMPLE_CHUNK = 2**16
 _S_NOT_UNITARY = f"S is not unitary (2x2 within tolerance {ATOL:g} required)"
 
@@ -284,31 +284,39 @@ def run_teleport(psi: PureState, protocol: TeleportProtocol) -> TeleportResult:
     return TeleportResult(tuple(outcomes), total)
 
 
+def _word_bound(c: float) -> int:
+    """The least 64-bit word w whose uniform reaches c, for 0 <= c <= 1. numpy's
+    Generator.random makes u = (w >> 11) * 2**-53 from a Philox word w, so
+    u < c exactly when w < _word_bound(c); below c = 1 it fits in np.uint64."""
+    return math.ceil(c * 2.0**53) << 11
+
+
 def sample_teleport(exact: TeleportResult, trials: int, seed: int) -> SampleResult:
     """Sampled execution over the classical channel, drawn from the exact run `exact`.
 
     The sender draws outcomes from its branch distribution; each drawn
     outcome is delivered as a classical bit string to a receiver that applies
     its correction. Philox keying makes trial batches reproducible and
-    splittable. Uniforms u are drawn SAMPLE_CHUNK at a time, so memory does not
+    splittable. Philox words w are drawn SAMPLE_CHUNK at a time, so memory does not
     grow with `trials`. The counts are exactly those of one rng.choice(m, trials, p=p):
-    over the same u and cdf = p.cumsum() / its last entry (exactly 1.0), it draws
-    k when cdf[k-1] <= u < cdf[k], so count_k = L_k - L_{k-1}, L_j = #{u < cdf[j]}.
-    Equal entries have equal L, and every u is below 1.0, so each distinct entry
-    below 1.0 is compared once per chunk and an entry of 1.0 has L = trials; the
-    dead outcomes of a perfect protocol repeat entries.
+    over the uniforms u of the same w and cdf = p.cumsum() / its last entry (exactly 1.0),
+    it draws k when cdf[k-1] <= u < cdf[k], so count_k = L_k - L_{k-1}, L_j = #{u < cdf[j]}
+    = #{w < _word_bound(cdf[j])}. Equal bounds have equal L, and only an entry of 1.0 has
+    a bound of 2**64, with L = trials; so each distinct bound below it is compared once
+    per chunk, and the dead outcomes of a perfect protocol repeat entries.
     """
     trials = check_trials(trials)
     probs = np.array([o.probability for o in exact.outcomes])
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    bit_generator = np.random.Philox(key=seed)
     cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
-    below = {c: 0 for c in cdf.tolist() if c < 1.0}
+    bounds = [_word_bound(c) for c in cdf.tolist()]
+    below = {bound: 0 for bound in bounds if bound < 2**64}
     for start in range(0, trials, SAMPLE_CHUNK):
-        u = rng.random(min(SAMPLE_CHUNK, trials - start))
-        for c in below:
-            below[c] += np.count_nonzero(u < c)
-    counts = np.diff(np.array([below.get(c, trials) for c in cdf.tolist()], dtype=np.intp), prepend=0)
+        words = bit_generator.random_raw(min(SAMPLE_CHUNK, trials - start))
+        for bound in below:
+            below[bound] += np.count_nonzero(words < np.uint64(bound))
+    counts = np.diff(np.array([below.get(bound, trials) for bound in bounds], dtype=np.intp), prepend=0)
     fidelity_sum = 0.0
     for count, outcome in zip(counts.tolist(), exact.outcomes):
         fidelity_sum += count * (outcome.branch_fidelity or 0.0)

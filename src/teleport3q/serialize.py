@@ -9,7 +9,6 @@ identical inputs serialize to identical bytes.
 from __future__ import annotations
 
 import hashlib
-import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -174,35 +173,46 @@ def report_to_jsonable(report: FeasibilityReport, input_hash: str) -> dict:
     }
 
 
+def _float_text(x: float) -> str:
+    """float.__repr__(round12(x)) from one format. The digits of f"{x:.12g}"
+    are already the shortest round trip of round12(x), since two distinct
+    decimals of at most 12 digits never round to one normal double; only the
+    notation can differ from repr's."""
+    text = float.__format__(x, ".12g")
+    if "e" in text:
+        exponent = int(text[text.index("e") + 1 :])
+        # repr writes 1e12 to 1e16 (exclusive) in full, and a subnormal can keep fewer digits
+        if 12 <= exponent <= 15 or exponent <= -308:
+            return float.__repr__(float(text))
+        return text
+    if "." in text:
+        return text
+    if text[-1].isdigit():
+        return text + ".0"
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
 def _write_json(obj, indent: str, out: list) -> None:
     """Append to `out` the text of obj, its floats rounded by round12; `indent`
     is a newline and the indentation of obj's own level."""
-    if isinstance(obj, float):  # first: floats are most of every payload
-        if not math.isfinite(obj):
-            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        out.append(float.__repr__(round12(obj)))
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, list):
+    kind = type(obj)
+    if kind is float:  # first: floats are most of every payload
+        out.append(_float_text(obj))
+    elif kind is list or isinstance(obj, list):
         if not obj:
             out.append("[]")
             return
         inner = indent + "  "
+        if len(obj) == 2 and type(obj[0]) is float and type(obj[1]) is float:  # an [re, im] pair
+            out.append(f"[{inner}{_float_text(obj[0])},{inner}{_float_text(obj[1])}{indent}]")
+            return
         separator, comma = "[" + inner, "," + inner
         for item in obj:
             out.append(separator)
             _write_json(item, inner, out)
             separator = comma
         out.append(indent + "]")
-    elif isinstance(obj, dict):
+    elif kind is dict or isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
@@ -216,6 +226,18 @@ def _write_json(obj, indent: str, out: list) -> None:
             _write_json(value, inner, out)
             separator = comma
         out.append(indent + "}")
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
     else:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 

@@ -56,6 +56,11 @@ CASES = {
     "teleport_random_state_file": [
         "teleport", "--state-file", "inputs/random_state.json", "--theta", "0.9", "--basis", "haar:5",
     ],
+    # 8 live outcomes sampled across two ends of protocols.SAMPLE_CHUNK shots
+    "teleport_w_haar_sample_150000_json": [
+        "teleport", "--shared", "w", "--basis", "haar:5", "--random", "--seed", "9",
+        "--sample", "--trials", "150000", "--format", "json",
+    ],
     "teleport_one_ebit_shared_path": [
         "teleport", "--shared", "inputs/one_ebit_state.json", "--random", "--seed", "1",
         "--basis", "haar:1", "--format", "json",

@@ -25,6 +25,7 @@ from teleport3q.protocols import (
     MeasurementBasis,
     TeleportProtocol,
     TeleportResult,
+    _word_bound,
     basis_from_S,
     bell_protocol,
     branch_operators,
@@ -746,15 +747,15 @@ def test_sample_teleport_deterministic():
 @pytest.mark.parametrize("chunk", [1000, None])
 def test_sample_teleport_draws_in_chunks_with_the_one_call_counts(monkeypatch, chunk):
     """Counts equal one rng.choice over every trial, and no draw exceeds the chunk."""
-    one_call = np.random.Generator
+    one_call = np.random.Philox
     sizes = []
 
-    class SpyGenerator(one_call):
-        def random(self, size=None, *args, **kwargs):
+    class SpyPhilox(one_call):
+        def random_raw(self, size=None, output=True):
             sizes.append(size)
-            return super().random(size, *args, **kwargs)
+            return super().random_raw(size, output)
 
-    monkeypatch.setattr(np.random, "Generator", SpyGenerator)
+    monkeypatch.setattr(np.random, "Philox", SpyPhilox)
     if chunk is not None:
         monkeypatch.setattr(protocols, "SAMPLE_CHUNK", chunk)
     chunk = protocols.SAMPLE_CHUNK
@@ -767,7 +768,7 @@ def test_sample_teleport_draws_in_chunks_with_the_one_call_counts(monkeypatch, c
         sizes.clear()
         sample = sample_teleport(exact, trials, seed=7)
         assert max(sizes) <= chunk and sum(sizes) == trials
-        drawn = one_call(np.random.Philox(key=7)).choice(8, size=trials, p=probs / probs.sum())
+        drawn = np.random.Generator(one_call(key=7)).choice(8, size=trials, p=probs / probs.sum())
         counts = np.bincount(drawn, minlength=8)
         assert sample.counts.tobytes() == counts.tobytes()
 
@@ -807,14 +808,24 @@ def test_sample_counts_equal_one_choice_over_all_trials(weights, trials, seed):
 
 @given(weights=WEIGHTS)
 def test_sample_counts_uniforms_on_cdf_entries_as_choice_does(weights):
-    """Random uniforms almost never land on a CDF entry; replayed ones that sit
-    on each entry or one ulp beside it are counted as rng.choice counts them."""
+    """Random words almost never land on a CDF entry's bound; replayed ones that
+    sit on each bound or one beside it are counted as rng.choice counts their
+    uniforms (w >> 11) * 2**-53."""
     probs = np.array(weights)
     p = probs / probs.sum()
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    grid = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
-    uniforms = grid[grid < 1.0]
+    bounds = [_word_bound(c) for c in cdf.tolist()]
+    grid = sorted({0} | {w for b in bounds for w in (b - 1, b, b + 1) if 0 <= w < 2**64})
+    words = np.array(grid, dtype=np.uint64)
+    uniforms = (words >> np.uint64(11)) * 2.0**-53
+
+    class ReplayPhilox(np.random.Philox):
+        fed = 0
+
+        def random_raw(self, size=None, output=True):
+            self.fed += size
+            return words[self.fed - size : self.fed]
 
     class ReplayGenerator(np.random.Generator):
         fed = 0
@@ -825,9 +836,41 @@ def test_sample_counts_uniforms_on_cdf_entries_as_choice_does(weights):
 
     drawn = ReplayGenerator(np.random.Philox(key=0)).choice(len(p), size=len(uniforms), p=p)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.random, "Generator", ReplayGenerator)
-        sample = sample_weights(weights, len(uniforms), seed=0, chunk=5)
+        patch.setattr(np.random, "Philox", ReplayPhilox)
+        sample = sample_weights(weights, len(words), seed=0, chunk=5)
     assert sample.counts.tobytes() == np.bincount(drawn, minlength=len(p)).tobytes()
+
+
+def test_generator_uniforms_are_the_top_53_bits_of_philox_words():
+    """The numpy contract the sampler's word bounds rest on: Generator.random
+    makes each double from one raw word w as (w >> 11) * 2**-53."""
+    for key in (0, 7, 2**32 + 5, 2**64 - 1):
+        uniforms = np.random.Generator(np.random.Philox(key=key)).random(1027)
+        words = np.random.Philox(key=key).random_raw(1027)
+        assert uniforms.tobytes() == ((words >> np.uint64(11)) * 2.0**-53).tobytes()
+
+
+UNIT_GRID = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
+
+
+@given(
+    c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    | UNIT_GRID
+    | UNIT_GRID.map(lambda c: math.nextafter(c, 0.0))
+    | UNIT_GRID.map(lambda c: math.nextafter(c, 1.0)).filter(lambda c: c < 1.0),
+    word=st.integers(0, 2**64 - 1),
+)
+@example(c=5e-324, word=0)
+@example(c=5e-324, word=2**11)
+@example(c=1 - 2**-53, word=2**64 - 1)
+@example(c=1 - 2**-53, word=2**64 - 2**12)
+def test_word_bound_splits_words_as_their_uniforms_split(c, word):
+    """u < c exactly when w < _word_bound(c), for the bound's neighbours and any word."""
+    bound = _word_bound(c)
+    assert 0 <= bound < 2**64
+    for w in (word, bound - 1, bound, bound + 1):
+        if 0 <= w < 2**64:
+            assert ((w >> 11) * 2.0**-53 < c) == (w < bound)
 
 
 @pytest.mark.parametrize("chunk", [SMALL_CHUNK, None])
@@ -852,6 +895,12 @@ def test_sample_counts_with_dead_outcomes_equal_one_choice(monkeypatch, build, c
         sample = sample_teleport(exact, trials, seed=7)
         drawn = np.random.Generator(np.random.Philox(key=7)).choice(8, size=trials, p=p)
         assert sample.counts.tobytes() == np.bincount(drawn, minlength=8).tobytes()
+
+
+def test_no_draws_stops_the_sampler_at_its_first_draw(no_draws):
+    # so the two tests below would fail if the trial checks came after a draw
+    with pytest.raises(AssertionError, match="sampling started"):
+        sample_teleport(run_teleport(bloch_qubit(0.4, 0.0), ghz_protocol()), 5, seed=1)
 
 
 def test_sample_teleport_caps_trials_before_drawing(no_draws):

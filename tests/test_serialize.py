@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from teleport3q.feasibility import build_feasibility_report
 from teleport3q.protocols import basis_from_S, run_teleport, w_like_protocol
 from teleport3q.serialize import (
+    _float_text,
     dumps_canonical,
     protocol_from_jsonable,
     protocol_to_jsonable,
@@ -91,13 +92,59 @@ JSON_TREES = st.recursive(
 )
 
 
+# where the 12-digit format's notation and repr's part ways: exponents 11, 12,
+# 15 and 16, values that round up across a power of ten, the smallest normal
+# double and its subnormal predecessor, and integral floats up to 2**53
+NOTATION_EDGES = [
+    1.5e11, 1.23456789012345e12, 9.87654321098765e15, 1.5e16, 999999999999.5, 9999999999999999.0,
+    9.9999999999995e-5, 2.2250738585072014e-308, math.nextafter(2.2250738585072014e-308, 0.0),
+    1.0, 100.0, 123456789012.0, 2.0**52, 2.0**53, -0.0,
+]
+
+
+class FloatSubclass(float):
+    pass
+
+
+class ListSubclass(list):
+    pass
+
+
+class DictSubclass(dict):
+    pass
+
+
 @given(JSON_TREES)
 @example([])
 @example({})
 @example({"a": [], "b": {}})
 @example([-0.0, 5e-324, 1e308, 1 / 3, 0.1 + 0.2, True, False, None, 0, -(10**30)])
+@example(NOTATION_EDGES)
+@example([[x, -x] for x in NOTATION_EDGES])
+@example({"re-im": [1 / 3, 2.0**53], "scalar": 999999999999.5, "mixed": [1.5e16, 1]})
+@example(ListSubclass([FloatSubclass(1 / 3), DictSubclass(b=[FloatSubclass(1e12), 2.5])]))
 def test_dumps_canonical_is_json_dumps_sorted_and_indented(obj):
     assert dumps_canonical(obj) == reference_dumps(obj)
+
+
+@given(FINITE_FLOATS | st.floats(-1e-300, 1e-300) | st.floats(-1e17, 1e17))
+@example(5e-324)
+@example(-5e-324)
+@example(1.7976931348623157e308)
+@example(1e-308)
+@example(1.23456789012345e12)
+@example(999999999999.5)
+@example(9.9999999999995e-5)
+@example(2.0**53)
+@example(-0.0)
+def test_float_text_is_repr_of_the_12_digit_rounding(x):
+    assert _float_text(x) == float.__repr__(round12(x))
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, FloatSubclass(math.nan)])
+def test_float_text_refuses_non_finite_floats(x):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        _float_text(x)
 
 
 @given(FINITE_FLOATS)
