@@ -181,8 +181,9 @@ def _resolve_message(args) -> tuple[PureState, str]:
         return haar_random_state(1, args.seed), f"random(seed={args.seed})"
     if args.theta is None:
         raise ValueError("a message state is required: --theta [--phi] or --random")
-    phi = 0.0 if args.phi is None else args.phi
-    return bloch_qubit(args.theta, phi), f"theta={_fmt(args.theta)}, phi={_fmt(phi)}"
+    # + 0.0 turns -0.0, which "-0" and "-1e-400" parse to, into the 0.0 of "0", so both print alike
+    theta, phi = args.theta + 0.0, 0.0 if args.phi is None else args.phi + 0.0
+    return bloch_qubit(theta, phi), f"theta={_fmt(theta)}, phi={_fmt(phi)}"
 
 
 def _resolve_protocol(args) -> tuple[TeleportProtocol, str]:
@@ -368,6 +369,10 @@ def _add_common_options(parser: argparse.ArgumentParser, default_format: str) ->
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="teleport3q",
         description="Teleportation over small shared entangled states: run, analyze, scan.",
@@ -432,18 +437,32 @@ def build_parser() -> argparse.ArgumentParser:
     # '-' then a digit, or '-.' then a digit, is a value; no option looks like one
     for p in sub.choices.values():
         p._negative_number_matcher = re.compile(r"^-\.?\d")
-    return parser
+    return parser, sub.choices
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), once per process. Parsing keeps no state on the parser:
-    each parse_args call fills a fresh Namespace from the declared defaults."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """_build_parsers(), once per process. Parsing keeps no state on a parser:
+    each parse fills a fresh Namespace from the declared defaults."""
+    return _build_parsers()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The top-level parse_args(argv) in one pass when argv starts with a command: its parser reads the
+    rest, and what that leaves is the top-level parser's error, as in a full parse, which any other argv takes."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:

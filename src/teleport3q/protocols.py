@@ -118,8 +118,14 @@ def branch_tensor(rows: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     return flat.reshape(*rows.shape[:-1], 2, 2).swapaxes(-1, -2)
 
 
+def branch_scale(weights: np.ndarray) -> np.ndarray:
+    """Scale tr(T†T)/2 of each 2x2 operator of a stack, from its weights w = re² + im² (..., 2, 2), in
+    the one summation order that scale_and_deviation and TeleportProtocol.coefficients share."""
+    return ((weights[..., 0, 0] + weights[..., 1, 0]) + (weights[..., 0, 1] + weights[..., 1, 1])) / 2.0
+
+
 def scale_and_deviation(ops) -> tuple[np.ndarray, np.ndarray]:
-    """Scale tr(T†T)/2 of each 2x2 operator T = [[a, b], [c, d]] of a stack
+    """Scale tr(T†T)/2 (branch_scale) of each 2x2 operator T = [[a, b], [c, d]] of a stack
     (..., 2, 2), and its deviation: the larger max-abs entry of T†T - scale I
     and TT† - scale I, in closed form. The diagonals are the column sums
     |a|^2 + |c|^2, |b|^2 + |d|^2 (T†T) and the row sums |a|^2 + |b|^2,
@@ -144,7 +150,7 @@ def scale_and_deviation(ops) -> tuple[np.ndarray, np.ndarray]:
         # x * y and y * x may differ in the last bit, which scan verdicts resolve
         np.add(conj[..., 0, 0] * b, conj[..., 1, 0] * d, out=off[0, ...])
         np.add(a * conj[..., 1, 0], b * conj[..., 1, 1], out=off[1, ...])
-        scale = (diagonals[0] + diagonals[1]) / 2.0
+        scale = branch_scale(weights)
         diagonal = np.abs(diagonals - scale)
     off_diagonal = np.abs(off)
     deviation = np.maximum(np.maximum(diagonal[0], diagonal[1]), np.maximum(diagonal[2], diagonal[3]))
@@ -229,8 +235,9 @@ class TeleportProtocol:
     @property
     def coefficients(self) -> np.ndarray:
         """Branch magnitudes sqrt(tr(T†T)/2), exactly 0 where that weight is <= PROB_FLOOR."""
-        weights, _ = scale_and_deviation(branch_operators(self.basis, self.shared).ops)
-        return np.where(weights > PROB_FLOOR, np.sqrt(weights), 0.0)
+        ops = branch_tensor(self.basis.rows, self.shared.amplitudes)
+        scales = branch_scale(ops.real**2 + ops.imag**2)
+        return np.where(scales > PROB_FLOOR, np.sqrt(scales), 0.0)
 
 
 @dataclass(frozen=True)
@@ -351,8 +358,9 @@ def _protocol_from_corrections(
         corrections = np.array([live[k] @ s if k in live else IDENTITY for k in range(dim)])
     if free and not is_unitary(corrections, ATOL).all():
         raise ValueError(_S_NOT_UNITARY)
-    moved = [(shared.amplitudes.reshape(-1, 2) @ (dagger(s) @ live[k]).T).T for k in keys]
-    full = complete_orthonormal(np.reshape(moved, (len(keys), dim)), dim)
+    # the live elements as one batched product, (A (S† P_k)ᵀ)ᵀ for A = shared as (dim/2, 2) rows
+    moved = shared.amplitudes.reshape(-1, 2) @ (dagger(s) @ np.array([live[k] for k in keys])).swapaxes(-1, -2)
+    full = complete_orthonormal(moved.swapaxes(-1, -2).reshape(len(keys), dim), dim)
     # the completion lists the live elements first, in key order, then the extras
     rows = np.empty_like(full)
     rows[keys + [k for k in range(dim) if k not in live]] = full

@@ -352,7 +352,7 @@ def test_canonical_protocols_take_no_polar_factors(monkeypatch, capsys):
 
 @pytest.mark.parametrize("spec", ["ghz", "w-like:0.5,0.2,0.9", "bell(1,1)"])
 def test_canonical_protocol_is_built_over_the_resolved_state(spec):
-    args = cli._parser().parse_args(["teleport", "--shared", spec, "--theta", "1"])
+    args = cli._parse_args(["teleport", "--shared", spec, "--theta", "1"])
     state, _, canonical = cli._resolve_state(args)
     shared = canonical().shared
     # w_like_protocol takes only the angles and builds their state again, with the same bits
@@ -398,12 +398,13 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, args):
 
 
 def _main(argv, capsys):
-    """Exit code and stdout of an in-process run; argparse errors exit too."""
+    """Exit code, stdout and stderr of an in-process run; argparse errors and help exit too."""
     try:
         code = cli.main(argv)
     except SystemExit as exc:
         code = exc.code
-    return code, capsys.readouterr().out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 @pytest.mark.parametrize(
@@ -467,6 +468,61 @@ def test_negative_zero_tolerance_echoes_as_zero(value, capsys):
     assert "\ntolerance: 0\n" in capsys.readouterr().out
     cli.main(["teleport", "--shared", "ghz", "--theta", "1", "--tolerance", value, "--format", "json"])
     assert '"tolerance": 0.0' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "angles", [["--theta", "-0", "--phi", "-0"], ["--theta", "-1e-400", "--phi", "-1e-400"], ["--theta", "-0"]]
+)
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_negative_zero_angles_print_as_zero(capsys, angles, output):
+    argv = ["teleport", "--shared", "ghz", "--format", output]
+    zero = _main(argv + ["--theta", "0", "--phi", "0"], capsys)
+    assert _main(argv + angles, capsys) == zero
+    assert "theta=0, phi=0" in zero[1] and "-0" not in zero[1]
+
+
+DISPATCH_ARGVS = [
+    [], ["-h"], ["--help", "teleport"], ["bogus"], ["tele"], ["teleport", "-h"],
+    ["teleport", "--bogus"],
+    ["teleport", "--sha", "ghz", "--theta", "1"],
+    ["teleport", "--shared", "ghz", "--theta", "1", "extra"],
+    ["teleport", "--", "--shared"],
+    ["analyze", "--scan-trials", "0"],
+    ["basis-gen", "--params", "-1.2,0.3,0.4", "--S", "H"],
+    ["scan", "--shared", "w", "--tolerance", "-1"],
+    ["scan", "--shared", "w", "--trials", "2", "--seed", "1", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+@pytest.mark.parametrize("through_sys_argv", [False, True])
+def test_dispatch_matches_the_full_parse(monkeypatch, capsys, argv, through_sys_argv):
+    """main reads a command line as a full parse by build_parser() does: the same exit, stdout and stderr."""
+    if through_sys_argv:
+        monkeypatch.setattr(sys, "argv", ["teleport3q", *argv])
+    given_argv = None if through_sys_argv else argv
+    dispatched = _main(given_argv, capsys)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    assert dispatched == _main(given_argv, capsys)
+
+
+def test_a_command_line_is_parsed_once_by_its_command_parser(monkeypatch, capsys):
+    parser, commands = cli._parsers()
+    parse, calls = commands["teleport"].parse_known_args, []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a command line")
+
+    def recorded(args, namespace=None):
+        calls.append(list(args))
+        return parse(args, namespace)
+
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    monkeypatch.setattr(commands["teleport"], "parse_known_args", recorded)
+    assert cli.main(["teleport", "--shared", "ghz", "--theta", "1", "--expect-perfect"]) == 0
+    assert calls == [["--shared", "ghz", "--theta", "1", "--expect-perfect"]]
+    assert "expect-perfect: PASS" in capsys.readouterr().out
 
 
 SEEDED = {

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from teleport3q.linalg import (
     ATOL,
+    HADAMARD,
     IDENTITY,
     PAULI_X,
     PAULI_Y,
@@ -639,6 +640,68 @@ def test_polar_factor_builds_pass_the_public_checks(basis_seed, state_seed):
     shared = make_named_state("w") if state_seed is None else haar_random_state(3, state_seed)
     basis = MeasurementBasis(haar_random_unitary(8, basis_seed).T)
     assert_public_checks_pass(protocol_from_basis(shared, basis))
+
+
+# ---------------------------------------------------------------- bits of the builders' shortcuts
+
+
+def scale_and_deviation_coefficients(protocol):
+    """TeleportProtocol.coefficients from scale_and_deviation's scales of the branch family."""
+    scales = scale_and_deviation(branch_operators(protocol.basis, protocol.shared).ops)[0]
+    return np.where(scales > PROB_FLOOR, np.sqrt(scales), 0.0)
+
+
+NAMED_S = (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, HADAMARD)
+
+
+def coefficient_cases():
+    yield ghz_protocol()
+    yield from (bell_protocol(make_named_state(f"bell({m},{n})")) for m in (0, 1) for n in (0, 1))
+    params = random_w_like_params(8, 41) + [WLikeParams(0.0, 0.0, 0.0), WLikeParams(math.pi / 2, 0.3, 0.0)]
+    yield from (w_like_protocol(p) for p in params)
+    unitaries = [*NAMED_S, *(haar_random_unitary(2, 700 + k) for k in range(len(params) - len(NAMED_S)))]
+    yield from (basis_from_S(p, s) for p, s in zip(params, unitaries))
+    for k, shared in enumerate([make_named_state("w"), make_named_state("ghz"), haar_random_state(3, 5)]):
+        yield protocol_from_basis(shared, MeasurementBasis(haar_random_unitary(8, 800 + k).T))
+        # the GHZ basis leaves dead branches over GHZ and W
+        yield protocol_from_basis(shared, ghz_protocol().basis)
+
+
+def test_coefficients_are_bitwise_those_of_scale_and_deviation():
+    dead = 0
+    for protocol in coefficient_cases():
+        coefficients = protocol.coefficients
+        assert coefficients.tobytes() == scale_and_deviation_coefficients(protocol).tobytes()
+        dead += np.count_nonzero(coefficients == 0.0)
+    assert dead > 0
+
+
+def per_outcome_live_rows(shared, live, s):
+    """_protocol_from_corrections's live basis elements, one product (A (S† P_k)ᵀ)ᵀ per outcome k."""
+    a = shared.amplitudes.reshape(-1, 2)
+    return np.reshape([(a @ (dagger(s) @ live[k]).T).T for k in sorted(live)], (len(live), -1))
+
+
+@given(angles=ANGLES, s=st.one_of(st.sampled_from(NAMED_S), SEEDS.map(lambda seed: haar_random_unitary(2, seed))))
+def test_live_rows_are_bitwise_the_per_outcome_products(angles, s):
+    params = WLikeParams(*angles)
+    shared = w_like_from_params(params)
+    built = basis_from_S(params, s).basis.rows[:4]
+    assert built.tobytes() == per_outcome_live_rows(shared, dict(enumerate(protocols.SIGMA_BY_INDEX)), s).tobytes()
+    canonical = {0: IDENTITY, 1: PAULI_Z, 2: PAULI_X, 3: -1j * PAULI_Y}
+    built = w_like_protocol(params).basis.rows[:4]
+    assert built.tobytes() == per_outcome_live_rows(shared, canonical, IDENTITY).tobytes()
+
+
+@pytest.mark.parametrize("spec", ["ghz", "bell(0,0)", "bell(0,1)", "bell(1,0)", "bell(1,1)"])
+def test_canonical_live_rows_are_bitwise_the_per_outcome_products(spec):
+    shared = make_named_state(spec)
+    if spec == "ghz":
+        protocol, live = ghz_protocol(shared), {0: IDENTITY, 1: PAULI_Z, 4: PAULI_X, 5: -1j * PAULI_Y}
+    else:
+        protocol, live = bell_protocol(shared), ONE_EBIT_CORRECTIONS
+    built = protocol.basis.rows[sorted(live)]
+    assert built.tobytes() == per_outcome_live_rows(shared, live, IDENTITY).tobytes()
 
 
 # ---------------------------------------------------------------- per-branch reference
