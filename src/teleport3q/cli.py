@@ -26,6 +26,7 @@ from .protocols import (
     basis_from_S,
     bell_protocol,
     check_tolerance,
+    check_trials,
     ghz_protocol,
     protocol_from_basis,
     run_teleport,
@@ -95,29 +96,22 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}") from None
 
 
-def _int_within(text: str, low: int, high: int) -> int | None:
-    """int(text) if it parses and lies in [low, high], else None."""
-    try:
-        value = int(text)
-    except ValueError:
-        return None
-    return value if low <= value <= high else None
-
-
 def _seed(text: str) -> int:
     """An integer in [0, 2**128), the seeds default_rng and a Philox key both accept."""
-    value = _int_within(text, 0, 2**128 - 1)
-    if value is None:
+    try:
+        value = int(text)
+    except ValueError:  # not an integer, or more digits than int() reads
+        value = -1
+    if not 0 <= value < 2**128:
         raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**128), got {text!r}")
     return value
 
 
 def _trials(text: str) -> int:
-    """An integer in [1, 2**32], the trial counts protocols.check_trials accepts."""
-    value = _int_within(text, 1, 2**32)
-    if value is None:
-        raise argparse.ArgumentTypeError(f"trials must be an integer in [1, 2**32], got {text!r}")
-    return value
+    try:
+        return check_trials(int(text))
+    except ValueError:  # not an integer, or not a trial count
+        raise argparse.ArgumentTypeError(f"trials must be an integer in [1, 2**32], got {text!r}") from None
 
 
 def _loads_json(text: str, what: str):
@@ -136,16 +130,6 @@ def _read_json(path: str, what: str):
     except OSError as exc:
         raise ValueError(f"unreadable {what} file {path!r}: {exc}") from exc
     return _loads_json(text, f"{what} file {path!r}")
-
-
-# Canonical perfect protocol of each named state family that has one, built
-# over the state already resolved; every bell(m,n) pair is built from its own
-# corrections. The lambdas look the builders up at call time, so a patched
-# module attribute sees every build.
-_CANONICAL = {
-    "ghz": lambda state: ghz_protocol(state),
-    "bell": lambda state: bell_protocol(state),
-}
 
 
 def _resolve_state(args) -> tuple[PureState, str, Callable[[], TeleportProtocol] | None]:
@@ -170,7 +154,8 @@ def _resolve_state(args) -> tuple[PureState, str, Callable[[], TeleportProtocol]
         raise ValueError(
             f"unrecognized state spec {spec!r}; expected ghz, w, bell(m,n), w-like:g,p,o, or a file path"
         ) from None
-    canonical = _CANONICAL.get(lowered.partition("(")[0])
+    # the builders are looked up per call, so a patched module attribute sees every build
+    canonical = {"ghz": ghz_protocol, "bell": bell_protocol}.get(lowered.partition("(")[0])
     return state, lowered, canonical and partial(canonical, state)
 
 
@@ -198,7 +183,11 @@ def _resolve_protocol(args) -> tuple[TeleportProtocol, str]:
         match = _HAAR_BASIS_RE.match(args.basis.strip())
         if not match:
             raise ValueError(f"unrecognized basis spec {args.basis!r}; expected haar:SEED")
-        rows = haar_random_unitary(2**state.n_qubits, int(match.group(1))).T  # orthonormal to 64 eps
+        try:
+            seed = _seed(match.group(1))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"argument --basis: {exc}") from None
+        rows = haar_random_unitary(2**state.n_qubits, seed).T  # orthonormal to 64 eps
         return protocol_from_basis(state, trusted(MeasurementBasis, rows=rows)), label
     if canonical is None:
         raise ValueError(
@@ -228,18 +217,23 @@ def _parse_s_operator(spec: str) -> np.ndarray:
     data = _loads_json(text, "S operator") if text.startswith("[") else _read_json(text, "S operator")
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError("S must be a JSON list of rows")
-    matrix = np.array([[_entry_to_complex(v) for v in row] for row in data])
+    rows = [[_entry_to_complex(v) for v in row] for row in data]
+    lengths = [len(row) for row in rows]
+    if len(set(lengths)) > 1:  # numpy would refuse these rows with an error that names no input
+        raise ValueError(f"S must be 2x2, got {len(rows)} rows of lengths {min(lengths)} to {max(lengths)}")
+    matrix = np.array(rows)
     if matrix.shape != (2, 2):
         raise ValueError(f"S must be 2x2, got shape {matrix.shape}")
     return matrix
 
 
-def cmd_teleport(args) -> int:
+def cmd_teleport(args) -> tuple[int, str]:
     protocol, shared_label = _resolve_protocol(args)
     psi, message_label = _resolve_message(args)
     result = run_teleport(psi, protocol)
     perfect = result.total_fidelity >= 1.0 - args.tolerance
     sample = sample_teleport(result, args.trials, args.seed) if args.sample else None
+    code = EXIT_NEGATIVE if args.expect_perfect and not perfect else EXIT_OK
 
     if args.format == "json":
         branches = [
@@ -263,56 +257,49 @@ def cmd_teleport(args) -> int:
                 "counts": sample.counts.tolist(),
                 "empiricalFidelity": sample.empirical_fidelity,
             }
-        _emit(dumps_canonical(payload), args.out)
-    else:
-        lines = [
-            f"shared: {shared_label}",
-            f"message: {message_label}",
-            "branch  probability     fidelity",
-        ]
-        for o in result.outcomes:
-            fid = "-" if o.branch_fidelity is None else _fmt(o.branch_fidelity)
-            lines.append(f"{o.label:<7} {_fmt(o.probability):<15} {fid}")
-        lines.append(f"total fidelity: {_fmt(result.total_fidelity)}")
-        if args.expect_perfect:
-            lines.append(f"expect-perfect: {'PASS' if perfect else 'FAIL'} (tolerance {_fmt(args.tolerance)})")
-        if sample is not None:
-            lines.append(
-                f"sampled {sample.trials} trials (seed {args.seed}): "
-                f"empirical fidelity {_fmt(sample.empirical_fidelity)}"
-            )
-            lines.append("counts: " + " ".join(str(int(c)) for c in sample.counts))
-        _emit("\n".join(lines) + "\n", args.out)
-
-    if args.expect_perfect and not perfect:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+        return code, dumps_canonical(payload)
+    lines = [
+        f"shared: {shared_label}",
+        f"message: {message_label}",
+        "branch  probability     fidelity",
+    ]
+    for o in result.outcomes:
+        fid = "-" if o.branch_fidelity is None else _fmt(o.branch_fidelity)
+        lines.append(f"{o.label:<7} {_fmt(o.probability):<15} {fid}")
+    lines.append(f"total fidelity: {_fmt(result.total_fidelity)}")
+    if args.expect_perfect:
+        lines.append(f"expect-perfect: {'PASS' if perfect else 'FAIL'} (tolerance {_fmt(args.tolerance)})")
+    if sample is not None:
+        lines.append(
+            f"sampled {sample.trials} trials (seed {args.seed}): "
+            f"empirical fidelity {_fmt(sample.empirical_fidelity)}"
+        )
+        lines.append("counts: " + " ".join(str(int(c)) for c in sample.counts))
+    return code, "\n".join(lines) + "\n"
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, str]:
     state, label, _ = _resolve_state(args)
     report = build_feasibility_report(state, label, args.scan_trials, args.seed)
-
+    code = EXIT_OK if report.entropy_feasible else EXIT_NEGATIVE
     if args.format == "json":
-        _emit(dumps_canonical(report_to_jsonable(report, state_input_hash(state))), args.out)
-    else:
-        comp = "yes" if report.componentwise.exists else "no"
-        lines = [
-            f"state: {label}",
-            f"entropy (bits): {_fmt(report.entropy_bits)}",
-            f"entropy feasible: {'yes' if report.entropy_feasible else 'no'}",
-            f"sum rule rows: ({_fmt(report.sum_rule_row0)}, {_fmt(report.sum_rule_row1)})",
-            f"sum rule balanced: {'yes' if report.sum_rule_balanced else 'no'}",
-            f"scan: {report.scan.feasible_count}/{report.scan.trials} feasible bases "
-            f"(max passing branches {report.scan.max_passing_branches})",
-            f"componentwise disentangler exists: {comp}",
-            f"schmidt disentangler residual entropy: {_fmt(report.schmidt.residual_entropy)}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if report.entropy_feasible else EXIT_NEGATIVE
+        return code, dumps_canonical(report_to_jsonable(report, state_input_hash(state)))
+    comp = "yes" if report.componentwise.exists else "no"
+    lines = [
+        f"state: {label}",
+        f"entropy (bits): {_fmt(report.entropy_bits)}",
+        f"entropy feasible: {'yes' if report.entropy_feasible else 'no'}",
+        f"sum rule rows: ({_fmt(report.sum_rule_row0)}, {_fmt(report.sum_rule_row1)})",
+        f"sum rule balanced: {'yes' if report.sum_rule_balanced else 'no'}",
+        f"scan: {report.scan.feasible_count}/{report.scan.trials} feasible bases "
+        f"(max passing branches {report.scan.max_passing_branches})",
+        f"componentwise disentangler exists: {comp}",
+        f"schmidt disentangler residual entropy: {_fmt(report.schmidt.residual_entropy)}",
+    ]
+    return code, "\n".join(lines) + "\n"
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[int, str]:
     state, label, canonical = _resolve_state(args)
     if args.inject_known_basis and canonical is None:
         raise ValueError(f"no known perfect basis for {label!r}")
@@ -329,26 +316,21 @@ def cmd_scan(args) -> int:
             "seed": args.seed,
             "injectedKnownBasis": result.injected,
         }
-        _emit(dumps_canonical(payload), args.out)
-    else:
-        lines = [
-            f"state: {label}",
-            f"feasible bases: {result.feasible_count}/{result.trials}",
-            f"max unitary-passing branches: {result.max_passing_branches}",
-            f"tolerance: {_fmt(result.tolerance)}",
-            f"seed: {args.seed}",
-            f"injected known basis: {'yes' if result.injected else 'no'}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        return EXIT_OK, dumps_canonical(payload)
+    lines = [
+        f"state: {label}",
+        f"feasible bases: {result.feasible_count}/{result.trials}",
+        f"max unitary-passing branches: {result.max_passing_branches}",
+        f"tolerance: {_fmt(result.tolerance)}",
+        f"seed: {args.seed}",
+        f"injected known basis: {'yes' if result.injected else 'no'}",
+    ]
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_basis_gen(args) -> int:
-    params = _parse_w_like_params(args.params)
-    s = _parse_s_operator(args.s_operator)
-    protocol = basis_from_S(params, s)
-    _emit(dumps_canonical(protocol_to_jsonable(protocol)), args.out)
-    return EXIT_OK
+def cmd_basis_gen(args) -> tuple[int, str]:
+    protocol = basis_from_S(_parse_w_like_params(args.params), _parse_s_operator(args.s_operator))
+    return EXIT_OK, dumps_canonical(protocol_to_jsonable(protocol))
 
 
 def _add_state_options(parser: argparse.ArgumentParser) -> None:
@@ -369,10 +351,13 @@ def _add_common_options(parser: argparse.ArgumentParser, default_format: str) ->
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
+    return _parsers()[0]
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+@cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its command parsers, built once per process. Parsing keeps
+    no state on a parser: each parse fills a fresh Namespace from the declared defaults."""
     parser = argparse.ArgumentParser(
         prog="teleport3q",
         description="Teleportation over small shared entangled states: run, analyze, scan.",
@@ -440,13 +425,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return parser, sub.choices
 
 
-@cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """_build_parsers(), once per process. Parsing keeps no state on a parser:
-    each parse fills a fresh Namespace from the declared defaults."""
-    return _build_parsers()
-
-
 def _parse_args(argv) -> argparse.Namespace:
     """The top-level parse_args(argv) in one pass when argv starts with a command: its parser reads the
     rest, and what that leaves is the top-level parser's error, as in a full parse, which any other argv takes."""
@@ -464,7 +442,10 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        return args.handler(args)
+        # a command computes its whole output first, so a failing one writes nothing
+        code, text = args.handler(args)
+        _emit(text, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return code

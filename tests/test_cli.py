@@ -202,6 +202,8 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
         ),
         # its product overflows, which fails the check and prints no RuntimeWarning
         ({"corrections": [[[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]] * 8}, "correction 0 is not a 2x2 unitary"),
+        # rows of unequal lengths, which numpy refuses with an error of its own
+        ("[[1,0],[0,1,2]]", "S must be 2x2, got 2 rows of lengths 2 to 3"),
     ],
     ids=[
         "S-not-nested", "S-diag-not-a-number", "S-diag-empty-entry", "S-non-finite", "S-overflows",
@@ -209,6 +211,7 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
         "coefficients-edited", "correction-non-finite",
         "S-string-entry", "S-bool-entry", "S-huge-integer", "coefficients-strings", "correction-bool",
         "correction-not-2x2", "correction-not-unitary-before-not-2x2", "correction-overflows",
+        "S-ragged",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, edit, message):
@@ -225,6 +228,13 @@ def test_malformed_input_exits_2(tmp_path, edit, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+def test_ragged_S_error_is_one_short_line(tmp_path, capsys):
+    path = tmp_path / "S.json"
+    path.write_text(json.dumps([[1, 0]] * 100_000 + [[0, 1, 2]]))
+    assert cli.main(["basis-gen", "--params", "0.5,0.2,0.9", "--S", str(path)]) == 2
+    assert capsys.readouterr().err == "error: S must be 2x2, got 100001 rows of lengths 2 to 3\n"
 
 
 @pytest.mark.parametrize("where", ["state-file", "sharedState", "basisElements"])
@@ -332,22 +342,29 @@ def test_full_stdout_exits_2():
 
 
 def test_canonical_protocols_take_no_polar_factors(monkeypatch, capsys):
-    """Only --basis haar:SEED corrects by polar factors. Every bell(m,n) is built
-    by bell_protocol, looked up when it runs, so a patched attribute sees it."""
-    built, bell_protocol = [], protocols.bell_protocol
+    """Only --basis haar:SEED corrects by polar factors. GHZ is built by ghz_protocol
+    and every bell(m,n) by bell_protocol, each looked up when it runs, so a patched
+    attribute sees every build."""
+    built = []
 
-    def counted(shared):
-        built.append(shared)
-        return bell_protocol(shared)
+    def counting(name):
+        builder = getattr(protocols, name)
+
+        def counted(shared):
+            built.append(name)
+            return builder(shared)
+
+        return counted
 
     monkeypatch.setattr(cli, "protocol_from_basis", None)
-    monkeypatch.setattr(cli, "bell_protocol", counted)
+    for name in ("ghz_protocol", "bell_protocol"):
+        monkeypatch.setattr(cli, name, counting(name))
     bells = [f"bell({m},{n})" for m in (0, 1) for n in (0, 1)]
     for spec in ["ghz", "w-like:0.5,0.2,0.9", *bells]:
         assert cli.main(["teleport", "--shared", spec, "--theta", "1", "--expect-perfect"]) == 0
         assert cli.main(["scan", "--shared", spec, "--trials", "1", "--inject-known-basis"]) == 0
     assert "feasible bases: 1/1" in capsys.readouterr().out
-    assert len(built) == 2 * len(bells)
+    assert (built.count("ghz_protocol"), built.count("bell_protocol")) == (2, 2 * len(bells))
 
 
 @pytest.mark.parametrize("spec", ["ghz", "w-like:0.5,0.2,0.9", "bell(1,1)"])
@@ -541,6 +558,15 @@ def test_bad_seed_exits_2(capsys, command, seed):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.endswith(f"error: argument --seed: seed must be an integer in [0, 2**128), got {seed!r}\n")
+
+
+@pytest.mark.parametrize("seed", [str(2**128), "9" * 5000], ids=["2**128", "5000-digits"])
+def test_bad_basis_seed_exits_2(capsys, seed):
+    """haar:SEED takes the --seed range; a seed past int()'s digit limit is no exception."""
+    assert cli.main(["teleport", "--shared", "w", "--theta", "1", "--basis", f"haar:{seed}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument --basis: seed must be an integer in [0, 2**128), got {seed!r}\n"
 
 
 TRIALS_REJECTED = "trials must be an integer in [1, 2**32], got"

@@ -125,6 +125,19 @@ def test_golden(name):
     assert run_case(CASES[name]) == expected
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_out_file(name, tmp_path):
+    """--out FILE receives the golden stdout byte for byte and stdout stays empty;
+    a command that exits 2 creates no file."""
+    code, _, stdout = (GOLDEN_DIR / f"{name}.out").read_bytes().partition(b"\n")
+    out = tmp_path / "out"
+    assert run_case(CASES[name] + ["--out", str(out)]) == f"{code.decode()}\n"
+    if code == b"exit 2":
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == stdout
+
+
 def test_golden_files_match_cases():
     """Every expected file has a case and every case a file, so a renamed case
     cannot leave a stale file that no test reads."""
