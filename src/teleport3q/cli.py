@@ -34,6 +34,7 @@ from .protocols import (
     w_like_protocol,
 )
 from .serialize import (
+    _echo,
     dumps_canonical,
     json_complex,
     json_number,
@@ -80,11 +81,11 @@ def _emit(text: str, out: str | None) -> None:
 def _parse_w_like_params(text: str) -> WLikeParams:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated angles, got {text!r}")
+        raise ValueError(f"expected three comma-separated angles, got {_echo(text)}")
     try:
         gamma, phi, omega = (float(p) for p in parts)
     except ValueError as exc:
-        raise ValueError(f"malformed angle in {text!r}") from exc
+        raise ValueError(f"malformed angle in {_echo(text)}") from exc
     return WLikeParams(gamma=gamma, phi=phi, omega=omega)
 
 
@@ -93,7 +94,7 @@ def _tolerance(text: str) -> float:
         # "-0" and negatives that underflow, such as "-1e-400", parse to -0.0, which it returns as 0.0
         return check_tolerance(float(text))
     except ValueError:  # not a number, or not a tolerance
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {_echo(text)}") from None
 
 
 def _seed(text: str) -> int:
@@ -103,7 +104,7 @@ def _seed(text: str) -> int:
     except ValueError:  # not an integer, or more digits than int() reads
         value = -1
     if not 0 <= value < 2**128:
-        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**128), got {text!r}")
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**128), got {_echo(text)}")
     return value
 
 
@@ -111,7 +112,7 @@ def _trials(text: str) -> int:
     try:
         return check_trials(int(text))
     except ValueError:  # not an integer, or not a trial count
-        raise argparse.ArgumentTypeError(f"trials must be an integer in [1, 2**32], got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"trials must be an integer in [1, 2**32], got {_echo(text)}") from None
 
 
 def _loads_json(text: str, what: str):
@@ -128,7 +129,7 @@ def _read_json(path: str, what: str):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ValueError(f"unreadable {what} file {path!r}: {exc}") from exc
+        raise ValueError(f"unreadable {what} file {path!r}: {exc.strerror}") from exc
     return _loads_json(text, f"{what} file {path!r}")
 
 
@@ -149,10 +150,10 @@ def _resolve_state(args) -> tuple[PureState, str, Callable[[], TeleportProtocol]
     try:
         state = make_named_state(lowered)
     except ValueError:
-        if Path(spec).exists():
+        if os.path.exists(spec):  # False, not an OSError, for a name too long for a path
             return state_from_jsonable(_read_json(spec, "state")), spec, None
         raise ValueError(
-            f"unrecognized state spec {spec!r}; expected ghz, w, bell(m,n), w-like:g,p,o, or a file path"
+            f"unrecognized state spec {_echo(spec)}; expected ghz, w, bell(m,n), w-like:g,p,o, or a file path"
         ) from None
     # the builders are looked up per call, so a patched module attribute sees every build
     canonical = {"ghz": ghz_protocol, "bell": bell_protocol}.get(lowered.partition("(")[0])
@@ -182,7 +183,7 @@ def _resolve_protocol(args) -> tuple[TeleportProtocol, str]:
     if args.basis:
         match = _HAAR_BASIS_RE.match(args.basis.strip())
         if not match:
-            raise ValueError(f"unrecognized basis spec {args.basis!r}; expected haar:SEED")
+            raise ValueError(f"unrecognized basis spec {_echo(args.basis)}; expected haar:SEED")
         try:
             seed = _seed(match.group(1))
         except argparse.ArgumentTypeError as exc:
@@ -191,7 +192,7 @@ def _resolve_protocol(args) -> tuple[TeleportProtocol, str]:
         return protocol_from_basis(state, trusted(MeasurementBasis, rows=rows)), label
     if canonical is None:
         raise ValueError(
-            f"no canonical protocol for {label!r}; pass --basis haar:SEED or --protocol-file"
+            f"no canonical protocol for {_echo(label)}; pass --basis haar:SEED or --protocol-file"
         )
     return canonical(), label
 
@@ -209,11 +210,11 @@ def _parse_s_operator(spec: str) -> np.ndarray:
     if match:
         parts = match.group(1).split(",")
         if len(parts) != 2:
-            raise ValueError(f"diag(...) needs two entries, got {text!r}")
+            raise ValueError(f"diag(...) needs two entries, got {_echo(text)}")
         try:
             return np.diag([complex(float(p)) for p in parts])
         except ValueError as exc:
-            raise ValueError(f"malformed entry in {text!r}") from exc
+            raise ValueError(f"malformed entry in {_echo(text)}") from exc
     data = _loads_json(text, "S operator") if text.startswith("[") else _read_json(text, "S operator")
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError("S must be a JSON list of rows")
@@ -302,7 +303,7 @@ def cmd_analyze(args) -> tuple[int, str]:
 def cmd_scan(args) -> tuple[int, str]:
     state, label, canonical = _resolve_state(args)
     if args.inject_known_basis and canonical is None:
-        raise ValueError(f"no known perfect basis for {label!r}")
+        raise ValueError(f"no known perfect basis for {_echo(label)}")
     inject = canonical().basis if args.inject_known_basis else None
     result = haar_scan(state, args.trials, args.seed, inject=inject, tol=args.tolerance)
 

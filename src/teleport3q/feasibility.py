@@ -44,7 +44,7 @@ SCAN_TOL = 1e-8
 # QR arrays; with it 128-trial chunks are faster than 64 (ROADMAP "Aim 1" lists the measured alternatives).
 # A scan's tracemalloc peak does not grow with its trials and stays below SCAN_PEAK_BYTES for 3 and 4 qubits.
 SCAN_CHUNK = 128
-SCAN_PEAK_BYTES = {3: 1_500_000, 4: 4_300_000}
+SCAN_PEAK_BYTES = {3: 1_200_000, 4: 3_900_000}
 # haar_scan's screen rules a trial out when its diagonal deviation exceeds the tolerance by more than
 # SCREEN_BAND on every branch and its screen defect is below SCREEN_DEFECT; the exact path decides the rest.
 SCREEN_BAND = 1e-6
@@ -212,19 +212,20 @@ def _branch_verdicts(shared: PureState, trials: int, seed: int, inject: Measurem
     """Per chunk of haar_scan's trials, each trial's branch verdicts at `tol`, a (count, d) bool array."""
     dim, size = 2**shared.n_qubits, min(SCAN_CHUNK, trials)
     rng = np.random.default_rng(seed)
-    # the workspace: one buffer carved into the stack [z | V] (see _screen), its conjugate, the Gram
-    # stack and the real normals; as separate buffers, malloc trimmed them at each short scan's end
-    # and faulted them back in at the next
-    shapes = ((size, dim, dim + 4), (size, dim, dim + 4), (size, dim + 4, dim + 4), (size, dim, dim))
+    # the workspace: one buffer carved into the stack [z | V] (see _screen), its conjugate and the Gram
+    # stack; as separate buffers, malloc trimmed them at each short scan's end and faulted them back in
+    # at the next. Per chunk the conjugate's part holds the normals, the conjugate, then the open trials.
+    shapes = ((size, dim, dim + 4), (size, dim, dim + 4), (size, dim + 4, dim + 4))
     sizes = [math.prod(shape) for shape in shapes]
     parts = np.split(np.zeros(sum(sizes), dtype=complex), np.cumsum(sizes[:-1]))
-    stack, conj, gram, spare = (part.reshape(shape) for part, shape in zip(parts, shapes))
+    stack, conj, gram = (part.reshape(shape) for part, shape in zip(parts, shapes))
+    spare = parts[1][: size * dim * dim].reshape(size, dim, dim)
     normals = spare.view(float).reshape(size, 2, dim, dim)
     stack[:, : dim // 2, dim::2] = stack[:, dim // 2 :, dim + 1 :: 2] = shared.amplitudes.reshape(-1, 2)
     _write_amplitude_gram(stack, gram)
     for start in range(0, trials, SCAN_CHUNK):
         count, injected = min(SCAN_CHUNK, trials - start), inject is not None and start == 0
-        chunk = complex_gaussians(rng, count, dim, stack[:count, :, :dim], normals[:count])
+        chunk = complex_gaussians(rng, stack[:count, :, :dim], normals[:count])
         try:
             exact = _screen(stack[:count], conj[:count], gram[:count], tol + SCREEN_BAND)
         except np.linalg.LinAlgError:
@@ -232,7 +233,6 @@ def _branch_verdicts(shared: PureState, trials: int, seed: int, inject: Measurem
         exact[0] |= injected
         verdicts = np.zeros((count, dim), dtype=bool)
         if exact.any():
-            # the normals are spent once drawn, so their buffer takes the open trials' Gaussians, then their rows
             z = np.compress(exact, chunk, axis=0, out=spare[: np.count_nonzero(exact)])
             # basis element k is column k of the unitary
             rows = haar_from_gaussians(z).swapaxes(-1, -2)

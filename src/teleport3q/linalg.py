@@ -94,15 +94,14 @@ def haar_unitaries(rng: np.random.Generator, count: int, dim: int) -> np.ndarray
     within one standard_normal call, its real then its imaginary part, so it is the unitary a
     one-at-a-time draw would give. The stack is laid out column by column, so its swapaxes(-1, -2),
     the basis rows, is C-ordered without a copy."""
-    return haar_from_gaussians(complex_gaussians(rng, count, dim, np.empty((count, dim, dim), dtype=complex)))
+    return haar_from_gaussians(complex_gaussians(rng, np.empty((count, dim, dim), dtype=complex)))
 
 
-def complex_gaussians(
-    rng: np.random.Generator, count: int, dim: int, out: np.ndarray, normals: np.ndarray | None = None
-) -> np.ndarray:
+def complex_gaussians(rng: np.random.Generator, out: np.ndarray, normals: np.ndarray | None = None) -> np.ndarray:
     """`out`, a (count, dim, dim) complex array or view, filled with the next (re + 1j im) / sqrt(2).
     The real normals are drawn into `normals`, a C-contiguous float (count, 2, dim, dim) array, when
     one is given, and into a new array otherwise; the bits are the same."""
+    count, dim = out.shape[:2]
     parts = rng.standard_normal((count, 2, dim, dim), out=normals)
     # without complex temporaries: numpy divides by the complex sqrt(2) + 0j as Smith's method does,
     # scaling each part by 1 / (sqrt(2) + 0 * 0); the bits agree for every part but -0.0 (p = 2**-52)

@@ -6,11 +6,10 @@ lines; a failed assertion surfaces as the usual pytest failure.
 
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 
+from conftest import run_cli
 from teleport3q.feasibility import (
     componentwise_disentangler,
     entropy_criterion,
@@ -199,12 +198,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         ("basis-gen", "--params", "0.5,0.2,0.9", "--S", "H"),
     ]
     for args in invocations:
-        runs = [
-            subprocess.run(
-                [sys.executable, "-m", "teleport3q", *args], capture_output=True
-            )
-            for _ in range(2)
-        ]
+        runs = [run_cli(*args) for _ in range(2)]
         assert runs[0].returncode == runs[1].returncode
         assert runs[0].stdout == runs[1].stdout, f"non-deterministic output for {args}"
         json.loads(runs[0].stdout)  # every invocation above emits JSON

@@ -1,37 +1,23 @@
 import contextlib
+import errno
 import io
 import json
 import math
 import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import run_cli
 from teleport3q import cli, feasibility, protocols
 from teleport3q.linalg import ATOL, haar_random_unitary
-from teleport3q.serialize import dumps_canonical, protocol_to_jsonable, round12, state_to_jsonable
+from teleport3q.serialize import _echo, dumps_canonical, protocol_to_jsonable, round12, state_to_jsonable
 from teleport3q.states import make_named_state
 
 HALF_PI = "1.5707963267948966"
 BASIS_GEN_PROTOCOL = Path(__file__).parent / "golden" / "inputs" / "basis_gen_protocol.json"
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "teleport3q", *args],
-        capture_output=True,
-        text=True,
-    )
-
-
-def run_cli_into(stdout, *args):
-    """run_cli with stdout written to `stdout`, a file descriptor or an open file."""
-    return subprocess.run(
-        [sys.executable, "-m", "teleport3q", *args], stdout=stdout, stderr=subprocess.PIPE, text=True
-    )
 
 
 def test_teleport_ghz_expect_perfect():
@@ -328,7 +314,7 @@ def test_closed_stdout_exits_2(args):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = run_cli_into(write_end, *args)
+        proc = run_cli(*args, stdout=write_end)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (2, "error: cannot write to stdout: Broken pipe\n")
@@ -337,7 +323,7 @@ def test_closed_stdout_exits_2(args):
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
 def test_full_stdout_exits_2():
     with open("/dev/full", "w") as full:
-        proc = run_cli_into(full, "analyze", "--shared", "ghz", "--scan-trials", "1")
+        proc = run_cli("analyze", "--shared", "ghz", "--scan-trials", "1", stdout=full)
     assert (proc.returncode, proc.stderr) == (2, "error: cannot write to stdout: No space left on device\n")
 
 
@@ -552,12 +538,12 @@ SEEDED = {
 @pytest.mark.parametrize("seed", ["-1", str(2**128), "1.5", "x"])
 @pytest.mark.parametrize("command", SEEDED)
 def test_bad_seed_exits_2(capsys, command, seed):
-    # default_rng and a Philox key both accept exactly [0, 2**128)
+    # default_rng and a Philox key both accept exactly [0, 2**128); the echo is cut after 40 characters
     with pytest.raises(SystemExit) as exc:
         cli.main(SEEDED[command] + ["--seed", seed])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.endswith(f"error: argument --seed: seed must be an integer in [0, 2**128), got {seed!r}\n")
+    assert err.endswith(f"error: argument --seed: seed must be an integer in [0, 2**128), got {_echo(seed)}\n")
 
 
 @pytest.mark.parametrize("seed", [str(2**128), "9" * 5000], ids=["2**128", "5000-digits"])
@@ -566,7 +552,7 @@ def test_bad_basis_seed_exits_2(capsys, seed):
     assert cli.main(["teleport", "--shared", "w", "--theta", "1", "--basis", f"haar:{seed}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: argument --basis: seed must be an integer in [0, 2**128), got {seed!r}\n"
+    assert captured.err == f"error: argument --basis: seed must be an integer in [0, 2**128), got {_echo(seed)}\n"
 
 
 TRIALS_REJECTED = "trials must be an integer in [1, 2**32], got"
@@ -585,6 +571,71 @@ def test_bad_trial_count_exits_2_naming_its_option(capsys, command, trials):
     assert exc.value.code == 2
     option = TRIAL_OPTIONS[command][-1]
     assert capsys.readouterr().err.endswith(f"error: argument {option}: {TRIALS_REJECTED} {trials!r}\n")
+
+
+LONG = "9" * 5000
+DIAG_LONG = f"diag({'1,' * 2500}1)"
+SEED_RANGE = "seed must be an integer in [0, 2**128), got"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["scan", "--shared", "w", "--seed", LONG], f"argument --seed: {SEED_RANGE} {_echo(LONG)}"),
+        (["scan", "--shared", "w", "--trials", LONG], f"argument --trials: {TRIALS_REJECTED} {_echo(LONG)}"),
+        (
+            ["scan", "--shared", "w", "--tolerance", LONG],
+            f"argument --tolerance: tolerance must be finite and non-negative, got {_echo(LONG)}",
+        ),
+        (
+            ["teleport", "--shared", "w", "--theta", "1", "--basis", f"haar:{LONG}"],
+            f"argument --basis: {SEED_RANGE} {_echo(LONG)}",
+        ),
+        (
+            ["teleport", "--shared", "w", "--theta", "1", "--basis", f"x{LONG}"],
+            f"unrecognized basis spec {_echo('x' + LONG)}; expected haar:SEED",
+        ),
+        (["analyze", "--shared", f"w-like:{LONG}"], f"expected three comma-separated angles, got {_echo(LONG)}"),
+        (["analyze", "--shared", f"w-like:1,2,x{LONG}"], f"malformed angle in {_echo('1,2,x' + LONG)}"),
+        (
+            ["basis-gen", "--params", "0.5,0.2,0.9", "--S", DIAG_LONG],
+            f"diag(...) needs two entries, got {_echo(DIAG_LONG)}",
+        ),
+        (
+            ["basis-gen", "--params", "0.5,0.2,0.9", "--S", f"diag(1,x{LONG})"],
+            f"malformed entry in {_echo(f'diag(1,x{LONG})')}",
+        ),
+    ],
+    ids=[
+        "seed", "trials", "tolerance", "basis-seed", "basis-spec", "w-like", "w-like-angle", "diag-count", "diag-entry"
+    ],
+)
+def test_long_option_values_are_echoed_cut(capsys, argv, line):
+    """A 5,000-character value is quoted as serialize's JSON errors quote a value, its repr cut after
+    40 characters, so the error stays under 1 KB with the usage argparse prints before it."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.endswith(f"error: {line}\n")
+    assert len(captured.err) < 1024
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["teleport", "--theta", "1"], "no canonical protocol for {}; pass --basis haar:SEED or --protocol-file"),
+        (["scan", "--inject-known-basis"], "no known perfect basis for {}"),
+    ],
+    ids=["teleport", "scan"],
+)
+def test_long_state_file_labels_are_echoed_cut(tmp_path, capsys, argv, line):
+    path = tmp_path / ("s" * 200 + ".json")
+    path.write_text(json.dumps(state_to_jsonable(make_named_state("w"))))
+    assert cli.main(argv + ["--state-file", str(path)]) == 2
+    assert capsys.readouterr().err == "error: " + line.format(_echo(str(path))) + "\n"
 
 
 @pytest.mark.parametrize("command, code", [("scan", 0), ("analyze", 1), ("sample", 0)])
@@ -687,9 +738,16 @@ def test_in_process_main_calls_share_no_options(tmp_path, capsys):
 
 
 def test_unreadable_state_file():
+    """The path is printed once, whole, and the OS error by its message alone."""
     proc = run_cli("teleport", "--state-file", "/nonexistent/state.json", "--theta", "1.0")
     assert proc.returncode == 2
-    assert "unreadable" in proc.stderr
+    assert proc.stderr == f"error: unreadable state file '/nonexistent/state.json': {os.strerror(errno.ENOENT)}\n"
+
+
+def test_too_long_state_file_path_is_printed_once(capsys):
+    path = "/nonexistent/" + "s" * 5000
+    assert cli.main(["teleport", "--state-file", path, "--theta", "1.0"]) == 2
+    assert capsys.readouterr().err == f"error: unreadable state file {path!r}: {os.strerror(errno.ENAMETOOLONG)}\n"
 
 
 def test_malformed_w_like_params():

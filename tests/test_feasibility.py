@@ -562,7 +562,7 @@ def screen_stack(shared, rng, count):
     dim = 2**shared.n_qubits
     half = shared.amplitudes.reshape(dim // 2, 2)
     stack = np.zeros((count, dim, dim + 4), dtype=complex)
-    complex_gaussians(rng, count, dim, stack[..., :dim])
+    complex_gaussians(rng, stack[..., :dim])
     for j in range(2):
         for s in range(dim // 2):
             for b in range(2):

@@ -6,7 +6,7 @@ exactly one `error:` line on stderr and nothing on stdout; valid inputs never
 exit 2. Mutated inputs start from a valid W state file, a basis-gen protocol
 file and valid --S matrices; each mutation retypes, nests, drops or
 duplicates one field. No generated state is valid above 3 qubits: a scan over
-n qubits allocates a workspace of SCAN_CHUNK·4·(2**n + 2)² complex numbers.
+n qubits allocates a workspace of SCAN_CHUNK·(3·2**n + 4)(2**n + 4) complex numbers.
 """
 
 import contextlib
@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from teleport3q import cli
 from teleport3q.linalg import ATOL, haar_random_unitary
-from teleport3q.serialize import state_to_jsonable
+from teleport3q.serialize import _echo, state_to_jsonable
 from teleport3q.states import PureState, make_named_state
 
 BASIS_GEN_PROTOCOL = json.loads(
@@ -190,3 +190,16 @@ def test_basis_gen_protocols_never_exit_2(workdir, angles, s_seed):
     params = ",".join(repr(a) for a in angles)
     assert run(["basis-gen", f"--params={params}", f"--S={json.dumps(s)}", "--out", str(path)]) == (0, "", "")
     assert assert_contract(["teleport", "--protocol-file", str(path), "--random", "--expect-perfect"]) in (0, 1)
+
+
+@pytest.mark.parametrize("length", [255, 256, 5000])
+@pytest.mark.parametrize(
+    "command", [["teleport", "--theta", "1"], ["analyze", "--scan-trials", "1"], ["scan", "--trials", "1"]],
+    ids=lambda argv: argv[0],
+)
+def test_long_shared_specs_are_unrecognized(command, length):
+    """A spec too long for a file name is no file either: from 256 characters on, the file probe's
+    OSError (File name too long) made it exit 1 with a traceback."""
+    spec = "x" * length
+    message = f"unrecognized state spec {_echo(spec)}; expected ghz, w, bell(m,n), w-like:g,p,o, or a file path"
+    assert run(command + ["--shared", spec]) == (2, "", f"error: {message}\n")

@@ -145,8 +145,8 @@ def test_complex_gaussians_drawn_into_a_given_buffer_keep_their_bits(dim):
     normals = np.full((16, 2, dim, dim), np.nan)
     for count in (16, 5, 16):
         expected, drawn = (np.empty((count, dim, dim), dtype=complex) for _ in range(2))
-        complex_gaussians(fresh, count, dim, expected)
-        complex_gaussians(buffered, count, dim, drawn, normals[:count])
+        complex_gaussians(fresh, expected)
+        complex_gaussians(buffered, drawn, normals[:count])
         assert drawn.tobytes() == expected.tobytes()
 
 
