@@ -1,6 +1,6 @@
 """Verification toolkit for two-party quantum teleportation over 3-qubit shared states."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from . import feasibility, linalg, protocols, states
 from .linalg import *

@@ -34,6 +34,7 @@ from .protocols import (
     w_like_protocol,
 )
 from .serialize import (
+    _cut,
     _echo,
     dumps_canonical,
     json_complex,
@@ -56,6 +57,15 @@ EXIT_USAGE = 2
 _HAAR_BASIS_RE = re.compile(r"^haar:(\d+)$")
 _DIAG_RE = re.compile(r"^diag\((.+)\)$")
 _NAMED_S = {"I": IDENTITY, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z, "H": HADAMARD}
+# what an argparse error quotes a value as: its repr, or a word of the command line
+_QUOTED_RE = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+""")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose own errors cut each value they quote as serialize's errors do."""
+
+    def error(self, message):
+        super().error(_QUOTED_RE.sub(lambda match: _cut(match[0]), message))
 
 
 def _fmt(x: float) -> str:
@@ -215,6 +225,10 @@ def _parse_s_operator(spec: str) -> np.ndarray:
             return np.diag([complex(float(p)) for p in parts])
         except ValueError as exc:
             raise ValueError(f"malformed entry in {_echo(text)}") from exc
+    if not (text.startswith("[") or os.path.exists(text)):  # False, not an OSError, for a name too long for a path
+        raise ValueError(
+            f"unrecognized S spec {_echo(text)}; expected I, X, Y, Z, H, diag(a,b), inline JSON, or a file path"
+        )
     data = _loads_json(text, "S operator") if text.startswith("[") else _read_json(text, "S operator")
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError("S must be a JSON list of rows")
@@ -359,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its command parsers, built once per process. Parsing keeps
     no state on a parser: each parse fills a fresh Namespace from the declared defaults."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="teleport3q",
         description="Teleportation over small shared entangled states: run, analyze, scan.",
     )
@@ -427,16 +441,18 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """The top-level parse_args(argv) in one pass when argv starts with a command: its parser reads the
-    rest, and what that leaves is the top-level parser's error, as in a full parse, which any other argv takes."""
+    """The top-level parse_args(argv), in one pass when argv starts with a command: its parser reads the
+    rest. What a parse leaves is the top-level parser's error, as in parse_args, with each argument cut
+    alone, since the error's own cut takes an argument with spaces in it for several words."""
     parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = commands.get(argv[0]) if argv else None
     if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        args, extras = parser.parse_known_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        parser.error(f"unrecognized arguments: {' '.join(map(_cut, extras))}")
     return args
 
 

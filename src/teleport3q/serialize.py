@@ -26,10 +26,14 @@ def round12(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _echo(value) -> str:
-    """repr(value) cut after 40 characters, so an error line stays short."""
-    text = repr(value)
+def _cut(text: str) -> str:
+    """text cut after 40 characters, so an error line stays short."""
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _echo(value) -> str:
+    """repr(value), cut as _cut cuts."""
+    return _cut(repr(value))
 
 
 def json_number(value) -> float:

@@ -13,7 +13,7 @@ from hypothesis import example, given, strategies as st
 from conftest import run_cli
 from teleport3q import cli, feasibility, protocols
 from teleport3q.linalg import ATOL, haar_random_unitary
-from teleport3q.serialize import _echo, dumps_canonical, protocol_to_jsonable, round12, state_to_jsonable
+from teleport3q.serialize import _cut, _echo, dumps_canonical, protocol_to_jsonable, round12, state_to_jsonable
 from teleport3q.states import make_named_state
 
 HALF_PI = "1.5707963267948966"
@@ -574,8 +574,10 @@ def test_bad_trial_count_exits_2_naming_its_option(capsys, command, trials):
 
 
 LONG = "9" * 5000
+SPACED = "9 " * 2500
 DIAG_LONG = f"diag({'1,' * 2500}1)"
 SEED_RANGE = "seed must be an integer in [0, 2**128), got"
+S_SPECS = "expected I, X, Y, Z, H, diag(a,b), inline JSON, or a file path"
 
 
 @pytest.mark.parametrize(
@@ -605,14 +607,56 @@ SEED_RANGE = "seed must be an integer in [0, 2**128), got"
             ["basis-gen", "--params", "0.5,0.2,0.9", "--S", f"diag(1,x{LONG})"],
             f"malformed entry in {_echo(f'diag(1,x{LONG})')}",
         ),
+        (
+            ["basis-gen", "--params", "0.5,0.2,0.9", "--S", LONG],
+            f"unrecognized S spec {_echo(LONG)}; {S_SPECS}",
+        ),
+        (
+            ["basis-gen", "--params", "0.5,0.2,0.9", "--S", "no/such/S.json"],
+            f"unrecognized S spec 'no/such/S.json'; {S_SPECS}",
+        ),
+        # argparse's own errors
+        # a float too large is inf, not an error
+        (
+            ["teleport", "--shared", "ghz", "--theta", f"x{LONG}"],
+            f"argument --theta: invalid float value: {_echo('x' + LONG)}",
+        ),
+        (
+            ["teleport", "--shared", "ghz", "--theta", "1", "--phi", f"x{LONG}"],
+            f"argument --phi: invalid float value: {_echo('x' + LONG)}",
+        ),
+        (
+            ["scan", "--shared", "w", "--format", LONG],
+            f"argument --format: invalid choice: {_echo(LONG)} (choose from 'json', 'text')",
+        ),
+        (["teleport", "--shared", "ghz", "--theta", "1", LONG], f"unrecognized arguments: {_cut(LONG)}"),
+        (["teleport", "--shared", "ghz", "--theta", "1", SPACED], f"unrecognized arguments: {_cut(SPACED)}"),
+        ([f"--x{LONG}", "teleport"], f"unrecognized arguments: {_cut('--x' + LONG)}"),
+        (
+            [LONG, "--shared", "ghz"],
+            f"argument command: invalid choice: {_echo(LONG)} (choose from 'teleport', 'analyze', 'scan', 'basis-gen')",
+        ),
+        (
+            ["teleport", "--shared", "ghz", "--theta", "1", f"--random={LONG}"],
+            f"argument --random: ignored explicit argument {_echo(LONG)}",
+        ),
+        (
+            ["teleport", "--shared", "ghz", "--theta", "1", f"--s={LONG}"],
+            f"ambiguous option: {_cut('--s=' + LONG)} could match --shared, --state-file, --sample, --seed",
+        ),
     ],
     ids=[
-        "seed", "trials", "tolerance", "basis-seed", "basis-spec", "w-like", "w-like-angle", "diag-count", "diag-entry"
+        "seed", "trials", "tolerance", "basis-seed", "basis-spec", "w-like", "w-like-angle", "diag-count", "diag-entry",
+        "S-spec", "S-missing-path", "theta", "phi", "format", "unrecognized", "unrecognized-spaced",
+        "unrecognized-before-command", "command", "explicit-argument",
+        "ambiguous-option",
     ],
 )
 def test_long_option_values_are_echoed_cut(capsys, argv, line):
     """A 5,000-character value is quoted as serialize's JSON errors quote a value, its repr cut after
-    40 characters, so the error stays under 1 KB with the usage argparse prints before it."""
+    40 characters, and argparse's own errors cut each value they quote, a repr or a word, alike; so
+    the error stays under 1 KB with the usage argparse prints before it. A value of at most 40
+    characters keeps its bytes."""
     try:
         code = cli.main(argv)
     except SystemExit as exc:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from teleport3q import feasibility
+from teleport3q import cli, feasibility
 from teleport3q.feasibility import (
     SCAN_CHUNK,
     SCAN_PEAK_BYTES,
@@ -46,6 +47,7 @@ from teleport3q.protocols import (
     scale_and_deviation,
     w_like_protocol,
 )
+from teleport3q.serialize import state_to_jsonable
 from teleport3q.states import (
     PureState,
     WLikeParams,
@@ -210,14 +212,67 @@ def test_criterion_agreement():
         assert entropy_ok == balanced == mixed
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
-@pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5])
+def near_one_ebit(eps: float) -> PureState:
+    """x|001> + y|010> with x**2 = 0.5 + eps: its receiver's Bloch length g is 2 eps."""
+    return make_w_like(math.sqrt(0.5 + eps), math.sqrt(0.5 - eps), 0.0)
+
+
+@pytest.mark.parametrize("eps", [10.0**k for k in range(-12, -2)])
 def test_entropy_feasible_implies_the_sum_rule_balances(eps):
-    # 1 - S is quadratic in the Bloch length g, so the entropy tolerance admits
-    # g up to about 3.7e-5, while the sum rule rejects a row gap above 1e-9
-    state = make_w_like(math.sqrt(0.5 + eps), math.sqrt(0.5 - eps), 0.0)
-    report = build_feasibility_report(state, "near one ebit", scan_trials=1, seed=0)
+    # a verdict on 1 - S, quadratic in g, admitted g up to about 3.7e-5 at a
+    # tolerance of 1e-9, while the sum rule rejected a row gap above 1e-9
+    report = build_feasibility_report(near_one_ebit(eps), "near one ebit", scan_trials=1, seed=0)
     assert report.sum_rule_balanced or not report.entropy_feasible
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5])
+def test_analyze_near_one_ebit_finds_neither_route_feasible(tmp_path, capsys, eps):
+    """Such states were "one ebit" to analyze, exit 0 with entropyVerdict true and
+    sumRuleBalanced false, while g = 2 eps is above BLOCH_TOL."""
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(state_to_jsonable(near_one_ebit(eps))))
+    assert cli.main(["analyze", "--state-file", str(path), "--scan-trials", "1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["entropyVerdict"], report["sumRuleBalanced"]) == (False, False)
+
+
+def test_state_only_routes_agree_and_flip_once_at_the_bloch_tolerance():
+    """Over 400 log-spaced eps in [1e-12, 1e-3] the entropy verdict and the sum
+    rule agree on every state, and both flip from feasible to not exactly once,
+    between the last g at most BLOCH_TOL and the first above it."""
+    lengths, entropy_ok, balanced = [], [], []
+    for eps in np.logspace(-12, -3, 400).tolist():
+        report = build_feasibility_report(near_one_ebit(eps), "near one ebit", scan_trials=1, seed=0)
+        lengths.append(feasibility._bloch_length(report.bob_reduced_state))
+        entropy_ok.append(report.entropy_feasible)
+        balanced.append(report.sum_rule_balanced)
+    assert entropy_ok == balanced
+    flips = [i for i in range(399) if entropy_ok[i] != entropy_ok[i + 1]]
+    assert len(flips) == 1 and entropy_ok[0]
+    assert lengths[flips[0]] <= feasibility.BLOCH_TOL < lengths[flips[0] + 1]
+
+
+def in_random_local_frames(state: PureState, seed: int) -> PureState:
+    """The state under a Haar unitary on the sender pair and one on the receiver."""
+    local = np.kron(haar_random_unitary(4, seed), haar_random_unitary(2, seed + 1))
+    return PureState(3, local @ state.amplitudes)
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    angles=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+    kind=st.sampled_from(["haar", "one-ebit"]),
+)
+def test_bloch_length_is_the_eigenvalue_gap(seed, angles, kind):
+    """g, from the entries of rho_B, is eigvalsh's lambda1 - lambda0 within 8 eps:
+    Haar states, and one-ebit states in random local frames, where g is ~1e-16."""
+    if kind == "haar":
+        state = haar_random_state(3, seed)
+    else:
+        state = in_random_local_frames(w_like_from_params(WLikeParams(*angles)), seed)
+    rho_b = feasibility.bob_reduced_state(state)
+    low, high = np.linalg.eigvalsh(rho_b.matrix)
+    assert feasibility._bloch_length(rho_b) == pytest.approx(high - low, rel=0, abs=8 * np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------- disentanglers
