@@ -37,8 +37,8 @@ from .serialize import (
     _cut,
     _echo,
     dumps_canonical,
-    json_complex,
-    json_number,
+    json_array,
+    json_entry,
     protocol_from_jsonable,
     protocol_to_jsonable,
     report_to_jsonable,
@@ -57,8 +57,8 @@ EXIT_USAGE = 2
 _HAAR_BASIS_RE = re.compile(r"^haar:(\d+)$")
 _DIAG_RE = re.compile(r"^diag\((.+)\)$")
 _NAMED_S = {"I": IDENTITY, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z, "H": HADAMARD}
-# what an argparse error quotes a value as: its repr, or a word of the command line
-_QUOTED_RE = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+""")
+# what an argparse error quotes a value as: an ambiguous option's whole text, a repr, or a word of the command line
+_QUOTED_RE = re.compile(r"""(?s)(?<=^ambiguous option: ).*(?= could match )|'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+""")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,8 +144,7 @@ def _read_json(path: str, what: str):
 
 
 def _resolve_state(args) -> tuple[PureState, str, Callable[[], TeleportProtocol] | None]:
-    """Returns (state, label, canonical); canonical() builds the state's known
-    perfect protocol, and is None for states without one."""
+    """Returns (state, label, canonical); canonical() builds the state's known perfect protocol, or is None."""
     if args.state_file and args.shared:
         raise ValueError("pass either --shared or --state-file, not both")
     if args.state_file:
@@ -201,15 +200,8 @@ def _resolve_protocol(args) -> tuple[TeleportProtocol, str]:
         rows = haar_random_unitary(2**state.n_qubits, seed).T  # orthonormal to 64 eps
         return protocol_from_basis(state, trusted(MeasurementBasis, rows=rows)), label
     if canonical is None:
-        raise ValueError(
-            f"no canonical protocol for {_echo(label)}; pass --basis haar:SEED or --protocol-file"
-        )
+        raise ValueError(f"no canonical protocol for {_echo(label)}; pass --basis haar:SEED or --protocol-file")
     return canonical(), label
-
-
-def _entry_to_complex(value) -> complex:
-    """An S entry: a JSON number or an [re, im] pair of them."""
-    return json_complex(value) if isinstance(value, list) else complex(json_number(value))
 
 
 def _parse_s_operator(spec: str) -> np.ndarray:
@@ -230,13 +222,7 @@ def _parse_s_operator(spec: str) -> np.ndarray:
             f"unrecognized S spec {_echo(text)}; expected I, X, Y, Z, H, diag(a,b), inline JSON, or a file path"
         )
     data = _loads_json(text, "S operator") if text.startswith("[") else _read_json(text, "S operator")
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise ValueError("S must be a JSON list of rows")
-    rows = [[_entry_to_complex(v) for v in row] for row in data]
-    lengths = [len(row) for row in rows]
-    if len(set(lengths)) > 1:  # numpy would refuse these rows with an error that names no input
-        raise ValueError(f"S must be 2x2, got {len(rows)} rows of lengths {min(lengths)} to {max(lengths)}")
-    matrix = np.array(rows)
+    matrix = json_array(data, "S", json_entry, rows=True)
     if matrix.shape != (2, 2):
         raise ValueError(f"S must be 2x2, got shape {matrix.shape}")
     return matrix
@@ -391,9 +377,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         help="exit 1 unless total fidelity reaches 1 within --tolerance",
     )
     p.add_argument("--sample", action="store_true", help="also sample the classical channel")
-    p.add_argument(
-        "--trials", type=_trials, default=100000, help="sampling trials (default 100000)"
-    )
+    p.add_argument("--trials", type=_trials, default=100000, help="sampling trials (default 100000)")
     p.add_argument(
         "--tolerance", type=_tolerance, default=ATOL,
         help=f"fidelity tolerance for the perfect verdict (default {ATOL:g})",

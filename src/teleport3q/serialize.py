@@ -20,6 +20,10 @@ from .protocols import MeasurementBasis, TeleportProtocol
 from .states import DensityMatrix, PureState, check_qubit_count
 
 
+# the most qubits a JSON state may declare, so a scan's workspace stays within 411 MB (README "JSON formats")
+MAX_QUBITS = 8
+
+
 def round12(x: float) -> float:
     """Round to 12 significant digits; shortest-round-trip printing does the rest.
     Idempotent on finite doubles, so rounding an already rounded value keeps its bytes."""
@@ -56,6 +60,34 @@ def json_complex(pair) -> complex:
     return complex(json_number(re), json_number(im))
 
 
+def json_entry(value) -> complex:
+    """An --S entry: a JSON number or an [re, im] pair of them."""
+    return json_complex(value) if isinstance(value, list) else complex(json_number(value))
+
+
+def json_array(data, what: str, entry=json_complex, rows: bool = False, malformed: str = "") -> np.ndarray:
+    """A JSON list of entries, or with `rows` a list of rows of equal length, each entry read by `entry`.
+    Rows are read in order, each checked to be a list, before their lengths are compared; every matrix
+    the wire format holds is 2x2. Each error is one line, and starts with `malformed`."""
+    try:
+        if not isinstance(data, list):
+            raise ValueError(f"{what} must be a JSON list{' of rows' if rows else ''}")
+        if not rows:
+            return np.array([entry(value) for value in data])
+        matrix = []
+        for row in data:
+            if not isinstance(row, list):
+                raise ValueError(f"{what} must be a JSON list of rows")
+            matrix.append([entry(value) for value in row])
+    except ValueError as exc:
+        raise ValueError(f"{malformed}{exc}") from None
+    try:
+        return np.array(matrix)
+    except ValueError:  # rows of unequal lengths, which numpy refuses with an error that names no input
+        low, *_, high = sorted(map(len, matrix))  # two rows at least, or numpy would not refuse them
+    raise ValueError(f"{malformed}{what} must be 2x2, got {len(matrix)} rows of lengths {low} to {high}")
+
+
 def _amplitudes_to_jsonable(amplitudes: np.ndarray) -> dict:
     return {"nQubits": qubit_count(amplitudes.size), "amplitudes": [[z.real, z.imag] for z in amplitudes.tolist()]}
 
@@ -65,40 +97,28 @@ def state_to_jsonable(state: PureState) -> dict:
 
 
 def _state_fields(data: dict) -> tuple[int, np.ndarray]:
-    """nQubits and amplitudes of a state object, parsed but not yet checked against each other."""
+    """nQubits and amplitudes of a state object, checked as PureState checks them but for the unit norm."""
     if not isinstance(data, dict) or "nQubits" not in data or "amplitudes" not in data:
         raise ValueError("state object must have nQubits and amplitudes fields")
     n_qubits = data["nQubits"]
     if type(n_qubits) is not int:  # rejects bool, float and string, never truncates
         raise ValueError(f"nQubits must be an integer, got {_echo(n_qubits)}")
-    try:
-        amps = np.array([json_complex(pair) for pair in data["amplitudes"]])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed state object: {exc}") from exc
-    return n_qubits, amps
+    if n_qubits > MAX_QUBITS:  # before any amplitude is read
+        raise ValueError(f"nQubits must be at most {MAX_QUBITS}, got {_echo(n_qubits)}")
+    amps = json_array(data["amplitudes"], "amplitudes", malformed="malformed state object: ")
+    return check_qubit_count(n_qubits, amps.size), amps
 
 
 def state_from_jsonable(data: dict) -> PureState:
     return PureState(*_state_fields(data))
 
 
-def _basis_row_from_jsonable(data: dict) -> np.ndarray:
-    """The amplitudes of a basis element, checked as PureState checks a
-    state's but for the unit norm, which MeasurementBasis decides."""
-    n_qubits, amps = _state_fields(data)
-    check_qubit_count(n_qubits, amps.size)
-    return amps
-
-
 def operator_to_jsonable(op: np.ndarray) -> list:
     return [[[z.real, z.imag] for z in row] for row in np.asarray(op, dtype=complex).tolist()]
 
 
-def operator_from_jsonable(data) -> np.ndarray:
-    try:
-        return np.array([[json_complex(pair) for pair in row] for row in data])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed operator entries: {exc}") from exc
+def operator_from_jsonable(data, what: str = "operator") -> np.ndarray:
+    return json_array(data, what, rows=True, malformed="malformed operator entries: ")
 
 
 def matrix_to_jsonable(matrix: DensityMatrix) -> dict:
@@ -125,18 +145,14 @@ def protocol_from_jsonable(data: dict) -> TeleportProtocol:
     not_lists = [key for key in required[1:] if not isinstance(data[key], list)]
     if not_lists:
         raise ValueError(f"protocol fields must be lists: {', '.join(not_lists)}")
-    try:
-        coefficients = np.array([json_number(c) for c in data["coefficients"]])
-    except ValueError as exc:
-        raise ValueError(f"malformed coefficients: {exc}") from exc
+    coefficients = json_array(data["coefficients"], "coefficients", json_number, malformed="malformed coefficients: ")
     shared = state_from_jsonable(data["sharedState"])
-    rows = [_basis_row_from_jsonable(e) for e in data["basisElements"]]
+    rows = [_state_fields(e)[1] for e in data["basisElements"]]
     if len({row.size for row in rows}) > 1:
         raise ValueError("basis elements must share a qubit count")
-    # the rows' norms are the diagonal of the basis's Gram check; built
-    # before the corrections are parsed, so a basis error is reported first
+    # built before the corrections are read, so a basis error is reported first; its Gram check covers the norms
     basis = MeasurementBasis(np.array(rows))
-    corrections = [operator_from_jsonable(u) for u in data["corrections"]]
+    corrections = [operator_from_jsonable(u, f"correction {k}") for k, u in enumerate(data["corrections"])]
     protocol = TeleportProtocol(shared=shared, basis=basis, corrections=corrections)
     derived = protocol.coefficients
     # `not <=` also rejects NaN

@@ -5,15 +5,20 @@ import json
 import math
 import os
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import run_cli
 from teleport3q import cli, feasibility, protocols
 from teleport3q.linalg import ATOL, haar_random_unitary
-from teleport3q.serialize import _cut, _echo, dumps_canonical, protocol_to_jsonable, round12, state_to_jsonable
+from teleport3q.serialize import (
+    MAX_QUBITS, _cut, _echo, dumps_canonical, protocol_to_jsonable, round12, state_to_jsonable
+)
 from teleport3q.states import make_named_state
 
 HALF_PI = "1.5707963267948966"
@@ -190,6 +195,7 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
         ({"corrections": [[[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]] * 8}, "correction 0 is not a 2x2 unitary"),
         # rows of unequal lengths, which numpy refuses with an error of its own
         ("[[1,0],[0,1,2]]", "S must be 2x2, got 2 rows of lengths 2 to 3"),
+        ('[[1,0],{"a":1}]', "S must be a JSON list of rows"),
     ],
     ids=[
         "S-not-nested", "S-diag-not-a-number", "S-diag-empty-entry", "S-non-finite", "S-overflows",
@@ -197,7 +203,7 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
         "coefficients-edited", "correction-non-finite",
         "S-string-entry", "S-bool-entry", "S-huge-integer", "coefficients-strings", "correction-bool",
         "correction-not-2x2", "correction-not-unitary-before-not-2x2", "correction-overflows",
-        "S-ragged",
+        "S-ragged", "S-row-object",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, edit, message):
@@ -221,6 +227,93 @@ def test_ragged_S_error_is_one_short_line(tmp_path, capsys):
     path.write_text(json.dumps([[1, 0]] * 100_000 + [[0, 1, 2]]))
     assert cli.main(["basis-gen", "--params", "0.5,0.2,0.9", "--S", str(path)]) == 2
     assert capsys.readouterr().err == "error: S must be 2x2, got 100001 rows of lengths 2 to 3\n"
+
+
+# a list a protocol file holds, replaced by a value of another shape; each once leaked numpy's or
+# Python's own text ("inhomogeneous shape", "'int' object is not iterable") or read a dict key by key
+NOT_A_LIST = "must be a JSON list"
+WRONG_SHAPES = {
+    "correction-ragged": (
+        ("corrections", 3), [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],
+        "malformed operator entries: correction 3 must be 2x2, got 2 rows of lengths 2 to 3",
+    ),
+    "correction-number": (("corrections", 3), 5, f"malformed operator entries: correction 3 {NOT_A_LIST} of rows"),
+    "correction-dict": (("corrections", 0), {"a": 1}, f"malformed operator entries: correction 0 {NOT_A_LIST} of rows"),
+    "correction-row-number": (
+        ("corrections", 7, 1), 5, f"malformed operator entries: correction 7 {NOT_A_LIST} of rows"
+    ),
+    "amplitudes-number": (("sharedState", "amplitudes"), 5, f"malformed state object: amplitudes {NOT_A_LIST}"),
+    "amplitudes-dict": (
+        ("basisElements", 2, "amplitudes"), {"a": [1, 0]}, f"malformed state object: amplitudes {NOT_A_LIST}"
+    ),
+    "amplitudes-string": (("sharedState", "amplitudes"), "ab", f"malformed state object: amplitudes {NOT_A_LIST}"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_SHAPES)
+def test_protocol_values_of_the_wrong_shape_are_named(tmp_path, capsys, case):
+    (*up, key), value, message = WRONG_SHAPES[case]
+    protocol = json.loads(BASIS_GEN_PROTOCOL.read_text())
+    parent = protocol
+    for step in up:
+        parent = parent[step]
+    parent[key] = value
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(protocol))
+    assert cli.main(["teleport", "--protocol-file", str(path), "--theta", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _basis_state(n_qubits: int) -> dict:
+    """|0...0> on n_qubits, as a state file holds it."""
+    return {"nQubits": n_qubits, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * (2**n_qubits - 1)}
+
+
+@pytest.mark.parametrize("n_qubits", [MAX_QUBITS + 1, 13])
+@pytest.mark.parametrize("source", ["scan", "haar-basis", "sharedState", "basisElements"])
+def test_states_above_the_qubit_cap_exit_2_before_allocating(tmp_path, capsys, source, n_qubits):
+    """A 9-qubit scan would allocate a 1.63 GB workspace and a 13-qubit one 384 GiB, which exited 1 with
+    numpy's MemoryError; a state above the cap is refused as it is read, in milliseconds, and the
+    run's allocations stay those of reading its JSON."""
+    path = tmp_path / "input.json"
+    if source in ("scan", "haar-basis"):
+        path.write_text(json.dumps(_basis_state(n_qubits)))
+        argv = {
+            "scan": ["scan", "--state-file", str(path), "--trials", "1000"],
+            "haar-basis": ["teleport", "--shared", str(path), "--theta", "1", "--basis", "haar:1"],
+        }[source]
+    else:
+        protocol = json.loads(BASIS_GEN_PROTOCOL.read_text())
+        if source == "sharedState":
+            protocol["sharedState"] = _basis_state(n_qubits)
+        else:
+            protocol["basisElements"][5] = _basis_state(n_qubits)
+        path.write_text(json.dumps(protocol))
+        argv = ["teleport", "--protocol-file", str(path), "--theta", "1"]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: nQubits must be at most {MAX_QUBITS}, got {n_qubits}\n")
+    assert peak < 16 * 2**20 and elapsed < 1.0, (peak, elapsed)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "--trials", "5"], ["teleport", "--theta", "1", "--basis", "haar:1"]],
+    ids=["scan", "haar-basis"],
+)
+def test_six_qubit_w_times_w_is_below_the_cap(tmp_path, capsys, argv):
+    ww = np.kron(make_named_state("w").amplitudes, make_named_state("w").amplitudes)
+    path = tmp_path / "ww.json"
+    path.write_text(json.dumps({"nQubits": 6, "amplitudes": [[z.real, z.imag] for z in ww.tolist()]}))
+    assert cli.main([argv[0], "--state-file", str(path), *argv[1:]]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("where", ["state-file", "sharedState", "basisElements"])
@@ -644,12 +737,17 @@ S_SPECS = "expected I, X, Y, Z, H, diag(a,b), inline JSON, or a file path"
             ["teleport", "--shared", "ghz", "--theta", "1", f"--s={LONG}"],
             f"ambiguous option: {_cut('--s=' + LONG)} could match --shared, --state-file, --sample, --seed",
         ),
+        # the option's whole text is cut, not word by word, which echoed all 2,500 words
+        (
+            ["teleport", "--shared", "ghz", "--theta", "1", f"--s={SPACED}"],
+            f"ambiguous option: {_cut('--s=' + SPACED)} could match --shared, --state-file, --sample, --seed",
+        ),
     ],
     ids=[
         "seed", "trials", "tolerance", "basis-seed", "basis-spec", "w-like", "w-like-angle", "diag-count", "diag-entry",
         "S-spec", "S-missing-path", "theta", "phi", "format", "unrecognized", "unrecognized-spaced",
         "unrecognized-before-command", "command", "explicit-argument",
-        "ambiguous-option",
+        "ambiguous-option", "ambiguous-option-spaced",
     ],
 )
 def test_long_option_values_are_echoed_cut(capsys, argv, line):

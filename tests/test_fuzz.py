@@ -2,11 +2,14 @@
 
 Every case runs in process through cli.main and must exit 0, 1 or 2 without an
 exception (the suite turns warnings into errors too). An exit of 2 comes with
-exactly one `error:` line on stderr and nothing on stdout; valid inputs never
-exit 2. Mutated inputs start from a valid W state file, a basis-gen protocol
-file and valid --S matrices; each mutation retypes, nests, drops or
-duplicates one field. No generated state is valid above 3 qubits: a scan over
-n qubits allocates a workspace of SCAN_CHUNK·(3·2**n + 4)(2**n + 4) complex numbers.
+exactly one `error:` line on stderr and nothing on stdout, which quotes no
+Python or numpy internals; valid inputs never exit 2. Mutated inputs start
+from a valid W state file, a basis-gen protocol file and valid --S matrices;
+each mutation retypes, nests, drops or duplicates one field, or replaces one
+of the format's lists with a value of another shape. Drawn qubit counts reach
+MAX_QUBITS + 5: a state above the cap is refused before anything is
+allocated, and the scans of the states below it run one trial, whose
+workspace of (2d(d+4) + (d+4)²) complex numbers, d = 2**n, is 3.2 MB at the cap.
 """
 
 import contextlib
@@ -22,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from teleport3q import cli
 from teleport3q.linalg import ATOL, haar_random_unitary
-from teleport3q.serialize import _echo, state_to_jsonable
+from teleport3q.serialize import MAX_QUBITS, _echo, state_to_jsonable
 from teleport3q.states import PureState, make_named_state
 
 BASIS_GEN_PROTOCOL = json.loads(
@@ -99,11 +102,16 @@ def run(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+# what an error line leaked before one reader checked every list of the format
+LEAKS = ("not iterable", "inhomogeneous", "Traceback")
+
+
 def assert_contract(argv) -> int:
     code, out, err = run(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        assert not any(leak in err for leak in LEAKS), err
     else:
         assert err == ""
     return code
@@ -139,6 +147,92 @@ VALID_S = [[[1, 0], [0, 1]], complex_rows(haar_random_unitary(2, 5))]
 @given(s=st.sampled_from(VALID_S).flatmap(mutated))
 def test_mutated_inline_s_keeps_the_exit_contract(s):
     assert_contract(["basis-gen", "--params", "0.5,0.2,0.9", f"--S={json.dumps(s)}"])
+
+
+# a value of another shape than the list it replaces: a number, a string, an object or ragged rows
+WRONG_SHAPE = st.one_of(
+    st.integers(-5, 5),
+    st.floats(-2, 2),
+    st.text(max_size=4),
+    st.dictionaries(st.text(max_size=2), st.lists(st.floats(-1, 1), max_size=2), max_size=2),
+    # rows of unequal lengths, never a valid matrix, row or list of pairs
+    st.lists(st.lists(st.floats(-1, 1), max_size=3), min_size=2, max_size=3).filter(
+        lambda rows: len({len(row) for row in rows}) > 1
+    ),
+    st.just([[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]),
+)
+# the format's lists: amplitudes, a correction, a correction row, the coefficients
+PROTOCOL_LISTS = [("sharedState", "amplitudes"), ("coefficients",)] + [
+    path for k in range(8) for path in [("basisElements", k, "amplitudes"), ("corrections", k)]
+    + [("corrections", k, row) for row in range(2)]
+]
+
+
+@st.composite
+def reshaped(draw, document, lists):
+    """`document` with one of `lists`, the paths of its lists, replaced by a value of another shape;
+    the path (None,) replaces the whole document."""
+    doc = copy.deepcopy(document)
+    *up, key = draw(st.sampled_from(lists))
+    parent = doc
+    for step in up:
+        parent = parent[step]
+    value = draw(WRONG_SHAPE)
+    if not up and key is None:  # the whole document
+        return value
+    parent[key] = value
+    return doc
+
+
+@FUZZ
+@given(state=reshaped(W_STATE, [("amplitudes",)]))
+def test_reshaped_state_files_exit_2(workdir, state):
+    path = workdir / "state.json"
+    path.write_text(json.dumps(state))
+    assert assert_contract(["analyze", "--state-file", str(path), "--scan-trials", "1"]) == 2
+
+
+@FUZZ
+@given(protocol=reshaped(BASIS_GEN_PROTOCOL, PROTOCOL_LISTS))
+@example(protocol=BASIS_GEN_PROTOCOL | {"coefficients": {"a": [0.5]}})
+def test_reshaped_protocol_files_exit_2(workdir, protocol):
+    path = workdir / "protocol.json"
+    path.write_text(json.dumps(protocol))
+    assert assert_contract(["teleport", "--protocol-file", str(path), "--theta", "1"]) == 2
+
+
+@FUZZ
+@given(s=st.sampled_from(VALID_S).flatmap(lambda s: reshaped(s, [(None,), (0,), (1,)])))
+def test_reshaped_s_files_exit_2(workdir, s):
+    path = workdir / "S.json"
+    path.write_text(json.dumps(s))
+    assert assert_contract(["basis-gen", "--params", "0.5,0.2,0.9", "--S", str(path)]) == 2
+
+
+QUBITS = st.integers(0, MAX_QUBITS + 5)
+
+
+@settings(max_examples=40)
+@given(n_qubits=QUBITS, size_qubits=QUBITS, command=st.sampled_from(["scan", "haar-basis", "sharedState"]))
+@example(n_qubits=MAX_QUBITS + 5, size_qubits=MAX_QUBITS + 5, command="scan")
+@example(n_qubits=MAX_QUBITS, size_qubits=MAX_QUBITS, command="scan")
+def test_qubit_counts_past_the_cap_keep_the_exit_contract(workdir, n_qubits, size_qubits, command):
+    """|0...0> on 2**size_qubits amplitudes that claims n_qubits; above the cap it is refused unread."""
+    state = {"nQubits": n_qubits, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * (2**size_qubits - 1)}
+    path = workdir / "qubits.json"
+    if command == "sharedState":
+        path.write_text(json.dumps(BASIS_GEN_PROTOCOL | {"sharedState": state}))
+        argv = ["teleport", "--protocol-file", str(path), "--theta", "1"]
+    else:
+        path.write_text(json.dumps(state))
+        argv = {
+            "scan": ["scan", "--state-file", str(path), "--trials", "1"],
+            "haar-basis": ["teleport", "--state-file", str(path), "--theta", "1", "--basis", "haar:1"],
+        }[command]
+    if n_qubits > MAX_QUBITS:
+        assert run(argv) == (2, "", f"error: nQubits must be at most {MAX_QUBITS}, got {n_qubits}\n")
+    else:
+        assert assert_contract(argv) == (0 if command != "sharedState" and n_qubits == size_qubits >= 1 else 2)
 
 
 AMPLITUDE = st.one_of(st.just(0.0), st.floats(-1, 1))

@@ -1,13 +1,15 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from teleport3q.feasibility import build_feasibility_report
+from teleport3q.feasibility import SCAN_CHUNK, SCAN_PEAK_BYTES, build_feasibility_report
 from teleport3q.protocols import basis_from_S, run_teleport, w_like_protocol
 from teleport3q.serialize import (
+    MAX_QUBITS,
     _float_text,
     dumps_canonical,
     protocol_from_jsonable,
@@ -18,7 +20,7 @@ from teleport3q.serialize import (
     state_input_hash,
     state_to_jsonable,
 )
-from teleport3q.states import WLikeParams, bloch_qubit, fidelity, make_named_state
+from teleport3q.states import PureState, WLikeParams, bloch_qubit, fidelity, make_named_state
 
 from teleport3q.linalg import HADAMARD
 
@@ -223,3 +225,40 @@ def test_protocol_jsonable_amplitude_precision():
     data = protocol_to_jsonable(protocol)
     shared = state_from_jsonable(data["sharedState"])
     assert np.max(np.abs(shared.amplitudes - protocol.shared.amplitudes)) <= 1e-11
+
+
+# what README "JSON formats" says a state at the qubit cap can make a command allocate
+CAP_BOUND_BYTES = 512 * 10**6
+
+
+def scan_workspace_bytes(n_qubits: int) -> int:
+    """The bytes of haar_scan's workspace, SCAN_CHUNK·(2d(d+4) + (d+4)²) complex numbers for d = 2**n."""
+    d = 2**n_qubits
+    return SCAN_CHUNK * (2 * d * (d + 4) + (d + 4) ** 2) * 16
+
+
+def test_qubit_cap_bounds_the_scan_workspace_and_the_haar_draw():
+    """Evaluated, never allocated: at the cap the scan workspace (411 MB) and the Gaussians of
+    haar_random_unitary (2·d² floats) stay under README's bound, and one qubit more passes it (1.63 GB)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert f"`nQubits` is at most {MAX_QUBITS}" in readme and f"{CAP_BOUND_BYTES // 10**6} MB" in readme
+    # the formula against the tracemalloc peaks the scan tests pin for 3 and 4 qubits
+    assert all(scan_workspace_bytes(n) < SCAN_PEAK_BYTES[n] for n in (3, 4))
+    assert scan_workspace_bytes(MAX_QUBITS) < CAP_BOUND_BYTES <= scan_workspace_bytes(MAX_QUBITS + 1)
+    assert 2 * (2**MAX_QUBITS) ** 2 * 8 < CAP_BOUND_BYTES
+    assert MAX_QUBITS >= 6  # W⊗W
+
+
+def test_the_qubit_cap_holds_at_the_json_boundary_only():
+    def ket_zero(n_qubits):
+        return {"nQubits": n_qubits, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * (2**n_qubits - 1)}
+
+    assert state_from_jsonable(ket_zero(MAX_QUBITS)).n_qubits == MAX_QUBITS
+    with pytest.raises(ValueError, match=f"^nQubits must be at most {MAX_QUBITS}, got {MAX_QUBITS + 1}$"):
+        state_from_jsonable(ket_zero(MAX_QUBITS + 1))
+    # checked before the amplitudes, which are not even read
+    with pytest.raises(ValueError, match="^nQubits must be at most"):
+        state_from_jsonable({"nQubits": 40, "amplitudes": None})
+    amplitudes = np.zeros(2 ** (MAX_QUBITS + 1), dtype=complex)
+    amplitudes[0] = 1.0
+    assert PureState(MAX_QUBITS + 1, amplitudes).n_qubits == MAX_QUBITS + 1
