@@ -1,4 +1,4 @@
-"""Verification toolkit for two-party quantum teleportation over 3-qubit shared states."""
+"""Verification toolkit for two-party quantum teleportation over shared states whose last qubit is the receiver's."""
 
 __version__ = "0.3.0"
 

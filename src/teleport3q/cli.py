@@ -126,10 +126,10 @@ def _trials(text: str) -> int:
 
 
 def _loads_json(text: str, what: str):
-    """Parse JSON text; invalid or too deeply nested text is a ValueError."""
+    """Parse JSON text; what json.loads rejects (any ValueError) or what nests too deeply is a ValueError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError is one
         raise ValueError(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply to parse") from None
@@ -385,7 +385,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     _add_common_options(p, "text")
     p.set_defaults(handler=cmd_teleport)
 
-    p = sub.add_parser("analyze", help="full feasibility report for a 3-qubit state")
+    p = sub.add_parser("analyze", help="full feasibility report for a state of at least 3 qubits")
     _add_state_options(p)
     p.add_argument(
         "--scan-trials", type=_trials, default=200,

@@ -1,9 +1,9 @@
-"""Feasibility of perfect teleportation for a shared 3-qubit state.
+"""Feasibility of perfect teleportation over a shared state whose last qubit is the receiver's.
 
-Four diagnostics: the branch-operator proportional-unitarity test, the basis-independent
-sum rule on the receiver's reduced state, the entanglement-entropy criterion (one full ebit
-is necessary and sufficient when the receiver holds one qubit: its Bloch length g is 0, and
-both state-only verdicts read g against one tolerance, BLOCH_TOL), and two disentanglers.
+Four diagnostics: the branch-operator proportional-unitarity test, the basis-independent sum rule on the
+receiver's reduced state, the entanglement-entropy criterion (one full ebit is necessary and sufficient
+when the receiver holds one qubit: its Bloch length g is 0, and both state-only verdicts read g against
+one tolerance, BLOCH_TOL), and two disentanglers. Every state-only one reads the receiver cut (_receiver_cut).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .protocols import (
     MeasurementBasis, branch_operators, branch_tensor, check_basis_qubits, check_tolerance, check_trials,
     diagonal_deviation, scale_and_deviation,
 )
-from .states import DensityMatrix, PureState, entanglement_entropy, partial_trace, shannon_entropy, trusted
+from .states import DensityMatrix, PureState, entanglement_entropy, shannon_entropy, trusted
 
 __all__ = [
     "DisentanglerResult",
@@ -134,48 +134,52 @@ def entropy_criterion(shared: PureState) -> tuple[float, bool]:
     return _entropy_verdict(bob_reduced_state(shared))
 
 
+def _receiver_cut(shared: PureState, what: str, least: int = 3) -> np.ndarray:
+    """A, the amplitudes as a (2**(n - 1), 2) matrix: row s is the sender's ket |s>, column b the receiver's
+    bit. Raises unless n >= least; both disentanglers and analyze need a sender of at least two qubits."""
+    if shared.n_qubits < least:
+        raise ValueError(f"{what} expects a shared state of at least {least} qubits, got {shared.n_qubits} qubits")
+    return shared.amplitudes.reshape(-1, 2)
+
+
 def bob_reduced_state(shared: PureState) -> DensityMatrix:
-    return partial_trace(shared.density(), keep=(shared.n_qubits - 1,))
+    """rho_B = sum_s outer(A[s], conj(A[s])), summed over s in index order as partial_trace's einsum is, bit for bit."""
+    cut = _receiver_cut(shared, "the receiver's reduced state", least=2)
+    return trusted(DensityMatrix, n_qubits=1, matrix=(cut[:, :, None] * cut.conj()[:, None, :]).sum(axis=0))
 
 
 def componentwise_disentangler(shared: PureState) -> DisentanglerResult:
-    """Permutation-style unitary on the sender pair, when the support allows one.
+    """Permutation of the sender's kets, when the support allows one.
 
-    Collects the sender-pair kets carrying amplitude above ZERO_ATOL (separating
-    exact zeros from rounding noise). At most two distinct kets can be mapped
-    into |0> (x) {|0>, |1>}; three or more orthonormal preimages cannot fit in
-    a two-dimensional slice of a unitary, so the construction fails.
+    Collects the rows of A carrying amplitude above ZERO_ATOL (separating exact zeros from rounding
+    noise). At most two distinct kets can be mapped into |0...0> (x) {|0>, |1>}; three or more
+    orthonormal preimages cannot fit in a two-dimensional slice of a unitary, so the construction fails.
     """
-    if shared.n_qubits != 3:
-        raise ValueError("disentangler expects a 3-qubit shared state")
-    amps = shared.amplitudes.reshape(4, 2)
+    amps = _receiver_cut(shared, "disentangler")
     support = np.flatnonzero(np.abs(amps).max(axis=1) > ZERO_ATOL).tolist()
     if len(support) > 2:
         return DisentanglerResult(False, None, None)
-    order = support + [a for a in range(4) if a not in support]
-    unitary = np.eye(4, dtype=complex)[order]
-    # the product, not amps[order[:2]]: adding its zero terms turns each -0.0
-    # part into the 0.0 that the pinned outputs print
+    order = support + [a for a in range(len(amps)) if a not in support]
+    unitary = np.eye(len(amps), dtype=complex)[order]
+    # the product, not amps[order[:2]]: adding its zero terms turns each -0.0 part into the printed 0.0
     residual = (unitary @ amps)[:2].reshape(-1)
     residual = residual / np.linalg.norm(residual)
     return DisentanglerResult(True, unitary, trusted(PureState, n_qubits=2, amplitudes=residual))
 
 
 def schmidt_disentangler(shared: PureState) -> SchmidtDisentangler:
-    """Disentangler built from the sender-pair Schmidt vectors; always exists.
+    """Disentangler built from the sender's Schmidt vectors; always exists.
 
-    The unitary sends the (at most two) left Schmidt vectors to |00> and
-    |01>, completed deterministically over computational kets. The residual
-    pair state carries exactly the shared state's bipartite entanglement,
-    since the construction acts on the sender side only.
+    The unitary sends the (at most two) left Schmidt vectors to |0...00> and |0...01>, completed
+    deterministically over computational kets. The residual pair state carries exactly the shared
+    state's sender-receiver entanglement, since the construction acts on the sender side only.
     """
-    if shared.n_qubits != 3:
-        raise ValueError("disentangler expects a 3-qubit shared state")
-    form = schmidt_decompose(shared.amplitudes, cut_qubits=(0, 1))
-    # a (4 x 2) state has two Schmidt terms, filling both halves, of the checked state's norm
+    cut = _receiver_cut(shared, "disentangler")
+    form = schmidt_decompose(cut, cut_qubits=range(shared.n_qubits - 1))
+    # a (2**(n - 1) x 2) state has two Schmidt terms, filling both halves, of the checked state's norm
     residual = (form.coefficients[:, None] * form.right_factors).reshape(-1)
     return SchmidtDisentangler(
-        unitary=complete_orthonormal(form.left_factors.conj(), 4),
+        unitary=complete_orthonormal(form.left_factors.conj(), len(cut)),
         residual=trusted(PureState, n_qubits=2, amplitudes=residual),
         coefficients=form.coefficients.copy(),
         residual_entropy=shannon_entropy(form.coefficients**2),
@@ -283,13 +287,7 @@ def haar_scan(
         passing = np.count_nonzero(verdicts, axis=-1)
         feasible_count += int(np.count_nonzero(passing == verdicts.shape[-1]))
         max_passing = max(max_passing, int(passing.max()))
-    return ScanResult(
-        trials=trials,
-        feasible_count=feasible_count,
-        max_passing_branches=max_passing,
-        tolerance=tol,
-        injected=inject is not None,
-    )
+    return ScanResult(trials, feasible_count, max_passing, tol, inject is not None)
 
 
 def build_feasibility_report(shared: PureState, label: str, scan_trials: int, seed: int) -> FeasibilityReport:
@@ -301,8 +299,7 @@ def build_feasibility_report(shared: PureState, label: str, scan_trials: int, se
     (existence of a ket-permutation style move versus an unconstrained local
     unitary) and are reported side by side.
     """
-    if shared.n_qubits != 3:
-        raise ValueError(f"analyze expects a 3-qubit shared state, got {shared.n_qubits} qubits")
+    _receiver_cut(shared, "analyze")  # before the scan runs
     rho_b = bob_reduced_state(shared)
     entropy, entropy_ok = _entropy_verdict(rho_b)
     row0, row1 = (2.0 * np.diag(rho_b.matrix).real).tolist()

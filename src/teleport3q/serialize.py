@@ -31,7 +31,9 @@ def round12(x: float) -> float:
 
 
 def _cut(text: str) -> str:
-    """text cut after 40 characters, so an error line stays short."""
+    """text, each character repr escapes (a newline, a control character) escaped as repr escapes it, cut
+    after 40 characters, so an error stays one short line; escaping never shrinks, so 41 characters decide."""
+    text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in text[:41])
     return text if len(text) <= 40 else text[:40] + "..."
 
 

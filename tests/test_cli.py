@@ -493,6 +493,26 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, args):
     assert err.startswith("error: ") and "nested too deeply" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        (["scan", "--state-file", "{path}", "--trials", "1"], "state file {path!r}"),
+        (["basis-gen", "--params", "0.5,0.2,0.9", "--S", "{text}"], "S operator"),
+    ],
+    ids=["state-file", "S-inline"],
+)
+def test_json_integer_of_5000_digits_exits_2_naming_its_input(tmp_path, capsys, args, what):
+    """json.loads reads no integer of more than 4,300 digits, and its ValueError names no input."""
+    path = tmp_path / "digits.json"
+    path.write_text(f'{{"nQubits": {"9" * 5000}, "amplitudes": []}}')
+    text = f"[[1{'0' * 5000},0],[0,1]]"
+    argv = [arg.replace("{path}", str(path)).replace("{text}", text) for arg in args]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what.format(path=str(path))} is not valid JSON: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1 and len(err) < 1024
+
+
 def _main(argv, capsys):
     """Exit code, stdout and stderr of an in-process run; argparse errors and help exit too."""
     try:
@@ -724,6 +744,8 @@ S_SPECS = "expected I, X, Y, Z, H, diag(a,b), inline JSON, or a file path"
         ),
         (["teleport", "--shared", "ghz", "--theta", "1", LONG], f"unrecognized arguments: {_cut(LONG)}"),
         (["teleport", "--shared", "ghz", "--theta", "1", SPACED], f"unrecognized arguments: {_cut(SPACED)}"),
+        # a control character is escaped as repr escapes it, so the error stays one line
+        (["teleport", "--shared", "ghz", "--theta", "1", "a\nb"], "unrecognized arguments: a\\nb"),
         ([f"--x{LONG}", "teleport"], f"unrecognized arguments: {_cut('--x' + LONG)}"),
         (
             [LONG, "--shared", "ghz"],
@@ -742,12 +764,16 @@ S_SPECS = "expected I, X, Y, Z, H, diag(a,b), inline JSON, or a file path"
             ["teleport", "--shared", "ghz", "--theta", "1", f"--s={SPACED}"],
             f"ambiguous option: {_cut('--s=' + SPACED)} could match --shared, --state-file, --sample, --seed",
         ),
+        (
+            ["teleport", "--shared", "ghz", "--theta", "1", "--s=a\nb"],
+            "ambiguous option: --s=a\\nb could match --shared, --state-file, --sample, --seed",
+        ),
     ],
     ids=[
         "seed", "trials", "tolerance", "basis-seed", "basis-spec", "w-like", "w-like-angle", "diag-count", "diag-entry",
         "S-spec", "S-missing-path", "theta", "phi", "format", "unrecognized", "unrecognized-spaced",
-        "unrecognized-before-command", "command", "explicit-argument",
-        "ambiguous-option", "ambiguous-option-spaced",
+        "unrecognized-newline", "unrecognized-before-command", "command", "explicit-argument",
+        "ambiguous-option", "ambiguous-option-spaced", "ambiguous-option-newline",
     ],
 )
 def test_long_option_values_are_echoed_cut(capsys, argv, line):
@@ -761,6 +787,7 @@ def test_long_option_values_are_echoed_cut(capsys, argv, line):
         code = exc.code
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1].endswith(f"error: {line}")
     assert captured.err.endswith(f"error: {line}\n")
     assert len(captured.err) < 1024
 

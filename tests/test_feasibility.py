@@ -49,6 +49,7 @@ from teleport3q.protocols import (
 )
 from teleport3q.serialize import state_to_jsonable
 from teleport3q.states import (
+    DensityMatrix,
     PureState,
     WLikeParams,
     entanglement_entropy,
@@ -275,6 +276,28 @@ def test_bloch_length_is_the_eigenvalue_gap(seed, angles, kind):
     assert feasibility._bloch_length(rho_b) == pytest.approx(high - low, rel=0, abs=8 * np.finfo(float).eps)
 
 
+@given(n_qubits=st.integers(2, 8), seed=st.integers(0, 2**32), sparse=st.booleans())
+def test_bob_reduced_state_has_the_bits_of_the_partial_trace(n_qubits, seed, sparse):
+    """rho_B read from the receiver cut is partial_trace of the full density matrix byte for byte, signed
+    zeros included: on Haar states, and on sparse states whose zero parts carry random signs."""
+    amps = haar_random_state(n_qubits, seed).amplitudes.copy()
+    if sparse:
+        rng = np.random.default_rng(seed)
+        zero = rng.random(amps.size) < 0.7
+        zero[rng.integers(amps.size)] = False
+        amps.view(float).reshape(-1, 2)[zero] = np.copysign(0.0, rng.standard_normal((np.count_nonzero(zero), 2)))
+        amps /= np.linalg.norm(amps)
+    state = PureState(n_qubits, amps)
+    density = DensityMatrix(n_qubits, np.outer(state.amplitudes, state.amplitudes.conj()))
+    reference = partial_trace(density, keep=(n_qubits - 1,))
+    assert feasibility.bob_reduced_state(state).matrix.tobytes() == reference.matrix.tobytes()
+
+
+def test_bob_reduced_state_needs_a_sender_qubit():
+    with pytest.raises(ValueError, match=r"^the receiver's reduced state expects a shared state of at least 2 qubits"):
+        feasibility.bob_reduced_state(haar_random_state(1, 0))
+
+
 # ---------------------------------------------------------------- disentanglers
 
 
@@ -358,6 +381,65 @@ def test_schmidt_disentangler_reconstruction_and_entropy_match():
         )
 
 
+@given(n_qubits=st.integers(3, 6), seed=st.integers(0, 2**32), support=st.integers(1, 3))
+def test_disentanglers_act_on_a_sender_of_any_size(n_qubits, seed, support):
+    """On n qubits both disentanglers move the state to |0...0> (x) residual by a unitary on the sender's
+    kets: the Schmidt one on a Haar state, whose residual entropy is the receiver's entropy, and the
+    componentwise one on a state whose cut A has `support` nonzero rows, which exists iff that is at most 2."""
+    def moved(unitary, state):
+        assert is_unitary(unitary, 1e-10)
+        return np.kron(unitary, np.eye(2)) @ state.amplitudes
+
+    haar = haar_random_state(n_qubits, seed)
+    schmidt = schmidt_disentangler(haar)
+    assert schmidt.residual_entropy == pytest.approx(entropy_criterion(haar)[0], rel=0, abs=1e-12)
+    target = np.zeros(2**n_qubits, dtype=complex)
+    target[:4] = schmidt.residual.amplitudes
+    np.testing.assert_allclose(moved(schmidt.unitary, haar), target, rtol=0, atol=1e-12)
+    rng = np.random.default_rng(seed)
+    cut = np.zeros((2 ** (n_qubits - 1), 2), dtype=complex)
+    cut[rng.choice(len(cut), support, replace=False)] = rng.standard_normal((support, 2, 2)) @ [1, 1j]
+    sparse = PureState(n_qubits, cut.reshape(-1) / np.linalg.norm(cut))
+    result = componentwise_disentangler(sparse)
+    assert result.exists == (support <= 2)
+    if result.exists:
+        target[:4] = result.residual.amplitudes
+        np.testing.assert_allclose(moved(result.unitary, sparse), target, rtol=0, atol=1e-12)
+
+
+def w_state(n_qubits: int) -> PureState:
+    """W_n: amplitude 1/sqrt(n) on each ket with one excitation."""
+    amps = np.zeros(2**n_qubits, dtype=complex)
+    amps[[2**k for k in range(n_qubits)]] = 1 / math.sqrt(n_qubits)
+    return PureState(n_qubits, amps)
+
+
+def ghz_state(n_qubits: int) -> PureState:
+    amps = np.zeros(2**n_qubits, dtype=complex)
+    amps[0] = amps[-1] = 1 / SQRT2
+    return PureState(n_qubits, amps)
+
+
+@pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
+def test_analyze_reads_the_receiver_cut_of_w_and_ghz_on_n_qubits(tmp_path, capsys, n_qubits):
+    """W_n leaves the receiver excited with probability 1/n, so rho_B = diag((n - 1)/n, 1/n): entropy h(1/n),
+    exit 1, and n rows of A with support, too many for a componentwise disentangler. GHZ_n holds one ebit
+    on two rows of A: exit 0, and the componentwise disentangler exists. The printed rows carry 12
+    significant digits, so they are within 1e-11."""
+    p = 1 / n_qubits
+    h = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+    cases = [(w_state(n_qubits), 1, h, (2 * (1 - p), 2 * p), False), (ghz_state(n_qubits), 0, 1.0, (1.0, 1.0), True)]
+    for state, code, entropy, rows, componentwise in cases:
+        path = tmp_path / f"{code}.json"
+        path.write_text(json.dumps(state_to_jsonable(state)))
+        assert cli.main(["analyze", "--state-file", str(path), "--scan-trials", "3"]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["entropyBits"] == pytest.approx(entropy, rel=0, abs=1e-12)
+        assert (report["sumRuleRow0"], report["sumRuleRow1"]) == pytest.approx(rows, rel=0, abs=1e-11)
+        assert report["componentwiseDisentangler"]["exists"] is componentwise
+        assert report["schmidtDisentangler"]["alphaEntropy"] == pytest.approx(entropy, rel=0, abs=1e-12)
+
+
 # ---------------------------------------------------------------- scans and reports
 
 
@@ -428,9 +510,17 @@ def test_feasibility_report_ghz():
     assert report.componentwise.exists
 
 
-def test_feasibility_report_rejects_wrong_size():
-    with pytest.raises(ValueError, match="^analyze expects a 3-qubit shared state, got 2 qubits$"):
+def test_feasibility_report_rejects_wrong_size(monkeypatch):
+    # checked before the scan runs
+    monkeypatch.setattr(feasibility, "haar_scan", None)
+    with pytest.raises(ValueError, match=r"^analyze expects a shared state of at least 3 qubits, got 2 qubits$"):
         build_feasibility_report(haar_random_state(2, 1), "pair", scan_trials=1, seed=0)
+
+
+@pytest.mark.parametrize("disentangler", [componentwise_disentangler, schmidt_disentangler])
+def test_disentanglers_refuse_a_sender_of_one_qubit(disentangler):
+    with pytest.raises(ValueError, match=r"^disentangler expects a shared state of at least 3 qubits, got 2 qubits$"):
+        disentangler(haar_random_state(2, 1))
 
 
 # ---------------------------------------------------------------- batched scan kernel
