@@ -169,7 +169,7 @@ def schmidt_decompose(amplitudes: np.ndarray, cut_qubits: Sequence[int]) -> Schm
     return SchmidtForm(coefficients=s, left_factors=u.T.copy(), right_factors=vh.copy())
 
 
-def complete_orthonormal(rows: np.ndarray, dim: int) -> np.ndarray:
+def complete_orthonormal(rows: np.ndarray, dim: int, orthonormal: bool | None = None) -> np.ndarray:
     """Extend orthonormal rows to a full orthonormal basis of C^dim.
 
     Candidates are the computational-basis kets taken in index order, so the
@@ -192,13 +192,20 @@ def complete_orthonormal(rows: np.ndarray, dim: int) -> np.ndarray:
       vector) is the residual of e_k off their span to about 1e-12, so a
       candidate whose column is below ZERO_ATOL would leave the loop far
       below PIVOT_TOL and is skipped.
+
+    `orthonormal` is that first condition, isometry_deviation(rows.T) <= ZERO_ATOL (True for no
+    rows), for a caller that has already computed it on these very rows; only such a caller may
+    pass it, since a wrong True lets the shortcuts change the result. None, the default, computes it
+    here wherever a shortcut could apply.
     """
     basis = [np.asarray(r, dtype=complex) for r in np.atleast_2d(rows)] if np.size(rows) else []
     if len(basis) == dim:
         return np.array(basis)
     stacked = np.array(basis).reshape(len(basis), dim)
     zero, residual = (~stacked.any(axis=0)).tolist(), None
-    if any(zero) and (not basis or isometry_deviation(stacked.T) <= ZERO_ATOL):
+    if orthonormal is None:
+        orthonormal = not basis or (any(zero) and isometry_deviation(stacked.T) <= ZERO_ATOL)
+    if any(zero) and orthonormal:
         # row k is column k of I - B†B
         residual = -(stacked.T @ stacked.conj())
         residual.flat[:: dim + 1] += 1.0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    ZERO_ATOL,
     as_int,
     closest_unitary,
     complete_orthonormal,
@@ -274,21 +276,26 @@ def run_teleport(psi: PureState, protocol: TeleportProtocol) -> TeleportResult:
     """
     if psi.n_qubits != 1:
         raise ValueError("message must be a single qubit")
-    branches = branch_operators(protocol.basis, protocol.shared).ops @ psi.amplitudes
+    branches = branch_tensor(protocol.basis.rows, protocol.shared.amplitudes) @ psi.amplitudes
     probs = np.sum(np.abs(branches) ** 2, axis=-1)
     live = probs > PROB_FLOOR
     # dead branches are divided by 1, not by their vanishing norm
     normalized = branches / np.sqrt(np.where(live, probs, 1.0))[:, None]
     received = dagger(protocol.corrections) @ normalized[..., None]
     overlaps = (psi.amplitudes.conj() @ received)[:, 0]
-    n_bits = protocol.basis.n_qubits
     outcomes, total = [], 0.0
-    for k, (prob, overlap) in enumerate(zip(probs.tolist(), overlaps.tolist())):
+    for label, prob, overlap in zip(_outcome_labels(len(probs)), probs.tolist(), overlaps.tolist()):
         # Python's abs and ** call C's hypot and pow, as numpy scalars do; array loops may round otherwise
         fid = abs(overlap) ** 2 if prob > PROB_FLOOR else None
         total += 0.0 if fid is None else prob * fid
-        outcomes.append(BranchOutcome(format(k, f"0{n_bits}b"), prob, fid))
+        outcomes.append(BranchOutcome(label, prob, fid))
     return TeleportResult(tuple(outcomes), total)
+
+
+@cache
+def _outcome_labels(count: int) -> tuple[str, ...]:
+    """The big-endian bit strings of outcomes 0 .. count - 1, n digits each for count = 2**n."""
+    return tuple(format(k, f"0{qubit_count(count)}b") for k in range(count))
 
 
 def _word_bound(c: float) -> int:
@@ -346,6 +353,11 @@ def _protocol_from_corrections(
     The corrections are checked only with a free `s`, and as the products
     that are stored, not S alone: at the ATOL edge P_k S can round across it
     where S does not.
+    The live rows' isometry deviation is computed once. Within ZERO_ATOL the
+    completion takes its shortcuts and the basis is stored unchecked: exact
+    kets and vectors orthogonalized twice keep the full Gram matrix far
+    inside ATOL. Otherwise the plain loop completes the rows and
+    MeasurementBasis checks them, the one-ebit gate.
     """
     dim, keys = len(shared.amplitudes), sorted(live)
     if keys[-1] >= dim:
@@ -360,12 +372,15 @@ def _protocol_from_corrections(
         raise ValueError(_S_NOT_UNITARY)
     # the live elements as one batched product, (A (S† P_k)ᵀ)ᵀ for A = shared as (dim/2, 2) rows
     moved = shared.amplitudes.reshape(-1, 2) @ (dagger(s) @ np.array([live[k] for k in keys])).swapaxes(-1, -2)
-    full = complete_orthonormal(moved.swapaxes(-1, -2).reshape(len(keys), dim), dim)
+    elements = moved.swapaxes(-1, -2).reshape(len(keys), dim)
+    orthonormal = bool(isometry_deviation(elements.T) <= ZERO_ATOL)
+    full = complete_orthonormal(elements, dim, orthonormal)
     # the completion lists the live elements first, in key order, then the extras
     rows = np.empty_like(full)
     rows[keys + [k for k in range(dim) if k not in live]] = full
-    # Paulis or checked products P_k S; the basis stays checked, as the one-ebit gate
-    return trusted(TeleportProtocol, shared=shared, basis=MeasurementBasis(rows), corrections=corrections)
+    basis = trusted(MeasurementBasis, rows=rows) if orthonormal else MeasurementBasis(rows)
+    # Paulis or checked products P_k S
+    return trusted(TeleportProtocol, shared=shared, basis=basis, corrections=corrections)
 
 
 def bell_protocol(shared: PureState | None = None) -> TeleportProtocol:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -75,18 +76,26 @@ def check_qubit_count(n_qubits: int, size: int, what: str = "amplitudes") -> int
     return n_qubits
 
 
+@cache
+def _stored_fields(cls) -> tuple[tuple[str, bool], ...]:
+    """Each field of `cls` (one of _TRUSTED) as (name, whether it is an np.ndarray); read once per class.
+    A refused class raises every time, since a cache keeps no exception."""
+    if cls.__name__ not in _TRUSTED:
+        raise TypeError(f"trusted builds only {', '.join(_TRUSTED)}, not {cls.__name__}")
+    return tuple((field.name, field.type == "np.ndarray") for field in fields(cls))
+
+
 def trusted(cls, **values):
     """The `cls` (one of _TRUSTED) that its constructor would store from values derived from checked
     ones, built without its checks; its np.ndarray field as a complex, C-ordered, read-only copy."""
-    if cls.__name__ not in _TRUSTED:
-        raise TypeError(f"trusted builds only {', '.join(_TRUSTED)}, not {cls.__name__}")
+    layout = _stored_fields(cls)
     obj = object.__new__(cls)
-    for field in fields(cls):
-        value = values[field.name]
-        if field.type == "np.ndarray":
+    for name, is_array in layout:
+        value = values[name]
+        if is_array:
             value = np.array(value, dtype=complex, order="C")
             value.setflags(write=False)
-        object.__setattr__(obj, field.name, value)
+        object.__setattr__(obj, name, value)
     return obj
 
 

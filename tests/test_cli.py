@@ -456,6 +456,30 @@ def test_canonical_protocol_is_built_over_the_resolved_state(spec):
     assert shared.amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["teleport", "--theta", "1", "--expect-perfect"], 0),
+        (["teleport", "--theta", "1", "--basis", "haar:3"], 1),
+        (["scan", "--trials", "1", "--inject-known-basis"], 1),
+        (["analyze", "--scan-trials", "1"], 1),
+    ],
+)
+def test_the_cli_builds_a_w_like_state_only_where_it_is_read(monkeypatch, capsys, argv, built):
+    """w_like_protocol builds the state of its angles itself, so a canonical teleport leaves it to
+    the builder; the Haar basis, the scan and analyze read the state the command resolved."""
+    calls, build = [], cli.w_like_from_params
+
+    def counted(params):
+        calls.append(params)
+        return build(params)
+
+    monkeypatch.setattr(cli, "w_like_from_params", counted)
+    assert cli.main([*argv, "--shared", "w-like:0.5,0.2,0.9"]) == 0
+    capsys.readouterr()
+    assert len(calls) == built
+
+
 def test_sampled_teleport_runs_the_protocol_once(monkeypatch, capsys):
     """--sample draws from the exact run the command already made."""
     calls, run_teleport = [], protocols.run_teleport

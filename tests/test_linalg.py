@@ -10,6 +10,7 @@ from teleport3q.linalg import (
     IDENTITY,
     PAULI_X,
     PIVOT_TOL,
+    ZERO_ATOL,
     closest_unitary,
     complete_orthonormal,
     complex_gaussians,
@@ -243,9 +244,10 @@ def test_complete_orthonormal_is_deterministic_and_unitary():
     assert max_abs(a.conj() @ a.T - np.eye(4)) <= 1e-12
 
 
-def reference_complete(rows, dim):
+def reference_complete(rows, dim, orthonormal=None):
     """The completion as a plain double Gram-Schmidt loop over every candidate:
-    the oracle complete_orthonormal's shortcut and screen must match bit for bit."""
+    the oracle complete_orthonormal's shortcut and screen must match bit for bit.
+    It ignores the caller's `orthonormal` verdict, which only picks shortcuts."""
     basis = [np.asarray(r, dtype=complex) for r in np.atleast_2d(rows)] if np.size(rows) else []
     for k in range(dim):
         if len(basis) == dim:
@@ -295,6 +297,18 @@ SKEWED = (np.array([[1.0, 0.3, 0.0, 0.0], [1.0, -0.3, 0.0, 0.0]], dtype=complex)
 def test_completion_matches_the_plain_loop_bit_for_bit(case):
     rows, dim = case
     assert complete_orthonormal(rows, dim).tobytes() == reference_complete(rows, dim).tobytes()
+
+
+@settings(max_examples=300)
+@given(case=partial_bases())
+@example(case=(np.zeros((0, 4), dtype=complex), 4))
+@example(case=KETS)
+@example(case=SKEWED)
+def test_a_callers_verdict_completes_with_the_bits_of_no_verdict(case):
+    """The verdict as _protocol_from_corrections computes it, on the rows it completes."""
+    rows, dim = case
+    orthonormal = not len(rows) or bool(isometry_deviation(rows.T) <= ZERO_ATOL)
+    assert complete_orthonormal(rows, dim, orthonormal).tobytes() == complete_orthonormal(rows, dim).tobytes()
 
 
 @pytest.mark.parametrize("complete", [complete_orthonormal, reference_complete])

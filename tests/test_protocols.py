@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from teleport3q.linalg import (
@@ -13,9 +13,11 @@ from teleport3q.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    ZERO_ATOL,
     dagger,
     haar_random_unitary,
     is_unitary,
+    isometry_deviation,
     max_abs,
 )
 from teleport3q import protocols
@@ -640,6 +642,63 @@ def test_polar_factor_builds_pass_the_public_checks(basis_seed, state_seed):
     shared = make_named_state("w") if state_seed is None else haar_random_state(3, state_seed)
     basis = MeasurementBasis(haar_random_unitary(8, basis_seed).T)
     assert_public_checks_pass(protocol_from_basis(shared, basis))
+
+
+# ---------------------------------------------------------------- the one orthonormality gate
+
+BELLS = [f"bell({m},{n})" for m in (0, 1) for n in (0, 1)]
+
+
+@st.composite
+def gated_builds(draw):
+    """A builder call whose live rows pass the gate, so its basis is stored unchecked: GHZ, the four
+    bell(m,n), W-like angles, basis_from_S with a Haar or a named S, and GHZ corrections over a
+    full-support one-ebit state V_B applied to one_ebit_state, (U_sender (x) V_B)|0>|Phi+>."""
+    kind = draw(st.sampled_from(["ghz", "bell", "w_like", "basis_from_S", "one_ebit"]))
+    if kind == "ghz":
+        return ghz_protocol
+    if kind == "bell":
+        shared = make_named_state(draw(st.sampled_from(BELLS)))
+        return lambda: bell_protocol(shared)
+    params = WLikeParams(*draw(ANGLES))
+    if kind == "w_like":
+        return lambda: w_like_protocol(params)
+    if kind == "basis_from_S":
+        s = draw(st.one_of(st.sampled_from(NAMED_S), SEEDS.map(lambda seed: haar_random_unitary(2, seed))))
+        return lambda: basis_from_S(params, s)
+    receiver = np.kron(np.eye(4), haar_random_unitary(2, draw(SEEDS)))
+    shared = PureState(3, receiver @ one_ebit_state(draw(SEEDS)).amplitudes)
+    assume(np.all(shared.amplitudes != 0.0))
+    return lambda: ghz_protocol(shared)
+
+
+@settings(max_examples=300)
+@given(build=gated_builds())
+def test_gated_builds_pass_the_public_checks_with_their_bits(build):
+    """The builder runs no MeasurementBasis check on these; MeasurementBasis and TeleportProtocol
+    accept what it stored and store the same bytes, its full Gram matrix within ZERO_ATOL."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MeasurementBasis, "__post_init__", lambda self: pytest.fail("the basis was checked"))
+        protocol = build()
+    assert isometry_deviation(protocol.basis.rows.T) <= ZERO_ATOL
+    basis = MeasurementBasis(protocol.basis.rows)
+    assert basis.rows.tobytes() == protocol.basis.rows.tobytes()
+    checked = TeleportProtocol(protocol.shared, basis, protocol.corrections)
+    assert checked.corrections.tobytes() == protocol.corrections.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, deviation",
+    [
+        (lambda: ghz_protocol(make_named_state("w")), "9.428e-01"),
+        (lambda: bell_protocol(PureState(2, [1, 0, 0, 0])), "1.000e+00"),
+    ],
+)
+def test_a_receiver_without_one_ebit_fails_the_checked_basis(build, deviation):
+    """The gate sends these to MeasurementBasis, whose error line, deviation included, is unchanged."""
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"basis is not orthonormal: Gram deviation {deviation}"
 
 
 # ---------------------------------------------------------------- bits of the builders' shortcuts

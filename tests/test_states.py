@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from teleport3q import cli, states
 from teleport3q.feasibility import componentwise_disentangler, schmidt_disentangler
 from teleport3q.linalg import haar_random_unitary, max_abs
-from teleport3q.protocols import MeasurementBasis
+from teleport3q.protocols import MeasurementBasis, basis_from_S, bell_protocol, ghz_protocol, w_like_protocol
 from teleport3q.states import (
     DensityMatrix,
     PureState,
@@ -291,8 +291,14 @@ def test_trusted_runs_no_checks(monkeypatch):
 
 
 def test_trusted_builds_only_the_checked_types():
-    with pytest.raises(TypeError, match="trusted builds only"):
-        trusted(WLikeParams, gamma=0.0, phi=0.0, omega=0.0)
+    """The per-class field cache keeps no refusal: a class outside _TRUSTED raises on each call,
+    before and after trusted classes were built."""
+    message = "trusted builds only PureState, DensityMatrix, MeasurementBasis, TeleportProtocol, not WLikeParams"
+    for _ in range(2):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            trusted(WLikeParams, gamma=0.0, phi=0.0, omega=0.0)
+        trusted(PureState, n_qubits=1, amplitudes=[1.0, 0.0])
+        trusted(MeasurementBasis, rows=np.eye(2))
 
 
 def test_trusted_is_the_only_unchecked_construction():
@@ -361,6 +367,20 @@ def test_cli_haar_basis_stores_the_public_constructors_bits(seed, shared):
     dim = len(protocol.basis.rows)
     assert_same_store(protocol.basis, MeasurementBasis(haar_random_unitary(dim, seed).T))
     assert_same_store(protocol, rechecked(protocol))
+
+
+@given(angles=st.tuples(ANGLE, ANGLE, ANGLE), seed=st.one_of(st.none(), SEEDS))
+def test_builder_protocols_store_the_public_constructors_bits(angles, seed):
+    """The canonical builders' bases and protocols, trusted builds through the orthonormality gate:
+    GHZ, bell(1,0), and W-like angles with their own corrections or with basis_from_S of a Haar S."""
+    params = WLikeParams(*angles)
+    if seed is None:
+        built = [ghz_protocol(), bell_protocol(make_named_state("bell(1,0)")), w_like_protocol(params)]
+    else:
+        built = [basis_from_S(params, haar_random_unitary(2, seed))]
+    for protocol in built:
+        assert_same_store(protocol.basis, MeasurementBasis(protocol.basis.rows))
+        assert_same_store(protocol, rechecked(protocol))
 
 
 @given(n_qubits=st.integers(1, 4), seed=SEEDS)
