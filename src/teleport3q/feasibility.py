@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ZERO_ATOL, complete_orthonormal, complex_gaussians, dagger, haar_from_gaussians, schmidt_decompose
+from .linalg import ZERO_ATOL, complex_gaussians, dagger, haar_from_gaussians
 from .protocols import (
     MeasurementBasis, branch_operators, branch_tensor, check_basis_qubits, check_tolerance, check_trials,
     diagonal_deviation, scale_and_deviation,
@@ -37,12 +37,14 @@ __all__ = [
 
 BLOCH_TOL = 5e-10  # one ebit: the receiver's Bloch length g is at most this; the sum rule's bound is twice it
 SCAN_TOL = 1e-8
-# Trials per batched kernel call in haar_scan. A scan draws and screens every chunk in one workspace (see
-# _branch_verdicts), so a chunk allocates only its Cholesky factor, small temporaries and its open trials'
+# Trials per batched kernel call in haar_scan, at most. A scan draws and screens every chunk in one workspace
+# (see _branch_verdicts), so a chunk allocates only its Cholesky factor, small temporaries and its open trials'
 # QR arrays; with it 128-trial chunks are faster than 64 (ROADMAP "Aim 1" lists the measured alternatives).
 # A scan's tracemalloc peak does not grow with its trials and stays below SCAN_PEAK_BYTES for 3 and 4 qubits.
 SCAN_CHUNK = 128
 SCAN_PEAK_BYTES = {3: 1_200_000, 4: 3_900_000}
+# The bytes a scan's chunk may hold (see _scan_chunk); SCAN_CHUNK trials fit it up to 7 qubits, 34 at 8.
+SCAN_BUDGET_BYTES = 256 * 10**6
 # haar_scan's screen rules a trial out when its diagonal deviation exceeds the tolerance by more than
 # SCREEN_BAND on every branch and its screen defect is below SCREEN_DEFECT; the exact path decides the rest.
 SCREEN_BAND = 1e-6
@@ -170,19 +172,22 @@ def componentwise_disentangler(shared: PureState) -> DisentanglerResult:
 def schmidt_disentangler(shared: PureState) -> SchmidtDisentangler:
     """Disentangler built from the sender's Schmidt vectors; always exists.
 
-    The unitary sends the (at most two) left Schmidt vectors to |0...00> and |0...01>, completed
-    deterministically over computational kets. The residual pair state carries exactly the shared
-    state's sender-receiver entanglement, since the construction acts on the sender side only.
+    One full SVD A = U diag(s) Vh of the receiver cut gives it all: the unitary is U†, whose rows 0 and 1,
+    the conjugated left Schmidt vectors, go to |0...00> and |0...01> and whose other rows, the rest of
+    U's left singular vectors, complete the basis; any completion disentangles. The residual pair state
+    diag(s) Vh carries exactly the shared state's sender-receiver entanglement, since the construction
+    acts on the sender side only.
     """
     cut = _receiver_cut(shared, "disentangler")
-    form = schmidt_decompose(cut, cut_qubits=range(shared.n_qubits - 1))
+    u, s, vh = np.linalg.svd(cut)
     # a (2**(n - 1) x 2) state has two Schmidt terms, filling both halves, of the checked state's norm
-    residual = (form.coefficients[:, None] * form.right_factors).reshape(-1)
+    residual = (s[:, None] * vh).reshape(-1)
     return SchmidtDisentangler(
-        unitary=complete_orthonormal(form.left_factors.conj(), len(cut)),
+        # adding 0.0 turns each -0.0 part the conjugation makes into the printed 0.0
+        unitary=dagger(u) + 0.0,
         residual=trusted(PureState, n_qubits=2, amplitudes=residual),
-        coefficients=form.coefficients.copy(),
-        residual_entropy=shannon_entropy(form.coefficients**2),
+        coefficients=s,
+        residual_entropy=shannon_entropy(s**2),
     )
 
 
@@ -216,9 +221,21 @@ def _screen(stack: np.ndarray, conj: np.ndarray, gram: np.ndarray, floor: float)
     return ~(diagonal_deviation(ops) > floor).all(axis=-1) | ~(defects < SCREEN_DEFECT)
 
 
+def _scan_chunk(dim: int) -> int:
+    """Trials per chunk of a scan over dim amplitudes: SCAN_CHUNK, or as many, at least one, as fit
+    SCAN_BUDGET_BYTES. A trial holds 2d(d + 4) + (d + 4)**2 complex numbers of the workspace, d = dim, then
+    the screen's Cholesky factor, (d + 4)**2, and the exact path's QR arrays, 3d**2 + d (the copy of z that
+    LAPACK factors, Q, R and the reflectors' scales). The factor is freed before QR runs; counting both
+    leaves room for the small temporaries."""
+    per_trial = 16 * (2 * dim * (dim + 4) + 2 * (dim + 4) ** 2 + 3 * dim**2 + dim)
+    return max(1, min(SCAN_CHUNK, SCAN_BUDGET_BYTES // per_trial))
+
+
 def _branch_verdicts(shared: PureState, trials: int, seed: int, inject: MeasurementBasis | None, tol: float):
     """Per chunk of haar_scan's trials, each trial's branch verdicts at `tol`, a (count, d) bool array."""
-    dim, size = 2**shared.n_qubits, min(SCAN_CHUNK, trials)
+    dim = 2**shared.n_qubits
+    chunk_trials = _scan_chunk(dim)
+    size = min(chunk_trials, trials)
     rng = np.random.default_rng(seed)
     # the workspace: one buffer carved into the stack [z | V] (see _screen), its conjugate and the Gram
     # stack; as separate buffers, malloc trimmed them at each short scan's end and faulted them back in
@@ -231,8 +248,8 @@ def _branch_verdicts(shared: PureState, trials: int, seed: int, inject: Measurem
     normals = spare.view(float).reshape(size, 2, dim, dim)
     stack[:, : dim // 2, dim::2] = stack[:, dim // 2 :, dim + 1 :: 2] = shared.amplitudes.reshape(-1, 2)
     _write_amplitude_gram(stack, gram)
-    for start in range(0, trials, SCAN_CHUNK):
-        count, injected = min(SCAN_CHUNK, trials - start), inject is not None and start == 0
+    for start in range(0, trials, chunk_trials):
+        count, injected = min(chunk_trials, trials - start), inject is not None and start == 0
         chunk = complex_gaussians(rng, stack[:count, :, :dim], normals[:count])
         try:
             exact = _screen(stack[:count], conj[:count], gram[:count], tol + SCREEN_BAND)
@@ -261,16 +278,16 @@ def haar_scan(
 
     Trial i measures in the i-th Haar unitary drawn in sequence from default_rng(seed), so trial 0 is
     haar_random_unitary(dim, seed), the basis `haar:seed` names, and the result does not depend on
-    SCAN_CHUNK. When `inject` is given its rows overwrite trial 0's drawn basis, a positive control;
+    the chunk size. When `inject` is given its rows overwrite trial 0's drawn basis, a positive control;
     trial 0's Gaussians are still drawn, so every other trial keeps its draw. The scan tolerance is
     looser than construction tolerances because random bases miss by O(1), not by rounding.
 
-    Trials run in chunks of SCAN_CHUNK, each drawn by one standard_normal call and screened by one
-    batched Cholesky (see _screen) in a workspace allocated once per scan. The screen only rules trials
-    out (see SCREEN_BAND); every other trial and the injected trial 0 is decided on the exact path,
-    haar_unitaries' QR rows bit for bit and their closed-form verdicts. Nothing is re-checked: QR rows
-    are orthonormal to a few ulps (a test pins it), and the checked `inject` and `shared` give complete
-    branch families.
+    Trials run in chunks of SCAN_CHUNK, fewer above 7 qubits (see _scan_chunk), each drawn by one
+    standard_normal call and screened by one batched Cholesky (see _screen) in a workspace allocated
+    once per scan. The screen only rules trials out (see SCREEN_BAND); every other trial and the
+    injected trial 0 is decided on the exact path, haar_unitaries' QR rows bit for bit and their
+    closed-form verdicts. Nothing is re-checked: QR rows are orthonormal to a few ulps (a test pins
+    it), and the checked `inject` and `shared` give complete branch families.
     `tol` is checked, and so is, before any draw, that an injected basis acts on as many qubits as `shared`.
 
     One stream cannot be split: a Gaussian takes a varying number of the generator's words, so trial

@@ -181,8 +181,8 @@ def complete_orthonormal(rows: np.ndarray, dim: int, orthonormal: bool | None = 
     The loop runs only where its result is already known, so the output is
     the loop's bit for bit. Both shortcuts below need rows that are
     orthonormal within ZERO_ATOL, so finite, and that have an exactly zero
-    column, as the protocol builders' rows do; other rows (a Haar-random
-    state's Schmidt vectors) rarely span a candidate, and the loop runs alone.
+    column, as the protocol builders' rows do; for other rows, such as a
+    library caller's dense ones, the loop runs alone.
     A vector the loop accepts (pivot above PIVOT_TOL, orthogonalized twice)
     is orthonormal to such rows to about 1e-14, and 0 wherever they all are,
     so both conditions hold for the rows so far.

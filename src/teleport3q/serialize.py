@@ -20,7 +20,7 @@ from .protocols import MeasurementBasis, TeleportProtocol
 from .states import DensityMatrix, PureState, check_qubit_count
 
 
-# the most qubits a JSON state may declare, so a scan's workspace stays within 411 MB (README "JSON formats")
+# the most qubits a JSON state may declare, so no command allocates more than 512 MB for it (README "JSON formats")
 MAX_QUBITS = 8
 
 

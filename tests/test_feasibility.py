@@ -47,7 +47,7 @@ from teleport3q.protocols import (
     scale_and_deviation,
     w_like_protocol,
 )
-from teleport3q.serialize import state_to_jsonable
+from teleport3q.serialize import dumps_canonical, operator_to_jsonable, state_to_jsonable
 from teleport3q.states import (
     DensityMatrix,
     PureState,
@@ -381,13 +381,14 @@ def test_schmidt_disentangler_reconstruction_and_entropy_match():
         )
 
 
-@given(n_qubits=st.integers(3, 6), seed=st.integers(0, 2**32), support=st.integers(1, 3))
+@given(n_qubits=st.integers(3, 8), seed=st.integers(0, 2**32), support=st.integers(1, 3))
 def test_disentanglers_act_on_a_sender_of_any_size(n_qubits, seed, support):
-    """On n qubits both disentanglers move the state to |0...0> (x) residual by a unitary on the sender's
-    kets: the Schmidt one on a Haar state, whose residual entropy is the receiver's entropy, and the
-    componentwise one on a state whose cut A has `support` nonzero rows, which exists iff that is at most 2."""
+    """On n qubits, up to the JSON format's cap of 8, both disentanglers move the state to |0...0> (x) residual
+    by a unitary on the sender's kets, each within 1e-12: the Schmidt one on a Haar state, whose residual
+    entropy is the receiver's entropy, and the componentwise one on a state whose cut A has `support` nonzero
+    rows, which exists iff that is at most 2."""
     def moved(unitary, state):
-        assert is_unitary(unitary, 1e-10)
+        assert is_unitary(unitary, 1e-12)
         return np.kron(unitary, np.eye(2)) @ state.amplitudes
 
     haar = haar_random_state(n_qubits, seed)
@@ -405,6 +406,19 @@ def test_disentanglers_act_on_a_sender_of_any_size(n_qubits, seed, support):
     if result.exists:
         target[:4] = result.residual.amplitudes
         np.testing.assert_allclose(moved(result.unitary, sparse), target, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [make_named_state("w"), make_named_state("ghz"), w_like_from_params(WLikeParams(math.pi / 2, 0.0, 0.3)),
+     PureState(3, np.eye(8)[0]), haar_random_state(5, 2)],
+    ids=["w", "ghz", "w-like", "product", "haar5"],
+)
+def test_no_printed_schmidt_unitary_holds_a_negative_zero(state):
+    """Conjugating U makes a -0.0 imaginary part wherever U's is 0.0; none of them is printed."""
+    text = dumps_canonical(operator_to_jsonable(schmidt_disentangler(state).unitary))
+    parts = [x for row in json.loads(text) for entry in row for x in entry]
+    assert not any(x == 0.0 and math.copysign(1.0, x) < 0 for x in parts)
 
 
 def w_state(n_qubits: int) -> PureState:

@@ -1,12 +1,16 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from teleport3q.feasibility import SCAN_CHUNK, SCAN_PEAK_BYTES, build_feasibility_report
+from teleport3q import feasibility
+from teleport3q.feasibility import (
+    SCAN_BUDGET_BYTES, SCAN_CHUNK, SCAN_PEAK_BYTES, SCAN_TOL, build_feasibility_report, haar_scan,
+)
 from teleport3q.protocols import basis_from_S, run_teleport, w_like_protocol
 from teleport3q.serialize import (
     MAX_QUBITS,
@@ -231,22 +235,54 @@ def test_protocol_jsonable_amplitude_precision():
 CAP_BOUND_BYTES = 512 * 10**6
 
 
-def scan_workspace_bytes(n_qubits: int) -> int:
-    """The bytes of haar_scan's workspace, SCAN_CHUNK·(2d(d+4) + (d+4)²) complex numbers for d = 2**n."""
+def scan_trial_bytes(n_qubits: int) -> int:
+    """README's bytes per trial of a scan's chunk, 2d(d+4) + 2(d+4)² + 3d² + d complex numbers for d = 2**n:
+    the workspace, the screen's Cholesky factor and the exact path's QR arrays."""
     d = 2**n_qubits
-    return SCAN_CHUNK * (2 * d * (d + 4) + (d + 4) ** 2) * 16
+    return (2 * d * (d + 4) + 2 * (d + 4) ** 2 + 3 * d**2 + d) * 16
+
+
+def scan_chunk(n_qubits: int) -> int:
+    return max(1, min(SCAN_CHUNK, SCAN_BUDGET_BYTES // scan_trial_bytes(n_qubits)))
+
+
+def scan_bytes(n_qubits: int) -> int:
+    """The bytes a scan over n qubits holds at most: one chunk's trials."""
+    return scan_chunk(n_qubits) * scan_trial_bytes(n_qubits)
 
 
 def test_qubit_cap_bounds_the_scan_workspace_and_the_haar_draw():
-    """Evaluated, never allocated: at the cap the scan workspace (411 MB) and the Gaussians of
-    haar_random_unitary (2·d² floats) stay under README's bound, and one qubit more passes it (1.63 GB)."""
+    """Evaluated, never allocated: up to the cap a scan (README's formula) and the Gaussians of
+    haar_random_unitary (2·d² floats) stay under README's bound. The scan's chunk, not the cap, keeps
+    it there: SCAN_CHUNK trials fit the budget through 7 qubits, so no 3- or 4-qubit scan changed its
+    chunks, and 34 fit at 8, where 128 peaked at 814 MB."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert f"`nQubits` is at most {MAX_QUBITS}" in readme and f"{CAP_BOUND_BYTES // 10**6} MB" in readme
-    # the formula against the tracemalloc peaks the scan tests pin for 3 and 4 qubits
-    assert all(scan_workspace_bytes(n) < SCAN_PEAK_BYTES[n] for n in (3, 4))
-    assert scan_workspace_bytes(MAX_QUBITS) < CAP_BOUND_BYTES <= scan_workspace_bytes(MAX_QUBITS + 1)
+    for n in range(3, MAX_QUBITS + 1):
+        assert feasibility._scan_chunk(2**n) == scan_chunk(n)
+        assert scan_bytes(n) < CAP_BOUND_BYTES
+    assert [scan_chunk(n) for n in (3, 4, 7, 8)] == [SCAN_CHUNK] * 3 + [34]
+    # the formula bounds the tracemalloc peaks the scan tests pin for 3 and 4 qubits
+    assert all(SCAN_PEAK_BYTES[n] < scan_bytes(n) for n in (3, 4))
     assert 2 * (2**MAX_QUBITS) ** 2 * 8 < CAP_BOUND_BYTES
     assert MAX_QUBITS >= 6  # W⊗W
+
+
+def test_a_six_qubit_scan_peaks_under_the_formula():
+    """The tracemalloc peak of a one-chunk W_6 scan, 37 MB at SCAN_TOL and 53 MB at 0.3, where every
+    trial takes QR, stays under the formula's 62 MB; the workspace alone is 27 MB."""
+    amplitudes = np.zeros(2**6, dtype=complex)
+    amplitudes[[2**k for k in range(6)]] = 6**-0.5
+    shared = PureState(6, amplitudes)
+    for tol in (SCAN_TOL, 0.3):
+        haar_scan(shared, 1, 0, tol=tol)  # numpy's first calls build caches
+        tracemalloc.start()
+        try:
+            haar_scan(shared, SCAN_CHUNK, 1, tol=tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < scan_bytes(6), tol
 
 
 def test_the_qubit_cap_holds_at_the_json_boundary_only():
