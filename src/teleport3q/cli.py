@@ -288,7 +288,6 @@ def cmd_analyze(args) -> tuple[int, str]:
     code = EXIT_OK if report.entropy_feasible else EXIT_NEGATIVE
     if args.format == "json":
         return code, dumps_canonical(report_to_jsonable(report, state_input_hash(state)))
-    comp = "yes" if report.componentwise.exists else "no"
     lines = [
         f"state: {label}",
         f"entropy (bits): {_fmt(report.entropy_bits)}",
@@ -297,8 +296,8 @@ def cmd_analyze(args) -> tuple[int, str]:
         f"sum rule balanced: {'yes' if report.sum_rule_balanced else 'no'}",
         f"scan: {report.scan.feasible_count}/{report.scan.trials} feasible bases "
         f"(max passing branches {report.scan.max_passing_branches})",
-        f"componentwise disentangler exists: {comp}",
-        f"schmidt disentangler residual entropy: {_fmt(report.schmidt.residual_entropy)}",
+        f"componentwise disentangler exists: {'no' if report.componentwise.unitary is None else 'yes'}",
+        f"schmidt disentangler residual entropy: {_fmt(report.entropy_bits)}",
     ]
     return code, "\n".join(lines) + "\n"
 

@@ -18,7 +18,7 @@ from .protocols import (
     MeasurementBasis, branch_operators, branch_tensor, check_basis_qubits, check_tolerance, check_trials,
     diagonal_deviation, scale_and_deviation,
 )
-from .states import DensityMatrix, PureState, entanglement_entropy, shannon_entropy, trusted
+from .states import DensityMatrix, PureState, entanglement_entropy, trusted
 
 __all__ = [
     "DisentanglerResult",
@@ -62,21 +62,20 @@ class UnitarityVerdict:
 
 @dataclass(frozen=True)
 class DisentanglerResult:
-    """Outcome of the componentwise sender-side disentangler search."""
+    """Outcome of the componentwise sender-side disentangler search; it exists iff `unitary` is not None."""
 
-    exists: bool
     unitary: np.ndarray | None
     residual: PureState | None
 
 
 @dataclass(frozen=True)
 class SchmidtDisentangler:
-    """Always-constructible disentangler from the sender-pair Schmidt vectors."""
+    """Always-constructible disentangler from the sender-pair Schmidt vectors. The residual's entropy,
+    shannon_entropy(coefficients**2), is the receiver's, which a report holds once as entropy_bits."""
 
     unitary: np.ndarray
     residual: PureState
     coefficients: np.ndarray
-    residual_entropy: float
 
 
 @dataclass(frozen=True)
@@ -160,13 +159,13 @@ def componentwise_disentangler(shared: PureState) -> DisentanglerResult:
     amps = _receiver_cut(shared, "disentangler")
     support = np.flatnonzero(np.abs(amps).max(axis=1) > ZERO_ATOL).tolist()
     if len(support) > 2:
-        return DisentanglerResult(False, None, None)
+        return DisentanglerResult(None, None)
     order = support + [a for a in range(len(amps)) if a not in support]
     unitary = np.eye(len(amps), dtype=complex)[order]
     # the product, not amps[order[:2]]: adding its zero terms turns each -0.0 part into the printed 0.0
     residual = (unitary @ amps)[:2].reshape(-1)
     residual = residual / np.linalg.norm(residual)
-    return DisentanglerResult(True, unitary, trusted(PureState, n_qubits=2, amplitudes=residual))
+    return DisentanglerResult(unitary, trusted(PureState, n_qubits=2, amplitudes=residual))
 
 
 def schmidt_disentangler(shared: PureState) -> SchmidtDisentangler:
@@ -187,7 +186,6 @@ def schmidt_disentangler(shared: PureState) -> SchmidtDisentangler:
         unitary=dagger(u) + 0.0,
         residual=trusted(PureState, n_qubits=2, amplitudes=residual),
         coefficients=s,
-        residual_entropy=shannon_entropy(s**2),
     )
 
 
@@ -314,7 +312,7 @@ def build_feasibility_report(shared: PureState, label: str, scan_trials: int, se
     are read off the receiver's reduced state directly. The componentwise
     and Schmidt disentanglers answer different questions
     (existence of a ket-permutation style move versus an unconstrained local
-    unitary) and are reported side by side.
+    unitary) and are reported side by side; entropy_bits is also the Schmidt residual's entropy.
     """
     _receiver_cut(shared, "analyze")  # before the scan runs
     rho_b = bob_reduced_state(shared)

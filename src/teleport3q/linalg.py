@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -14,7 +13,6 @@ __all__ = [
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "SchmidtForm",
     "closest_unitary",
     "complete_orthonormal",
     "dagger",
@@ -136,37 +134,30 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     return _haar_from_rng(dim, np.random.default_rng(seed))
 
 
-@dataclass(frozen=True)
-class SchmidtForm:
-    """Bipartite canonical form of a pure state.
+def split_positions(positions: Sequence[int], n: int, what: str) -> tuple[list[int], list[int]]:
+    """The one position rule: `positions` of n qubits, sorted without repeats, and the other positions.
+    Raises unless each is an integer in [0, n) and they are a nonempty proper subset of the qubits."""
+    chosen = sorted({as_int(q, what) for q in positions})
+    if any(q < 0 or q >= n for q in chosen):
+        raise ValueError(f"{what}s {chosen} out of range for {n} qubits")
+    rest = [q for q in range(n) if q not in chosen]
+    if not chosen or not rest:
+        raise ValueError(f"{what}s must be a nonempty proper subset of the {n} qubits")
+    return chosen, rest
 
-    `coefficients` are non-increasing and non-negative with unit sum of
-    squares; factor rows are orthonormal on their respective subsystems.
-    """
 
-    coefficients: np.ndarray
-    left_factors: np.ndarray
-    right_factors: np.ndarray
+def schmidt_decompose(amplitudes: np.ndarray, cut_qubits: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced SVD (u, s, vh) of the amplitudes as a (cut | rest) matrix, as np.linalg.svd returns it.
 
-
-def schmidt_decompose(amplitudes: np.ndarray, cut_qubits: Sequence[int]) -> SchmidtForm:
-    """Singular value decomposition across the (cut | rest) bipartition.
-
-    `cut_qubits` are 0-based positions, position 0 being the most significant
-    index bit. Left factors live on the cut qubits (ascending position order),
-    right factors on the remaining qubits.
+    `cut_qubits` are 0-based positions under split_positions' rule, position 0 being the most significant
+    index bit. The Schmidt coefficients s are non-increasing; column k of u is the k-th Schmidt vector on
+    the cut qubits (ascending position order), row k of vh the one on the remaining qubits.
     """
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     n = qubit_count(amps.size)
-    cut = sorted(set(as_int(q, "cut qubit") for q in cut_qubits))
-    if any(q < 0 or q >= n for q in cut):
-        raise ValueError(f"cut qubits {cut} out of range for {n} qubits")
-    rest = [q for q in range(n) if q not in cut]
-    if not cut or not rest:
-        raise ValueError("cut must be a nonempty proper subset of the qubits")
+    cut, rest = split_positions(cut_qubits, n, "cut qubit")
     matrix = amps.reshape((2,) * n).transpose(cut + rest).reshape(2 ** len(cut), 2 ** len(rest))
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    return SchmidtForm(coefficients=s, left_factors=u.T.copy(), right_factors=vh.copy())
+    return np.linalg.svd(matrix, full_matrices=False)
 
 
 def complete_orthonormal(rows: np.ndarray, dim: int, orthonormal: bool | None = None) -> np.ndarray:

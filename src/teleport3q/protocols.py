@@ -85,20 +85,6 @@ def check_tolerance(tol) -> float:
     return value + 0.0  # -0.0 would be stored, and printed, as -0
 
 
-def check_basis_rows(rows: np.ndarray) -> None:
-    """Raise unless each (d, d) matrix of the stack (..., d, d) has orthonormal rows.
-
-    The Gram matrix conj(rows) @ rowsᵀ, a†a for a = rowsᵀ, must be the
-    identity within ATOL. Its diagonal holds the squared row norms, so it
-    passes only finite unit-norm rows; when it fails, the PureState checks
-    (finite, unit norm) run first, which raises their error for such a row.
-    """
-    deviation = isometry_deviation(rows.swapaxes(-1, -2))
-    if not (deviation <= ATOL).all():
-        check_unit_norm(rows)
-        raise ValueError(f"basis is not orthonormal: Gram deviation {np.max(deviation):.3e}")
-
-
 def check_basis_qubits(basis: MeasurementBasis, shared: PureState) -> None:
     """Raise unless `basis` acts on as many qubits as `shared`, which a branch contraction needs."""
     if basis.n_qubits != shared.n_qubits:
@@ -176,7 +162,9 @@ class MeasurementBasis:
     """Full orthonormal basis on the measured register, one row per outcome.
 
     `rows` is a read-only (2**n, 2**n) matrix; row k is the element for the
-    outcome whose bits are the big-endian binary digits of k.
+    outcome whose bits are the big-endian binary digits of k. The Gram matrix a†a, a = rowsᵀ, must be I
+    within ATOL; its diagonal holds the squared row norms, so a failing basis reports a row's PureState
+    error (finite, unit norm) first.
     """
 
     rows: np.ndarray
@@ -185,7 +173,10 @@ class MeasurementBasis:
         rows = np.array(self.rows, dtype=complex, order="C")
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or qubit_count(len(rows)) < 1:
             raise ValueError(f"basis must be a 2**n x 2**n matrix with n >= 1, got shape {rows.shape}")
-        check_basis_rows(rows)
+        deviation = isometry_deviation(rows.T)
+        if not deviation <= ATOL:
+            check_unit_norm(rows)
+            raise ValueError(f"basis is not orthonormal: Gram deviation {deviation:.3e}")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 

@@ -167,14 +167,14 @@ def protocol_from_jsonable(data: dict) -> TeleportProtocol:
 def report_to_jsonable(report: FeasibilityReport, input_hash: str) -> dict:
     comp = report.componentwise
     componentwise = {
-        "exists": comp.exists,
+        "exists": comp.unitary is not None,
         "unitary": None if comp.unitary is None else operator_to_jsonable(comp.unitary),
         "residualState": None if comp.residual is None else state_to_jsonable(comp.residual),
     }
     schmidt = {
         "unitary": operator_to_jsonable(report.schmidt.unitary),
         "alphaSchmidt": report.schmidt.coefficients.tolist(),
-        "alphaEntropy": report.schmidt.residual_entropy,
+        "alphaEntropy": report.entropy_bits,
         "residualState": state_to_jsonable(report.schmidt.residual),
     }
     return {

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import ATOL, as_int, haar_random_unitary, max_abs, qubit_count
+from .linalg import ATOL, as_int, haar_random_unitary, max_abs, qubit_count, split_positions
 
 __all__ = [
     "DensityMatrix",
@@ -213,14 +213,9 @@ def w_like_from_params(params: WLikeParams) -> PureState:
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out the complement of `keep` (0-based positions, ascending order kept)."""
+    """Trace out the complement of `keep` (0-based positions, split_positions' rule; ascending order kept)."""
     n = rho.n_qubits
-    kept = sorted(set(as_int(q, "qubit position") for q in keep))
-    if any(q < 0 or q >= n for q in kept):
-        raise ValueError(f"keep set {kept} out of range for {n} qubits")
-    if not kept or len(kept) == n:
-        raise ValueError("keep must be a nonempty proper subset of the qubits")
-    traced = [q for q in range(n) if q not in kept]
+    kept, traced = split_positions(keep, n, "qubit position")
     perm = kept + traced + [n + q for q in kept] + [n + q for q in traced]
     tensor = rho.matrix.reshape((2,) * (2 * n)).transpose(perm)
     k, t = 2 ** len(kept), 2 ** len(traced)

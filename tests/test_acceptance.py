@@ -33,6 +33,7 @@ from teleport3q.states import (
     haar_random_state,
     make_named_state,
     partial_trace,
+    shannon_entropy,
     w_like_from_params,
 )
 
@@ -156,21 +157,21 @@ def test_criterion_07_sigma_twirl_grams():
 def test_criterion_08_disentangler_suite():
     ghz = make_named_state("ghz")
     result = componentwise_disentangler(ghz)
-    assert result.exists
+    assert result.unitary is not None
     residual_reduced = partial_trace(result.residual.density(), keep=(1,))
     assert abs(entanglement_entropy(residual_reduced) - 1.0) <= 1e-10
     half_pi = w_like_from_params(WLikeParams(math.pi / 2, 0.0, 0.6))
     result = componentwise_disentangler(half_pi)
-    assert result.exists
+    assert result.unitary is not None
     residual_reduced = partial_trace(result.residual.density(), keep=(1,))
     assert abs(entanglement_entropy(residual_reduced) - 1.0) <= 1e-10
-    assert not componentwise_disentangler(make_named_state("w")).exists
+    assert componentwise_disentangler(make_named_state("w")).unitary is None
     quarter_pi = w_like_from_params(WLikeParams(math.pi / 4, 0.0, 0.0))
-    assert not componentwise_disentangler(quarter_pi).exists
+    assert componentwise_disentangler(quarter_pi).unitary is None
     for k in range(50):
         state = haar_random_state(3, 80_000 + k)
         assert abs(
-            schmidt_disentangler(state).residual_entropy - entropy_criterion(state)[0]
+            shannon_entropy(schmidt_disentangler(state).coefficients**2) - entropy_criterion(state)[0]
         ) <= 1e-10
     _passed(8, "componentwise exists for GHZ and gamma=pi/2, not W or gamma=pi/4; Schmidt entropy matches")
 

@@ -56,8 +56,8 @@ def test_teleport_w_without_basis_is_usage_error():
 
 def test_teleport_requires_message():
     proc = run_cli("teleport", "--shared", "ghz")
-    assert proc.returncode == 2
-    assert "message" in proc.stderr
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: a message state is required: --theta [--phi] or --random\n"
 
 
 @pytest.mark.parametrize("angle", ["--theta", "--phi"])
@@ -220,6 +220,57 @@ def test_malformed_input_exits_2(tmp_path, edit, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+def _protocol_file(tmp_path, edit) -> str:
+    """The basis-gen protocol with `edit` applied to its JSON object, written to a file; the file's path."""
+    data = json.loads(BASIS_GEN_PROTOCOL.read_text())
+    edit(data)
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _drop_a_correction(data):
+    del data["corrections"][7]
+
+
+def _mix_qubit_counts(data):
+    data["basisElements"][3] = {"nQubits": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["analyze", "--shared", "w", "--state-file", str(BASIS_GEN_PROTOCOL)],
+            "pass either --shared or --state-file, not both",
+        ),
+        (["analyze"], "a shared state is required: --shared or --state-file"),
+        (
+            ["teleport", "--protocol-file", str(BASIS_GEN_PROTOCOL), "--shared", "ghz", "--theta", "1"],
+            "--protocol-file excludes --shared and --state-file",
+        ),
+        (
+            ["teleport", "--protocol-file", str(BASIS_GEN_PROTOCOL), "--basis", "haar:1", "--theta", "1"],
+            "--protocol-file excludes --basis",
+        ),
+        (["teleport", "--protocol-file", _drop_a_correction, "--theta", "1"], "expected 8 corrections, got 7"),
+        (["teleport", "--protocol-file", _mix_qubit_counts, "--theta", "1"], "basis elements must share a qubit count"),
+        (["basis-gen", "--params", "inf,0,0", "--S", "I"], "gamma must be finite"),
+        (["teleport", "--shared", "ghz", "--theta", "inf"], "angles must be finite"),
+    ],
+    ids=[
+        "shared-and-state-file", "analyze-without-state", "protocol-file-and-shared",
+        "protocol-file-and-basis", "seven-corrections", "mixed-qubit-counts", "params-inf", "theta-inf",
+    ],
+)
+def test_usage_errors_exit_2_with_one_line(tmp_path, argv, line):
+    """Each exits 2 with one `error:` line on stderr, nothing on stdout and no traceback (teleport without a
+    message: test_teleport_requires_message). A callable in argv edits the basis-gen protocol into a file."""
+    argv = [_protocol_file(tmp_path, arg) if callable(arg) else arg for arg in argv]
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {line}\n")
 
 
 def test_ragged_S_error_is_one_short_line(tmp_path, capsys):

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from teleport3q import cli, feasibility
 from teleport3q.feasibility import (
@@ -41,7 +45,6 @@ from teleport3q.protocols import (
     bell_protocol,
     branch_operators,
     branch_tensor,
-    check_basis_rows,
     diagonal_deviation,
     ghz_protocol,
     scale_and_deviation,
@@ -58,6 +61,7 @@ from teleport3q.states import (
     make_named_state,
     make_w_like,
     partial_trace,
+    shannon_entropy,
     w_like_from_params,
 )
 
@@ -303,7 +307,7 @@ def test_bob_reduced_state_needs_a_sender_qubit():
 
 def test_componentwise_ghz():
     result = componentwise_disentangler(make_named_state("ghz"))
-    assert result.exists
+    assert result.unitary is not None
     assert is_unitary(result.unitary, 1e-10)
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / SQRT2
@@ -311,19 +315,19 @@ def test_componentwise_ghz():
 
 
 def test_componentwise_w_fails():
-    assert not componentwise_disentangler(make_named_state("w")).exists
+    assert componentwise_disentangler(make_named_state("w")).unitary is None
 
 
 def test_componentwise_w_like_quarter_pi_fails():
     state = w_like_from_params(WLikeParams(math.pi / 4, 0.0, 0.0))
-    assert not componentwise_disentangler(state).exists
+    assert componentwise_disentangler(state).unitary is None
 
 
 def test_componentwise_w_like_half_pi():
     omega = 0.3
     state = w_like_from_params(WLikeParams(math.pi / 2, 0.0, omega))
     result = componentwise_disentangler(state)
-    assert result.exists
+    assert result.unitary is not None
     expected = np.zeros(4, dtype=complex)
     expected[1] = 1 / SQRT2
     expected[2] = np.exp(1j * omega) / SQRT2
@@ -348,21 +352,21 @@ def test_componentwise_product_state_support_one():
     amps = np.zeros(8, dtype=complex)
     amps[0] = amps[1] = 1 / SQRT2
     result = componentwise_disentangler(PureState(3, amps))
-    assert result.exists
+    assert result.unitary is not None
     reduced = partial_trace(result.residual.density(), keep=(1,))
     assert entanglement_entropy(reduced) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_schmidt_disentangler_values():
-    assert schmidt_disentangler(make_named_state("ghz")).residual_entropy == pytest.approx(
+    assert shannon_entropy(schmidt_disentangler(make_named_state("ghz")).coefficients**2) == pytest.approx(
         1.0, abs=1e-10
     )
-    assert schmidt_disentangler(make_named_state("w")).residual_entropy == pytest.approx(
+    assert shannon_entropy(schmidt_disentangler(make_named_state("w")).coefficients**2) == pytest.approx(
         0.91829583, abs=1e-6
     )
     amps = np.zeros(8, dtype=complex)
     amps[0] = amps[1] = 1 / SQRT2  # |0>|0>|+>
-    assert schmidt_disentangler(PureState(3, amps)).residual_entropy == pytest.approx(
+    assert shannon_entropy(schmidt_disentangler(PureState(3, amps)).coefficients**2) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -376,7 +380,7 @@ def test_schmidt_disentangler_reconstruction_and_entropy_match():
         target = np.zeros(8, dtype=complex)
         target[:4] = result.residual.amplitudes
         assert abs(np.vdot(target, moved)) ** 2 == pytest.approx(1.0, abs=1e-10)
-        assert result.residual_entropy == pytest.approx(
+        assert shannon_entropy(result.coefficients**2) == pytest.approx(
             entropy_criterion(state)[0], abs=1e-10
         )
 
@@ -393,7 +397,7 @@ def test_disentanglers_act_on_a_sender_of_any_size(n_qubits, seed, support):
 
     haar = haar_random_state(n_qubits, seed)
     schmidt = schmidt_disentangler(haar)
-    assert schmidt.residual_entropy == pytest.approx(entropy_criterion(haar)[0], rel=0, abs=1e-12)
+    assert shannon_entropy(schmidt.coefficients**2) == pytest.approx(entropy_criterion(haar)[0], rel=0, abs=1e-12)
     target = np.zeros(2**n_qubits, dtype=complex)
     target[:4] = schmidt.residual.amplitudes
     np.testing.assert_allclose(moved(schmidt.unitary, haar), target, rtol=0, atol=1e-12)
@@ -402,8 +406,8 @@ def test_disentanglers_act_on_a_sender_of_any_size(n_qubits, seed, support):
     cut[rng.choice(len(cut), support, replace=False)] = rng.standard_normal((support, 2, 2)) @ [1, 1j]
     sparse = PureState(n_qubits, cut.reshape(-1) / np.linalg.norm(cut))
     result = componentwise_disentangler(sparse)
-    assert result.exists == (support <= 2)
-    if result.exists:
+    assert (result.unitary is not None) == (support <= 2)
+    if result.unitary is not None:
         target[:4] = result.residual.amplitudes
         np.testing.assert_allclose(moved(result.unitary, sparse), target, rtol=0, atol=1e-12)
 
@@ -452,6 +456,38 @@ def test_analyze_reads_the_receiver_cut_of_w_and_ghz_on_n_qubits(tmp_path, capsy
         assert (report["sumRuleRow0"], report["sumRuleRow1"]) == pytest.approx(rows, rel=0, abs=1e-11)
         assert report["componentwiseDisentangler"]["exists"] is componentwise
         assert report["schmidtDisentangler"]["alphaEntropy"] == pytest.approx(entropy, rel=0, abs=1e-12)
+
+
+def sparse_state(n_qubits: int, seed: int) -> PureState:
+    """A random state on n qubits with about 60% of its amplitudes exactly zero, and one at least nonzero."""
+    rng = np.random.default_rng(seed)
+    dim = 2**n_qubits
+    amps = rng.standard_normal((dim, 2)) @ [1, 1j]
+    zero = rng.random(dim) < 0.6
+    zero[rng.integers(dim)] = False
+    amps[zero] = 0.0
+    return PureState(n_qubits, amps / np.linalg.norm(amps))
+
+
+@given(n_qubits=st.integers(3, 6), seed=st.integers(0, 2**32))
+# states whose eigvalsh and SVD entropies differ in the 12th digit
+@example(n_qubits=3, seed=6)
+@example(n_qubits=4, seed=173)
+def test_analyze_prints_one_entropy(n_qubits, seed):
+    """The report holds one entropy: the JSON prints it as entropyBits and alphaEntropy, and the text as the
+    entropy and the Schmidt residual's entropy, with the same digits."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        path.write_text(json.dumps(state_to_jsonable(sparse_state(n_qubits, seed))))
+        outputs = {}
+        for output in ("json", "text"):
+            with contextlib.redirect_stdout(out := io.StringIO()):
+                cli.main(["analyze", "--state-file", str(path), "--scan-trials", "1", "--format", output])
+            outputs[output] = out.getvalue()
+    report = json.loads(outputs["json"])
+    assert report["entropyBits"] == report["schmidtDisentangler"]["alphaEntropy"]
+    lines = dict(line.split(": ", 1) for line in outputs["text"].splitlines())
+    assert lines["entropy (bits)"] == lines["schmidt disentangler residual entropy"]
 
 
 # ---------------------------------------------------------------- scans and reports
@@ -510,8 +546,8 @@ def test_feasibility_report_w():
     assert report.sum_rule_row1 == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert not report.sum_rule_balanced
     assert report.scan.feasible_count == 0
-    assert not report.componentwise.exists
-    assert report.schmidt.residual_entropy == pytest.approx(report.entropy_bits, abs=1e-10)
+    assert report.componentwise.unitary is None
+    assert shannon_entropy(report.schmidt.coefficients**2) == pytest.approx(report.entropy_bits, abs=1e-10)
     np.testing.assert_allclose(
         report.bob_reduced_state.matrix, np.diag([2 / 3, 1 / 3]), atol=1e-12
     )
@@ -521,7 +557,7 @@ def test_feasibility_report_ghz():
     report = build_feasibility_report(make_named_state("ghz"), "ghz", scan_trials=5, seed=0)
     assert report.entropy_feasible
     assert report.sum_rule_balanced
-    assert report.componentwise.exists
+    assert report.componentwise.unitary is not None
 
 
 def test_feasibility_report_rejects_wrong_size(monkeypatch):
@@ -960,20 +996,22 @@ def test_haar_scan_stores_the_tolerance_as_a_float(tol, stored):
 
 
 def test_kernel_checks_reject_bad_rows():
-    rows = np.stack([haar_random_unitary(8, seed).T for seed in (1, 2)])
-    check_basis_rows(rows)
-    repeated = rows.copy()
-    repeated[1, 3] = repeated[1, 2]
+    """MeasurementBasis rejects repeated, stretched and non-finite rows of a Haar basis, each with its own error."""
+    rows = [haar_random_unitary(8, seed).T for seed in (1, 2)]
+    for matrix in rows:
+        MeasurementBasis(matrix)
+    repeated = rows[1].copy()
+    repeated[3] = repeated[2]
     with pytest.raises(ValueError, match="not orthonormal"):
-        check_basis_rows(repeated)
-    stretched = rows.copy()
-    stretched[0, 5] *= 1.001
+        MeasurementBasis(repeated)
+    stretched = rows[0].copy()
+    stretched[5] *= 1.001
     with pytest.raises(ValueError, match="squared norm deviates"):
-        check_basis_rows(stretched)
-    broken = rows.copy()
-    broken[1, 0, 4] = np.nan
+        MeasurementBasis(stretched)
+    broken = rows[1].copy()
+    broken[0, 4] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        check_basis_rows(broken)
+        MeasurementBasis(broken)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8, 16])
@@ -1044,13 +1082,13 @@ def test_haar_draws_match_the_textbook_construction(seed, shared):
 
 
 def test_kernel_checks_decide_near_misses_exactly():
-    """Gram deviations between ATOL / 2 and ATOL pass, and just above ATOL
-    fail, with the error of the exact check."""
-    rows = np.stack([haar_random_unitary(8, seed).T for seed in (1, 2)])
+    """MeasurementBasis passes Gram deviations between ATOL / 2 and ATOL, and
+    fails one just above ATOL with the error of the exact check."""
+    rows = haar_random_unitary(8, 2).T
     near = rows.copy()
-    near[1, 6] *= 1.0 + 0.35 * ATOL
-    check_basis_rows(near)
+    near[6] *= 1.0 + 0.35 * ATOL
+    MeasurementBasis(near)
     over = rows.copy()
-    over[1, 6] *= 1.0 + 0.6 * ATOL
+    over[6] *= 1.0 + 0.6 * ATOL
     with pytest.raises(ValueError, match="squared norm deviates"):
-        check_basis_rows(over)
+        MeasurementBasis(over)

@@ -4,8 +4,9 @@ Each case runs `teleport3q.cli.main` in-process with tests/golden/ as the
 working directory, so the input paths, and the labels the CLI derives from
 them, are the same on every machine. The expected result of case NAME is
 tests/golden/NAME.out: a first line `exit CODE`, then stdout byte for byte.
-The inputs under tests/golden/inputs/ are committed: a Haar-random state, a
-one-ebit state and a `basis-gen` protocol file.
+The inputs under tests/golden/inputs/ are committed: two Haar-random states
+(haar3_2789.json at full precision), a one-ebit state and a `basis-gen`
+protocol file.
 
 After a change that is meant to alter CLI output, regenerate every expected
 file with
@@ -75,6 +76,8 @@ CASES = {
     ],
     "analyze_one_ebit_json": ["analyze", "--state-file", "inputs/one_ebit_state.json", "--scan-trials", "10"],
     "analyze_bell_rejected": ["analyze", "--shared", "bell(0,0)"],
+    # one entropy, printed as entropyBits and alphaEntropy; the input keeps every bit of haar_random_state(3, 2789)
+    "analyze_haar3_2789_json": ["analyze", "--state-file", "inputs/haar3_2789.json", "--scan-trials", "10"],
     # scan: both formats, injected controls, exit 0 / 2
     "scan_w_text": ["scan", "--shared", "w", "--trials", "50", "--seed", "1"],
     "scan_ghz_inject_json": ["scan", "--shared", "ghz", "--trials", "10", "--inject-known-basis", "--format", "json"],

@@ -20,6 +20,7 @@ from teleport3q.linalg import (
     is_unitary,
     isometry_deviation,
     max_abs,
+    qubit_count,
     schmidt_decompose,
 )
 from teleport3q.states import WLikeParams
@@ -175,10 +176,23 @@ def test_haar_dim_must_be_an_integer(dim):
         haar_random_unitary(dim, 0)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_one_dimensional_haar_unitary_is_a_phase(seed):
+    u = haar_random_unitary(1, seed)
+    assert u.shape == (1, 1) and is_unitary(u)
+
+
+def test_qubit_count_of_one_amplitude_is_zero():
+    assert qubit_count(1) == 0
+    assert qubit_count(2) == 1
+    with pytest.raises(ValueError, match="^length 0 is not a power of two$"):
+        qubit_count(0)
+
+
 def test_schmidt_bell_coefficients():
     bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    form = schmidt_decompose(bell, (0,))
-    np.testing.assert_allclose(form.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
+    _, s, _ = schmidt_decompose(bell, (0,))
+    np.testing.assert_allclose(s, [1 / np.sqrt(2)] * 2, atol=1e-12)
 
 
 def test_schmidt_product_state_rank_one():
@@ -186,17 +200,15 @@ def test_schmidt_product_state_rank_one():
     psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     psi /= np.linalg.norm(psi)
     state = np.kron(KET0, psi)
-    form = schmidt_decompose(state, (0,))
-    np.testing.assert_allclose(form.coefficients, [1.0, 0.0], atol=1e-12)
+    _, s, _ = schmidt_decompose(state, (0,))
+    np.testing.assert_allclose(s, [1.0, 0.0], atol=1e-12)
 
 
 def test_schmidt_w_state_cut_receiver():
     w = np.zeros(8, dtype=complex)
     w[1] = w[2] = w[4] = 1.0 / np.sqrt(3.0)
-    form = schmidt_decompose(w, (0, 1))
-    np.testing.assert_allclose(
-        form.coefficients, [np.sqrt(2.0 / 3.0), np.sqrt(1.0 / 3.0)], atol=1e-12
-    )
+    _, s, _ = schmidt_decompose(w, (0, 1))
+    np.testing.assert_allclose(s, [np.sqrt(2.0 / 3.0), np.sqrt(1.0 / 3.0)], atol=1e-12)
 
 
 def test_schmidt_invariants_random_states():
@@ -204,16 +216,14 @@ def test_schmidt_invariants_random_states():
     for _ in range(10):
         amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         amps /= np.linalg.norm(amps)
-        form = schmidt_decompose(amps, (0, 2))
-        assert abs(np.sum(form.coefficients**2) - 1.0) <= 1e-10
-        for factors in (form.left_factors, form.right_factors):
+        u, s, vh = schmidt_decompose(amps, (0, 2))
+        assert abs(np.sum(s**2) - 1.0) <= 1e-10
+        # the Schmidt vectors: the columns of u and the rows of vh
+        for factors in (u.T, vh):
             gram = factors.conj() @ factors.T
             assert max_abs(gram - np.eye(factors.shape[0])) <= 1e-10
         # reconstruct on the (cut, rest) axis order, then undo the qubit reorder
-        rebuilt = sum(
-            c * np.kron(l, r)
-            for c, l, r in zip(form.coefficients, form.left_factors, form.right_factors)
-        )
+        rebuilt = sum(c * np.kron(l, r) for c, l, r in zip(s, u.T, vh))
         # cut (0,2) of 4 qubits: transposed order was (0,2,1,3)
         rebuilt = rebuilt.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(-1)
         assert max_abs(rebuilt - amps) <= 1e-10
@@ -222,10 +232,23 @@ def test_schmidt_invariants_random_states():
 def test_schmidt_rejects_empty_and_full_cuts():
     amps = np.zeros(4, dtype=complex)
     amps[0] = 1.0
-    with pytest.raises(ValueError):
+    subset = r"^cut qubits must be a nonempty proper subset of the 2 qubits$"
+    with pytest.raises(ValueError, match=subset):
         schmidt_decompose(amps, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=subset):
         schmidt_decompose(amps, (0, 1))
+
+
+def test_schmidt_rejects_a_position_equal_to_the_qubit_count():
+    """The shared position rule takes positions 0 to n - 1 of n qubits."""
+    w = np.zeros(8, dtype=complex)
+    w[[1, 2, 4]] = 1.0 / np.sqrt(3.0)
+    with pytest.raises(ValueError, match=r"^cut qubits \[3\] out of range for 3 qubits$"):
+        schmidt_decompose(w, (3,))
+    with pytest.raises(ValueError, match=r"^cut qubits \[-1\] out of range for 3 qubits$"):
+        schmidt_decompose(w, (-1,))
+    _, s, _ = schmidt_decompose(w, (2,))
+    np.testing.assert_allclose(s, [np.sqrt(2.0 / 3.0), np.sqrt(1.0 / 3.0)], atol=1e-12)
 
 
 @pytest.mark.parametrize("cut", [[0.5], [True], [0, 1.0]])

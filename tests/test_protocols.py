@@ -116,6 +116,21 @@ def test_measurement_basis_rejects_bad_shapes(shape):
         MeasurementBasis(np.eye(*shape) if len(shape) == 2 else np.ones(shape))
 
 
+def test_one_qubit_measurement_basis():
+    """The smallest basis the shape check admits, 2 x 2, passes the orthonormality check, or fails it."""
+    basis = MeasurementBasis(HADAMARD)
+    assert basis.n_qubits == 1
+    assert basis.rows.tobytes() == HADAMARD.tobytes()
+    with pytest.raises(ValueError, match="^basis is not orthonormal: Gram deviation 1.000e"):
+        MeasurementBasis([[1.0, 0.0], [1.0, 0.0]])
+
+
+def test_check_trials_takes_every_count_up_to_2_to_the_32():
+    """README's range [1, 2**32] includes both ends."""
+    assert protocols.check_trials(1) == 1
+    assert protocols.check_trials(2**32) == 2**32
+
+
 def test_basis_rows_and_branch_operators_are_read_only():
     protocol = ghz_protocol()
     family = branch_operators(protocol.basis, protocol.shared)

@@ -14,8 +14,10 @@ from teleport3q.feasibility import (
 from teleport3q.protocols import basis_from_S, run_teleport, w_like_protocol
 from teleport3q.serialize import (
     MAX_QUBITS,
+    _cut,
     _float_text,
     dumps_canonical,
+    json_number,
     protocol_from_jsonable,
     protocol_to_jsonable,
     report_to_jsonable,
@@ -32,6 +34,14 @@ from teleport3q.linalg import HADAMARD
 def test_round12():
     assert round12(1 / 3) == 0.333333333333
     assert round12(1.0) == 1.0
+
+
+def test_an_error_value_of_40_characters_keeps_its_bytes():
+    assert _cut("x" * 40) == "x" * 40
+    assert _cut("x" * 41) == "x" * 40 + "..."
+    # a 38-character string, whose repr has 40 characters
+    with pytest.raises(ValueError, match=f"^expected a JSON number, got '{'y' * 38}'$"):
+        json_number("y" * 38)
 
 
 def test_state_round_trip():

@@ -168,13 +168,16 @@ def test_partial_trace_product_factor():
 
 
 def test_partial_trace_rejects_bad_subsets():
+    """The shared position rule: positions 0 to n - 1 of n qubits, in a nonempty proper subset."""
     rho = make_named_state("w").density()
-    with pytest.raises(ValueError):
+    subset = r"^qubit positions must be a nonempty proper subset of the 3 qubits$"
+    with pytest.raises(ValueError, match=subset):
         partial_trace(rho, keep=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=subset):
         partial_trace(rho, keep=(0, 1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^qubit positions \[3\] out of range for 3 qubits$"):
         partial_trace(rho, keep=(3,))
+    assert partial_trace(rho, keep=(2,)).n_qubits == 1
 
 
 def test_partial_trace_composition_commutes():
@@ -356,7 +359,7 @@ def test_componentwise_residuals_store_the_public_constructors_bits(seed, rows):
     amps = np.zeros((4, 2), dtype=complex)
     amps[list(rows)] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     result = componentwise_disentangler(PureState(3, amps.reshape(-1) / np.linalg.norm(amps)))
-    assert result.exists
+    assert result.unitary is not None
     assert_same_store(result.residual, rechecked(result.residual))
 
 
