@@ -179,8 +179,9 @@ def schmidt_disentangler(shared: PureState) -> SchmidtDisentangler:
     """
     cut = _receiver_cut(shared, "disentangler")
     u, s, vh = np.linalg.svd(cut)
-    # a (2**(n - 1) x 2) state has two Schmidt terms, filling both halves, of the checked state's norm
-    residual = (s[:, None] * vh).reshape(-1)
+    # a (2**(n - 1) x 2) state has two Schmidt terms, filling both halves, of the checked state's norm;
+    # adding 0.0 turns the -0.0 that LAPACK can give a zero entry of Vh into the printed 0.0
+    residual = (s[:, None] * vh).reshape(-1) + 0.0
     return SchmidtDisentangler(
         # adding 0.0 turns each -0.0 part the conjugation makes into the printed 0.0
         unitary=dagger(u) + 0.0,

@@ -160,7 +160,7 @@ def schmidt_decompose(amplitudes: np.ndarray, cut_qubits: Sequence[int]) -> tupl
     return np.linalg.svd(matrix, full_matrices=False)
 
 
-def complete_orthonormal(rows: np.ndarray, dim: int, orthonormal: bool | None = None) -> np.ndarray:
+def complete_orthonormal(rows: np.ndarray, dim: int) -> np.ndarray:
     """Extend orthonormal rows to a full orthonormal basis of C^dim.
 
     Candidates are the computational-basis kets taken in index order, so the
@@ -168,60 +168,19 @@ def complete_orthonormal(rows: np.ndarray, dim: int, orthonormal: bool | None = 
     residual norm is at most PIVOT_TOL is skipped. Each accepted vector is
     orthogonalized twice; a single Gram-Schmidt pass loses digits when the
     pivot norm is small.
-
-    The loop runs only where its result is already known, so the output is
-    the loop's bit for bit. Both shortcuts below need rows that are
-    orthonormal within ZERO_ATOL, so finite, and that have an exactly zero
-    column, as the protocol builders' rows do; for other rows, such as a
-    library caller's dense ones, the loop runs alone.
-    A vector the loop accepts (pivot above PIVOT_TOL, orthogonalized twice)
-    is orthonormal to such rows to about 1e-14, and 0 wherever they all are,
-    so both conditions hold for the rows so far.
-    - Where every row so far is exactly 0 at index k, each projection is an
-      exact zero and the loop would return e_k, which is appended as it is.
-    - Column k of I - B†B (B the rows so far, one rank-1 update per accepted
-      vector) is the residual of e_k off their span to about 1e-12, so a
-      candidate whose column is below ZERO_ATOL would leave the loop far
-      below PIVOT_TOL and is skipped.
-
-    `orthonormal` is that first condition, isometry_deviation(rows.T) <= ZERO_ATOL (True for no
-    rows), for a caller that has already computed it on these very rows; only such a caller may
-    pass it, since a wrong True lets the shortcuts change the result. None, the default, computes it
-    here wherever a shortcut could apply.
     """
     basis = [np.asarray(r, dtype=complex) for r in np.atleast_2d(rows)] if np.size(rows) else []
-    if len(basis) == dim:
-        return np.array(basis)
-    stacked = np.array(basis).reshape(len(basis), dim)
-    zero, residual = (~stacked.any(axis=0)).tolist(), None
-    if orthonormal is None:
-        orthonormal = not basis or (any(zero) and isometry_deviation(stacked.T) <= ZERO_ATOL)
-    if any(zero) and orthonormal:
-        # row k is column k of I - B†B
-        residual = -(stacked.T @ stacked.conj())
-        residual.flat[:: dim + 1] += 1.0
-    else:
-        zero = [False] * dim
     for k in range(dim):
         if len(basis) == dim:
             break
-        if residual is not None and not zero[k] and np.vdot(r := residual[k], r).real < ZERO_ATOL**2:
-            continue
         v = np.zeros(dim, dtype=complex)
         v[k] = 1.0
-        if zero[k]:
-            # e_k changes no other column of I - B†B
-            basis.append(v)
-            continue
         for _ in range(2):
             for b in basis:
                 v = v - np.vdot(b, v) * b
         norm = float(np.linalg.norm(v))
         if norm > PIVOT_TOL:
-            v = v / norm
-            basis.append(v)
-            if residual is not None and len(basis) < dim:
-                residual -= v[:, None] * v.conj()
+            basis.append(v / norm)
     if len(basis) != dim:
         raise RuntimeError(f"could not complete basis: got {len(basis)} of {dim} vectors")
     return np.array(basis)

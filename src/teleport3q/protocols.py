@@ -29,7 +29,6 @@ from .linalg import (
     ZERO_ATOL,
     as_int,
     closest_unitary,
-    complete_orthonormal,
     dagger,
     is_unitary,
     isometry_deviation,
@@ -339,16 +338,17 @@ def _protocol_from_corrections(
     slot, element[2**(n-1) j + a] = v[2 a + j], so its branch operator is
     T_k = rho_B P_k† S. The receiver must hold one ebit (rho_B = I/2): the live
     elements are then orthonormal and T_k = P_k† S / 2, which is +C_k/2 for
-    Hermitian P_k and -C_k/2 for P_k = ±iY. Every other outcome is dead: its
-    element completes the basis deterministically and its correction is I.
+    Hermitian P_k and -C_k/2 for P_k = ±iY. Every other outcome is dead and
+    corrected by I. The live elements span C^2 (x) range(A), A = shared as
+    (2**(n-1), 2) rows, so the dead elements complete the basis as |j> (x) f
+    for the left singular vectors f of A past its first two: j = 0 on the
+    first half of the dead outcomes, j = 1 on the rest, each in f's order.
     The corrections are checked only with a free `s`, and as the products
     that are stored, not S alone: at the ATOL edge P_k S can round across it
     where S does not.
-    The live rows' isometry deviation is computed once. Within ZERO_ATOL the
-    completion takes its shortcuts and the basis is stored unchecked: exact
-    kets and vectors orthogonalized twice keep the full Gram matrix far
-    inside ATOL. Otherwise the plain loop completes the rows and
-    MeasurementBasis checks them, the one-ebit gate.
+    The one-ebit gate: live rows orthonormal within ZERO_ATOL, with the dead
+    ones orthonormal and orthogonal to them to rounding, are stored
+    unchecked; any others go to MeasurementBasis, which checks them.
     """
     dim, keys = len(shared.amplitudes), sorted(live)
     if keys[-1] >= dim:
@@ -361,14 +361,18 @@ def _protocol_from_corrections(
         corrections = np.array([live[k] @ s if k in live else IDENTITY for k in range(dim)])
     if free and not is_unitary(corrections, ATOL).all():
         raise ValueError(_S_NOT_UNITARY)
-    # the live elements as one batched product, (A (S† P_k)ᵀ)ᵀ for A = shared as (dim/2, 2) rows
-    moved = shared.amplitudes.reshape(-1, 2) @ (dagger(s) @ np.array([live[k] for k in keys])).swapaxes(-1, -2)
-    elements = moved.swapaxes(-1, -2).reshape(len(keys), dim)
-    orthonormal = bool(isometry_deviation(elements.T) <= ZERO_ATOL)
-    full = complete_orthonormal(elements, dim, orthonormal)
-    # the completion lists the live elements first, in key order, then the extras
-    rows = np.empty_like(full)
-    rows[keys + [k for k in range(dim) if k not in live]] = full
+    cut = shared.amplitudes.reshape(-1, 2)
+    # the live elements as one batched product, (A (S† P_k)ᵀ)ᵀ, each as its message halves (2, dim/2)
+    halves = (cut @ (dagger(s) @ np.array([live[k] for k in keys])).swapaxes(-1, -2)).swapaxes(-1, -2)
+    orthonormal = bool(isometry_deviation(halves.reshape(len(keys), dim).T) <= ZERO_ATOL)
+    rows = np.zeros((dim, 2, dim // 2), dtype=complex)
+    rows[keys] = halves
+    if dead := [k for k in range(dim) if k not in live]:
+        # adding 0.0 keeps any -0.0 part LAPACK may give off the printed rows
+        frame = np.linalg.svd(cut)[0][:, 2:].T + 0.0
+        rows[dead[: len(frame)], 0] = frame
+        rows[dead[len(frame) :], 1] = frame
+    rows = rows.reshape(dim, dim)
     basis = trusted(MeasurementBasis, rows=rows) if orthonormal else MeasurementBasis(rows)
     # Paulis or checked products P_k S
     return trusted(TeleportProtocol, shared=shared, basis=basis, corrections=corrections)

@@ -412,17 +412,31 @@ def test_disentanglers_act_on_a_sender_of_any_size(n_qubits, seed, support):
         np.testing.assert_allclose(moved(result.unitary, sparse), target, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize(
+SCHMIDT_STATES = pytest.mark.parametrize(
     "state",
     [make_named_state("w"), make_named_state("ghz"), w_like_from_params(WLikeParams(math.pi / 2, 0.0, 0.3)),
      PureState(3, np.eye(8)[0]), haar_random_state(5, 2)],
     ids=["w", "ghz", "w-like", "product", "haar5"],
 )
+
+
+def printed_negative_zeros(jsonable) -> list[str]:
+    """The numbers that the canonical JSON text of `jsonable` prints as -0.0."""
+    floats = []
+    json.loads(dumps_canonical(jsonable), parse_float=floats.append)
+    return [text for text in floats if text == "-0.0"]
+
+
+@SCHMIDT_STATES
 def test_no_printed_schmidt_unitary_holds_a_negative_zero(state):
     """Conjugating U makes a -0.0 imaginary part wherever U's is 0.0; none of them is printed."""
-    text = dumps_canonical(operator_to_jsonable(schmidt_disentangler(state).unitary))
-    parts = [x for row in json.loads(text) for entry in row for x in entry]
-    assert not any(x == 0.0 and math.copysign(1.0, x) < 0 for x in parts)
+    assert printed_negative_zeros(operator_to_jsonable(schmidt_disentangler(state).unitary)) == []
+
+
+@SCHMIDT_STATES
+def test_no_printed_schmidt_residual_holds_a_negative_zero(state):
+    """diag(s) Vh keeps the sign LAPACK gives a zero entry of Vh, as W's does; none of them is printed."""
+    assert printed_negative_zeros(state_to_jsonable(schmidt_disentangler(state).residual)) == []
 
 
 def w_state(n_qubits: int) -> PureState:
@@ -476,18 +490,32 @@ def sparse_state(n_qubits: int, seed: int) -> PureState:
 def test_analyze_prints_one_entropy(n_qubits, seed):
     """The report holds one entropy: the JSON prints it as entropyBits and alphaEntropy, and the text as the
     entropy and the Schmidt residual's entropy, with the same digits."""
+    text, lines = analyze_outputs(sparse_state(n_qubits, seed))
+    report = json.loads(text)
+    assert report["entropyBits"] == report["schmidtDisentangler"]["alphaEntropy"]
+    assert lines["entropy (bits)"] == lines["schmidt disentangler residual entropy"]
+
+
+def test_a_pure_receiver_prints_an_entropy_of_zero():
+    """|000>'s receiver qubit is pure: its entropy prints as 0.0 in JSON and 0 in text, with no minus sign."""
+    report, lines = analyze_outputs(PureState(3, np.eye(8)[0]))
+    assert '"entropyBits": 0.0,' in report
+    assert '"alphaEntropy": 0.0,' in report
+    assert lines["entropy (bits)"] == lines["schmidt disentangler residual entropy"] == "0"
+
+
+def analyze_outputs(state: PureState) -> tuple[str, dict[str, str]]:
+    """What analyze prints for `state`, read from a state file, at one scan trial: the JSON report, and the
+    text report's lines as a dict from label to value."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"
-        path.write_text(json.dumps(state_to_jsonable(sparse_state(n_qubits, seed))))
+        path.write_text(json.dumps(state_to_jsonable(state)))
         outputs = {}
         for output in ("json", "text"):
             with contextlib.redirect_stdout(out := io.StringIO()):
                 cli.main(["analyze", "--state-file", str(path), "--scan-trials", "1", "--format", output])
             outputs[output] = out.getvalue()
-    report = json.loads(outputs["json"])
-    assert report["entropyBits"] == report["schmidtDisentangler"]["alphaEntropy"]
-    lines = dict(line.split(": ", 1) for line in outputs["text"].splitlines())
-    assert lines["entropy (bits)"] == lines["schmidt disentangler residual entropy"]
+    return outputs["json"], dict(line.split(": ", 1) for line in outputs["text"].splitlines())
 
 
 # ---------------------------------------------------------------- scans and reports

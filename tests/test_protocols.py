@@ -705,15 +705,52 @@ def test_gated_builds_pass_the_public_checks_with_their_bits(build):
 @pytest.mark.parametrize(
     "build, deviation",
     [
-        (lambda: ghz_protocol(make_named_state("w")), "9.428e-01"),
+        (lambda: ghz_protocol(make_named_state("w")), "3.333e-01"),
         (lambda: bell_protocol(PureState(2, [1, 0, 0, 0])), "1.000e+00"),
     ],
 )
 def test_a_receiver_without_one_ebit_fails_the_checked_basis(build, deviation):
-    """The gate sends these to MeasurementBasis, whose error line, deviation included, is unchanged."""
+    """The gate sends these to MeasurementBasis. The dead rows are orthonormal and orthogonal to the
+    live ones, so the deviation is the live rows' own: tr(Z rho_B), the overlap of the I and Z elements,
+    which is g = 1/3 for W and 1 for |00>, whose receiver is pure (Bell has no dead rows)."""
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == f"basis is not orthonormal: Gram deviation {deviation}"
+
+
+@st.composite
+def frame_builds(draw):
+    """A builder call with dead outcomes and its live ones: w_like_protocol, basis_from_S with a Haar S,
+    and GHZ corrections over a one-ebit state of 3 to 8 qubits, (U_sender (x) V_B)|0...0>|Phi+>."""
+    kind = draw(st.sampled_from(["w_like", "basis_from_S", "one_ebit"]))
+    if kind == "one_ebit":
+        n, seed = draw(st.integers(3, 8)), draw(SEEDS)
+        base = np.zeros(2**n, dtype=complex)
+        base[0] = base[3] = 1.0 / SQRT2
+        local = np.kron(haar_random_unitary(2 ** (n - 1), seed), haar_random_unitary(2, seed + 1))
+        shared = PureState(n, local @ base)
+        return (lambda: ghz_protocol(shared)), LIVE_GHZ
+    params = WLikeParams(*draw(ANGLES))
+    if kind == "w_like":
+        return (lambda: w_like_protocol(params)), range(4)
+    s = haar_random_unitary(2, draw(SEEDS))
+    return (lambda: basis_from_S(params, s)), range(4)
+
+
+@settings(max_examples=200)
+@given(case=frame_builds(), message_seed=SEEDS)
+def test_frame_completed_bases_give_exactly_dead_branches(case, message_seed):
+    """The dead elements |j> (x) f, f orthogonal to the range of the receiver cut, have branch operators
+    zero to rounding and no -0.0 part; the basis passes MeasurementBasis with its bits, and a Haar
+    message teleports perfectly."""
+    build, live = case
+    protocol = build()
+    ops = branch_operators(protocol.basis, protocol.shared).ops
+    assert max_abs(np.delete(ops, list(live), axis=0)) <= 1e-15
+    parts = np.delete(protocol.basis.rows, list(live), axis=0).view(float)
+    assert not np.any((parts == 0.0) & np.signbit(parts))
+    assert MeasurementBasis(protocol.basis.rows).rows.tobytes() == protocol.basis.rows.tobytes()
+    assert abs(run_teleport(haar_random_state(1, message_seed), protocol).total_fidelity - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------- bits of the builders' shortcuts
