@@ -69,7 +69,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+    return f"{float(x) + 0.0:.12g}"  # -0.0 prints as 0
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -179,8 +179,7 @@ def _resolve_message(args) -> tuple[PureState, str]:
         return haar_random_state(1, args.seed), f"random(seed={args.seed})"
     if args.theta is None:
         raise ValueError("a message state is required: --theta [--phi] or --random")
-    # + 0.0 turns -0.0, which "-0" and "-1e-400" parse to, into the 0.0 of "0", so both print alike
-    theta, phi = args.theta + 0.0, 0.0 if args.phi is None else args.phi + 0.0
+    theta, phi = args.theta, 0.0 if args.phi is None else args.phi
     return bloch_qubit(theta, phi), f"theta={_fmt(theta)}, phi={_fmt(phi)}"
 
 

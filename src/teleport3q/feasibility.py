@@ -162,8 +162,7 @@ def componentwise_disentangler(shared: PureState) -> DisentanglerResult:
         return DisentanglerResult(None, None)
     order = support + [a for a in range(len(amps)) if a not in support]
     unitary = np.eye(len(amps), dtype=complex)[order]
-    # the product, not amps[order[:2]]: adding its zero terms turns each -0.0 part into the printed 0.0
-    residual = (unitary @ amps)[:2].reshape(-1)
+    residual = amps[order[:2]].reshape(-1)
     residual = residual / np.linalg.norm(residual)
     return DisentanglerResult(unitary, trusted(PureState, n_qubits=2, amplitudes=residual))
 
@@ -179,12 +178,10 @@ def schmidt_disentangler(shared: PureState) -> SchmidtDisentangler:
     """
     cut = _receiver_cut(shared, "disentangler")
     u, s, vh = np.linalg.svd(cut)
-    # a (2**(n - 1) x 2) state has two Schmidt terms, filling both halves, of the checked state's norm;
-    # adding 0.0 turns the -0.0 that LAPACK can give a zero entry of Vh into the printed 0.0
-    residual = (s[:, None] * vh).reshape(-1) + 0.0
+    # a (2**(n - 1) x 2) state has two Schmidt terms, filling both halves, of the checked state's norm
+    residual = (s[:, None] * vh).reshape(-1)
     return SchmidtDisentangler(
-        # adding 0.0 turns each -0.0 part the conjugation makes into the printed 0.0
-        unitary=dagger(u) + 0.0,
+        unitary=dagger(u),
         residual=trusted(PureState, n_qubits=2, amplitudes=residual),
         coefficients=s,
     )

@@ -81,7 +81,7 @@ def check_tolerance(tol) -> float:
         value = math.inf
     if not 0.0 <= value < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
-    return value + 0.0  # -0.0 would be stored, and printed, as -0
+    return value + 0.0  # a -0.0 tolerance is stored as 0.0
 
 
 def check_basis_qubits(basis: MeasurementBasis, shared: PureState) -> None:
@@ -368,8 +368,7 @@ def _protocol_from_corrections(
     rows = np.zeros((dim, 2, dim // 2), dtype=complex)
     rows[keys] = halves
     if dead := [k for k in range(dim) if k not in live]:
-        # adding 0.0 keeps any -0.0 part LAPACK may give off the printed rows
-        frame = np.linalg.svd(cut)[0][:, 2:].T + 0.0
+        frame = np.linalg.svd(cut)[0][:, 2:].T
         rows[dead[: len(frame)], 0] = frame
         rows[dead[len(frame) :], 1] = frame
     rows = rows.reshape(dim, dim)

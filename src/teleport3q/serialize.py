@@ -25,9 +25,9 @@ MAX_QUBITS = 8
 
 
 def round12(x: float) -> float:
-    """Round to 12 significant digits; shortest-round-trip printing does the rest.
+    """Round to 12 significant digits, -0.0 to 0.0; shortest-round-trip printing does the rest.
     Idempotent on finite doubles, so rounding an already rounded value keeps its bytes."""
-    return float(f"{float(x):.12g}")
+    return float(f"{float(x):.12g}") + 0.0
 
 
 def _cut(text: str) -> str:
@@ -119,7 +119,7 @@ def operator_to_jsonable(op: np.ndarray) -> list:
     return [[[z.real, z.imag] for z in row] for row in np.asarray(op, dtype=complex).tolist()]
 
 
-def operator_from_jsonable(data, what: str = "operator") -> np.ndarray:
+def operator_from_jsonable(data, what: str) -> np.ndarray:
     return json_array(data, what, rows=True, malformed="malformed operator entries: ")
 
 
@@ -199,7 +199,7 @@ def _float_text(x: float) -> str:
     """float.__repr__(round12(x)) from one format. The digits of f"{x:.12g}"
     are already the shortest round trip of round12(x), since two distinct
     decimals of at most 12 digits never round to one normal double; only the
-    notation can differ from repr's."""
+    notation can differ from repr's, and -0.0 prints as round12's 0.0."""
     text = float.__format__(x, ".12g")
     if "e" in text:
         exponent = int(text[text.index("e") + 1 :])
@@ -210,7 +210,7 @@ def _float_text(x: float) -> str:
     if "." in text:
         return text
     if text[-1].isdigit():
-        return text + ".0"
+        return "0.0" if text == "-0" else text + ".0"
     raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
 
 

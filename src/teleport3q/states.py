@@ -230,8 +230,7 @@ def shannon_entropy(probs: np.ndarray) -> float:
     """
     p = np.clip(probs, 0.0, 1.0)
     positive = p[p > 0.0]
-    # adding 0.0 turns the -0.0 of a pure distribution into the printed 0.0
-    return float(-np.sum(positive * np.log2(positive))) + 0.0
+    return float(-np.sum(positive * np.log2(positive)))
 
 
 def entanglement_entropy(rho: DensityMatrix) -> float:

@@ -661,6 +661,18 @@ def test_negative_zero_tolerance_echoes_as_zero(value, capsys):
     assert '"tolerance": 0.0' in capsys.readouterr().out
 
 
+def test_fmt_prints_negative_zero_as_zero():
+    assert cli._fmt(-0.0) == "0"
+
+
+@pytest.mark.parametrize(
+    ("x", "json_text", "text"), [(-5e-324, "-5e-324", "-4.94065645841e-324"), (-1e-300, "-1e-300", "-1e-300")]
+)
+def test_tiny_negatives_keep_their_sign_in_both_printers(x, json_text, text):
+    assert dumps_canonical(x) == json_text + "\n"
+    assert cli._fmt(x) == text
+
+
 @pytest.mark.parametrize(
     "angles", [["--theta", "-0", "--phi", "-0"], ["--theta", "-1e-400", "--phi", "-1e-400"], ["--theta", "-0"]]
 )

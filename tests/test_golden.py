@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,16 @@ def test_golden_files_match_cases():
     """Every expected file has a case and every case a file, so a renamed case
     cannot leave a stale file that no test reads."""
     assert sorted(path.stem for path in GOLDEN_DIR.glob("*.out")) == sorted(CASES)
+
+
+# a -0.0 JSON number or a -0 text token, not the -0 that starts -0.4 or ends 1e-05
+NEGATIVE_ZERO = re.compile(r"(?<![\w.])-0(?:\.0)?(?![\w.])")
+
+
+def test_no_golden_prints_a_negative_zero():
+    """The printers write every zero as 0.0 (JSON) or 0 (text), whatever the sign the numerics gave it."""
+    printed = [path.name for path in sorted(GOLDEN_DIR.glob("*.out")) if NEGATIVE_ZERO.search(path.read_text())]
+    assert printed == []
 
 
 def test_golden_covers_every_exit_code():

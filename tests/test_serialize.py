@@ -11,7 +11,7 @@ from teleport3q import feasibility
 from teleport3q.feasibility import (
     SCAN_BUDGET_BYTES, SCAN_CHUNK, SCAN_PEAK_BYTES, SCAN_TOL, build_feasibility_report, haar_scan,
 )
-from teleport3q.protocols import basis_from_S, run_teleport, w_like_protocol
+from teleport3q.protocols import PROB_FLOOR, basis_from_S, run_teleport, w_like_protocol
 from teleport3q.serialize import (
     MAX_QUBITS,
     _cut,
@@ -26,9 +26,9 @@ from teleport3q.serialize import (
     state_input_hash,
     state_to_jsonable,
 )
-from teleport3q.states import PureState, WLikeParams, bloch_qubit, fidelity, make_named_state
+from teleport3q.states import PureState, WLikeParams, bloch_qubit, fidelity, haar_random_state, make_named_state
 
-from teleport3q.linalg import HADAMARD
+from teleport3q.linalg import HADAMARD, haar_random_unitary
 
 
 def test_round12():
@@ -65,6 +65,22 @@ def test_protocol_round_trip_preserves_perfection():
     back = protocol_from_jsonable(data)
     result = run_teleport(bloch_qubit(1.1, -0.4), back)
     assert result.total_fidelity == pytest.approx(1.0, abs=1e-10)
+
+
+def test_reloaded_basis_gen_dead_branches_stay_below_the_floor():
+    """A basis-gen file rounds its amplitudes to 12 digits, which lifts its dead branches (outcomes 100 to
+    111), exactly 0 in exact arithmetic, to probabilities of up to 9.69e-25 on these inputs: under
+    PROB_FLOOR = 1e-24, so the reloaded protocol still reports them dead."""
+    rng = np.random.default_rng(0)
+    messages = [haar_random_state(1, seed) for seed in range(5)]
+    dead = []
+    for seed in range(300):
+        params = WLikeParams(*rng.uniform(-math.pi, math.pi, 3))
+        for s in (haar_random_unitary(2, seed), HADAMARD):
+            text = dumps_canonical(protocol_to_jsonable(basis_from_S(params, s)))
+            loaded = protocol_from_jsonable(json.loads(text))
+            dead += [o.probability for psi in messages for o in run_teleport(psi, loaded).outcomes[4:]]
+    assert max(dead) < PROB_FLOOR
 
 
 def test_protocol_from_jsonable_reports_missing_fields():
@@ -174,6 +190,20 @@ def test_round12_is_idempotent(x):
 
 
 @pytest.mark.parametrize(
+    ("obj", "text"),
+    [
+        (-0.0, "0.0\n"),
+        ([-0.0, -0.0], "[\n  0.0,\n  0.0\n]\n"),
+        ([-0.0, 2, -0.0], "[\n  0.0,\n  2,\n  0.0\n]\n"),
+        ({"a": -0.0}, '{\n  "a": 0.0\n}\n'),
+    ],
+    ids=["top-level", "re-im pair", "list", "dict value"],
+)
+def test_dumps_canonical_prints_negative_zero_as_zero(obj, text):
+    assert dumps_canonical(obj) == text
+
+
+@pytest.mark.parametrize(
     "obj",
     [object(), 1j, np.int64(3), {1, 2}, b"bytes", [1, {"a": object()}], {(1, 2): 3}, {"a": {1j: 2}}],
     ids=["object", "complex", "np.int64", "set", "bytes", "nested", "tuple-key", "complex-key"],
@@ -232,6 +262,15 @@ def test_report_jsonable_has_contractual_fields():
 
 def test_state_hash_distinguishes_states():
     assert state_input_hash(make_named_state("w")) != state_input_hash(make_named_state("ghz"))
+
+
+def test_state_hash_ignores_the_sign_of_zero():
+    """The hash reads the printed text, where -0.0 is 0.0."""
+    amps = make_named_state("w").amplitudes
+    signed = amps.copy()
+    signed.view(float)[amps.view(float) == 0.0] = -0.0
+    assert np.signbit(signed.view(float)).any()
+    assert state_input_hash(PureState(3, signed)) == state_input_hash(PureState(3, amps))
 
 
 def test_protocol_jsonable_amplitude_precision():
