@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import ZERO_ATOL, complex_gaussians, dagger, haar_from_gaussians
 from .protocols import (
-    MeasurementBasis, branch_operators, branch_tensor, check_basis_qubits, check_tolerance, check_trials,
+    MeasurementBasis, branch_tensor, check_basis_qubits, check_tolerance, check_trials,
     diagonal_deviation, scale_and_deviation,
 )
 from .states import DensityMatrix, PureState, entanglement_entropy, trusted
@@ -115,7 +115,7 @@ def protocol_feasible(
     basis: MeasurementBasis, shared: PureState, tol: float
 ) -> tuple[bool, tuple[UnitarityVerdict, ...]]:
     """True iff every branch operator is proportional to a unitary at tol."""
-    verdicts = tuple(unitarity_verdict(t, tol) for t in branch_operators(basis, shared).ops)
+    verdicts = tuple(unitarity_verdict(t, tol) for t in branch_tensor(basis.rows, shared.amplitudes))
     return all(v.is_proportional_unitary for v in verdicts), verdicts
 
 

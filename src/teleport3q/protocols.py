@@ -274,9 +274,10 @@ def run_teleport(psi: PureState, protocol: TeleportProtocol) -> TeleportResult:
     received = dagger(protocol.corrections) @ normalized[..., None]
     overlaps = (psi.amplitudes.conj() @ received)[:, 0]
     outcomes, total = [], 0.0
-    for label, prob, overlap in zip(_outcome_labels(len(probs)), probs.tolist(), overlaps.tolist()):
+    labels = _outcome_labels(len(probs))
+    for label, prob, reached, overlap in zip(labels, probs.tolist(), live.tolist(), overlaps.tolist()):
         # Python's abs and ** call C's hypot and pow, as numpy scalars do; array loops may round otherwise
-        fid = abs(overlap) ** 2 if prob > PROB_FLOOR else None
+        fid = abs(overlap) ** 2 if reached else None
         total += 0.0 if fid is None else prob * fid
         outcomes.append(BranchOutcome(label, prob, fid))
     return TeleportResult(tuple(outcomes), total)
@@ -327,25 +328,18 @@ def sample_teleport(exact: TeleportResult, trials: int, seed: int) -> SampleResu
     return SampleResult(counts=counts, empirical_fidelity=fidelity_sum / trials, trials=trials)
 
 
-def _protocol_from_corrections(
-    shared: PureState, live: dict[int, np.ndarray], s: np.ndarray | None = None
-) -> TeleportProtocol:
-    """Perfect protocol over `shared` whose live outcome k is corrected by C_k = P_k S.
+def _protocol_from_corrections(shared: PureState, live: dict[int, np.ndarray]) -> TeleportProtocol:
+    """Perfect protocol over `shared` whose live outcome k is corrected by C_k.
 
-    `live` maps an outcome k to a 2x2 unitary P_k, and S is the identity
-    unless a free 2x2 `s` is given (basis_from_S). Basis element k is
-    v = (I (x) S†P_k)|shared> with the receiver's slot moved onto the message
-    slot, element[2**(n-1) j + a] = v[2 a + j], so its branch operator is
-    T_k = rho_B P_k† S. The receiver must hold one ebit (rho_B = I/2): the live
-    elements are then orthonormal and T_k = P_k† S / 2, which is +C_k/2 for
-    Hermitian P_k and -C_k/2 for P_k = ±iY. Every other outcome is dead and
-    corrected by I. The live elements span C^2 (x) range(A), A = shared as
+    `live` maps an outcome k to its stored 2x2 unitary C_k. Basis element k
+    is v = (I (x) C_k†)|shared> with the receiver's slot moved onto the
+    message slot, element[2**(n-1) j + a] = v[2 a + j], so its branch operator
+    is T_k = rho_B C_k. The receiver must hold one ebit (rho_B = I/2): the live
+    elements are then orthonormal and T_k = C_k/2. Every other outcome is dead
+    and corrected by I. The live elements span C^2 (x) range(A), A = shared as
     (2**(n-1), 2) rows, so the dead elements complete the basis as |j> (x) f
     for the left singular vectors f of A past its first two: j = 0 on the
     first half of the dead outcomes, j = 1 on the rest, each in f's order.
-    The corrections are checked only with a free `s`, and as the products
-    that are stored, not S alone: at the ATOL edge P_k S can round across it
-    where S does not.
     The one-ebit gate: live rows orthonormal within ZERO_ATOL, with the dead
     ones orthonormal and orthogonal to them to rounding, are stored
     unchecked; any others go to MeasurementBasis, which checks them.
@@ -354,16 +348,10 @@ def _protocol_from_corrections(
     if keys[-1] >= dim:
         needed = keys[-1].bit_length()
         raise ValueError(f"the live outcomes need a shared state of at least {needed} qubits, got {shared.n_qubits}")
-    free = s is not None
-    s = s if free else IDENTITY
-    # a non-finite S gives NaN products (0 * inf), which fail the check without a RuntimeWarning
-    with np.errstate(invalid="ignore"):
-        corrections = np.array([live[k] @ s if k in live else IDENTITY for k in range(dim)])
-    if free and not is_unitary(corrections, ATOL).all():
-        raise ValueError(_S_NOT_UNITARY)
+    corrections = np.array([live.get(k, IDENTITY) for k in range(dim)])
     cut = shared.amplitudes.reshape(-1, 2)
-    # the live elements as one batched product, (A (S† P_k)ᵀ)ᵀ, each as its message halves (2, dim/2)
-    halves = (cut @ (dagger(s) @ np.array([live[k] for k in keys])).swapaxes(-1, -2)).swapaxes(-1, -2)
+    # the live elements as one batched product, (A conj(C_k))ᵀ, each as its message halves (2, dim/2)
+    halves = (cut @ corrections[keys].conj()).swapaxes(-1, -2)
     orthonormal = bool(isometry_deviation(halves.reshape(len(keys), dim).T) <= ZERO_ATOL)
     rows = np.zeros((dim, 2, dim // 2), dtype=complex)
     rows[keys] = halves
@@ -373,51 +361,56 @@ def _protocol_from_corrections(
         rows[dead[len(frame) :], 1] = frame
     rows = rows.reshape(dim, dim)
     basis = trusted(MeasurementBasis, rows=rows) if orthonormal else MeasurementBasis(rows)
-    # Paulis or checked products P_k S
+    # Paulis or basis_from_S's checked products
     return trusted(TeleportProtocol, shared=shared, basis=basis, corrections=corrections)
 
 
 def bell_protocol(shared: PureState | None = None) -> TeleportProtocol:
     """Perfect 2-qubit protocol over `shared`, bell(0,0) by default
     (_protocol_from_corrections): outcomes 00, 01, 10, 11 have corrections
-    C_k = I, X, Z, iY and branch operators ±C_k/2 = I/2, X/2, Z/2, -iY/2. Over
-    bell(0,0) the elements are bell(0,0)..bell(1,1). The receiver's qubit must
-    be maximally mixed, as in every bell(m,n); over any other 2-qubit state the
-    elements are not orthonormal and MeasurementBasis raises."""
+    C_k = I, X, Z, -iY and branch operators C_k/2. Over bell(0,0) the elements
+    are bell(0,0)..bell(1,1). The receiver's qubit must be maximally mixed, as
+    in every bell(m,n); over any other 2-qubit state the elements are not
+    orthonormal and MeasurementBasis raises."""
     shared = make_named_state("bell(0,0)") if shared is None else shared
-    return _protocol_from_corrections(shared, {0: IDENTITY, 1: PAULI_X, 2: PAULI_Z, 3: 1j * PAULI_Y})
+    return _protocol_from_corrections(shared, {0: IDENTITY, 1: PAULI_X, 2: PAULI_Z, 3: -1j * PAULI_Y})
 
 
 def ghz_protocol(shared: PureState | None = None) -> TeleportProtocol:
     """Perfect protocol over `shared`, GHZ by default (_protocol_from_corrections):
-    outcomes 000, 001, 100, 101 are live with corrections C_k = I, Z, X, -iY
-    and branch operators ±C_k/2 = I/2, Z/2, X/2, iY/2; the other four are dead."""
+    outcomes 000, 001, 100, 101 are live with corrections C_k = I, Z, X, iY
+    and branch operators C_k/2; the other four are dead."""
     shared = make_named_state("ghz") if shared is None else shared
-    return _protocol_from_corrections(shared, {0: IDENTITY, 1: PAULI_Z, 4: PAULI_X, 5: -1j * PAULI_Y})
+    return _protocol_from_corrections(shared, {0: IDENTITY, 1: PAULI_Z, 4: PAULI_X, 5: 1j * PAULI_Y})
 
 
 def w_like_protocol(params: WLikeParams) -> TeleportProtocol:
     """Perfect protocol over the W-like state of `params` (_protocol_from_corrections),
     which it builds itself: outcomes 000..011 are live with corrections
-    C_k = I, Z, X, -iY and branch operators ±C_k/2 = I/2, Z/2, X/2, iY/2;
-    100..111 are dead."""
+    C_k = I, Z, X, iY and branch operators C_k/2; 100..111 are dead."""
     shared = w_like_from_params(params)
-    return _protocol_from_corrections(shared, {0: IDENTITY, 1: PAULI_Z, 2: PAULI_X, 3: -1j * PAULI_Y})
+    return _protocol_from_corrections(shared, {0: IDENTITY, 1: PAULI_Z, 2: PAULI_X, 3: 1j * PAULI_Y})
 
 
 def basis_from_S(params: WLikeParams, s: np.ndarray) -> TeleportProtocol:
-    """Protocol over a W-like state with corrections sigma^{(mn)} S.
+    """Protocol over a W-like state with corrections C_mn = sigma^{(mn)} S.
 
     The receiver fixes one free unitary S; live outcome mn (000..011, in the
-    Pauli index order) then has the element (I (x) S† sigma^{(mn)})|shared>
-    re-slotted onto the message qubit (_protocol_from_corrections) and, every
-    sigma being Hermitian, the branch operator +C_mn/2 = sigma^{(mn)} S / 2.
-    S must be 2x2, and each product sigma^{(mn)} S unitary within ATOL.
+    Pauli index order) then has the element (I (x) C_mn†)|shared> re-slotted
+    onto the message qubit (_protocol_from_corrections) and the branch
+    operator C_mn/2. S must be 2x2, and each product sigma^{(mn)} S unitary
+    within ATOL: the products are checked as they are stored, not S alone,
+    since a product can round across ATOL where S does not.
     """
     s = np.asarray(s, dtype=complex)
     if s.shape != (2, 2):
         raise ValueError(_S_NOT_UNITARY)
-    return _protocol_from_corrections(w_like_from_params(params), dict(enumerate(SIGMA_BY_INDEX)), s)
+    # a non-finite S gives NaN products (0 * inf), which fail the check without a RuntimeWarning
+    with np.errstate(invalid="ignore"):
+        corrections = [sigma @ s for sigma in SIGMA_BY_INDEX]
+        if not is_unitary(corrections, ATOL).all():
+            raise ValueError(_S_NOT_UNITARY)
+    return _protocol_from_corrections(w_like_from_params(params), dict(enumerate(corrections)))
 
 
 def protocol_from_basis(shared: PureState, basis: MeasurementBasis) -> TeleportProtocol:
@@ -428,5 +421,5 @@ def protocol_from_basis(shared: PureState, basis: MeasurementBasis) -> TeleportP
     unitary. The basis must act on as many qubits as `shared`.
     """
     check_basis_qubits(basis, shared)
-    corrections = closest_unitary(branch_operators(basis, shared).ops)  # unitary by construction
+    corrections = closest_unitary(branch_tensor(basis.rows, shared.amplitudes))  # unitary by construction
     return trusted(TeleportProtocol, shared=shared, basis=basis, corrections=corrections)

@@ -30,6 +30,7 @@ from teleport3q.feasibility import (
 from teleport3q.linalg import (
     ATOL,
     PAULI_X,
+    ZERO_ATOL,
     _haar_from_rng,
     complex_gaussians,
     dagger,
@@ -355,6 +356,14 @@ def test_componentwise_product_state_support_one():
     assert result.unitary is not None
     reduced = partial_trace(result.residual.density(), keep=(1,))
     assert entanglement_entropy(reduced) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_componentwise_support_excludes_an_amplitude_of_exactly_zero_atol():
+    # a sender ket counts only above ZERO_ATOL, so |100> at exactly ZERO_ATOL leaves a support of two
+    amps = np.zeros(8, dtype=complex)
+    amps[1] = amps[2] = 1 / SQRT2
+    amps[4] = ZERO_ATOL
+    assert componentwise_disentangler(PureState(3, amps)).unitary is not None
 
 
 def test_schmidt_disentangler_values():

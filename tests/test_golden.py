@@ -103,7 +103,7 @@ CASES = {
     # basis-gen: exit 0 / 2
     "basis_gen_h": ["basis-gen", "--params", "0.5,0.2,0.9", "--S", "H"],
     "basis_gen_identity": ["basis-gen", "--params", "0.7854,0,0", "--S", "I"],
-    # complex and Pauli S: pins the (S† sigma) element and sigma S correction arithmetic
+    # complex and Pauli S: pins the (sigma S)† element and sigma S correction arithmetic
     "basis_gen_complex_S": ["basis-gen", "--params", "1.1,0.4,-0.9", "--S", "[[0.6,[0,0.8]],[[0,0.8],0.6]]"],
     "basis_gen_y": ["basis-gen", "--params", "0.3,1.0,-2.0", "--S", "Y"],
     "basis_gen_non_unitary": ["basis-gen", "--params", "0.5,0.2,0.9", "--S", "diag(1,2)"],

@@ -316,6 +316,11 @@ def test_closest_unitary():
     assert is_unitary(closest_unitary(t), 1e-10)
 
 
+def test_closest_unitary_keeps_the_polar_factor_at_exactly_zero_atol():
+    # only a matrix whose every entry is below ZERO_ATOL counts as zero
+    assert max_abs(closest_unitary(ZERO_ATOL * PAULI_X) - PAULI_X) <= 1e-12
+
+
 def test_closest_unitary_on_a_stack():
     """Each matrix of a (..., n, n) stack gets its own polar factor U, with
     U†T Hermitian and positive semidefinite; numerically zero ones get I."""

@@ -398,6 +398,12 @@ def test_bell_protocol_baseline():
         assert run_teleport(psi, protocol).total_fidelity == pytest.approx(1.0, abs=1e-10)
 
 
+def test_bell_protocol_elements_are_the_bell_states():
+    rows = bell_protocol().basis.rows
+    for k, spec in enumerate(f"bell({m},{n})" for m in (0, 1) for n in (0, 1)):
+        assert np.array_equal(rows[k], make_named_state(spec).amplitudes), spec
+
+
 def test_bell_protocol_defaults_to_bell00_and_needs_a_mixed_receiver():
     default, explicit = bell_protocol(), bell_protocol(make_named_state("bell(0,0)"))
     assert np.array_equal(default.basis.rows, explicit.basis.rows)
@@ -427,30 +433,31 @@ def random_w_like_params(count: int, seed: int) -> list[WLikeParams]:
     return [WLikeParams(*(float(x) for x in rng.uniform(-math.pi, math.pi, 3))) for _ in range(count)]
 
 
-# live outcome -> sign of T_k = ±C_k/2: minus exactly where the builder's P_k is ±iY
-CANONICAL_SIGNS = {
-    "bell": {0: 1, 1: 1, 2: 1, 3: -1},
-    "ghz": {0: 1, 1: 1, 4: 1, 5: -1},
-    "w_like": {0: 1, 1: 1, 2: 1, 3: -1},
-    "basis_from_S": {0: 1, 1: 1, 2: 1, 3: 1},
-}
+def one_ebit_shared(n: int, seed: int) -> PureState:
+    """The n-qubit one-ebit state (U_sender (x) V_B)|0...0>|Phi+>, U_sender and V_B Haar from `seed`."""
+    base = np.zeros(2**n, dtype=complex)
+    base[0] = base[3] = 1.0 / SQRT2
+    local = np.kron(haar_random_unitary(2 ** (n - 1), seed), haar_random_unitary(2, seed + 1))
+    return PureState(n, local @ base)
 
 
-@pytest.mark.parametrize("builder", sorted(CANONICAL_SIGNS))
+@pytest.mark.parametrize("builder", ["basis_from_S", "bell", "ghz", "one_ebit", "w_like"])
 def test_canonical_branch_operators_are_half_corrections(builder):
-    protocols = {
-        "bell": lambda: [bell_protocol(make_named_state(f"bell({m},{n})")) for m in (0, 1) for n in (0, 1)],
-        "ghz": lambda: [ghz_protocol()],
-        "w_like": lambda: [w_like_protocol(p) for p in random_w_like_params(10, 31)],
-        "basis_from_S": lambda: [
-            basis_from_S(p, haar_random_unitary(2, 600 + k)) for k, p in enumerate(random_w_like_params(10, 32))
-        ],
+    """Every builder's branch operator is T_k = C_k/2 on a live outcome and 0 on a dead one."""
+    protocols, live = {
+        "bell": lambda: ([bell_protocol(make_named_state(f"bell({m},{n})")) for m in (0, 1) for n in (0, 1)], range(4)),
+        "ghz": lambda: ([ghz_protocol()], LIVE_GHZ),
+        "one_ebit": lambda: ([ghz_protocol(one_ebit_shared(n, 610 + 2 * n)) for n in range(3, 9)], LIVE_GHZ),
+        "w_like": lambda: ([w_like_protocol(p) for p in random_w_like_params(10, 31)], range(4)),
+        "basis_from_S": lambda: (
+            [basis_from_S(p, haar_random_unitary(2, 600 + k)) for k, p in enumerate(random_w_like_params(10, 32))],
+            range(4),
+        ),
     }[builder]()
-    signs = CANONICAL_SIGNS[builder]
     for protocol in protocols:
-        ops = branch_operators(protocol.basis, protocol.shared).ops
+        ops = branch_tensor(protocol.basis.rows, protocol.shared.amplitudes)
         for k, t in enumerate(ops):
-            expected = signs[k] * protocol.corrections[k] / 2 if k in signs else 0.0
+            expected = protocol.corrections[k] / 2 if k in live else 0.0
             assert max_abs(t - expected) <= 1e-12, (builder, k)
 
 
@@ -522,8 +529,8 @@ def test_sigma_twirl_w_overlap_one_third():
     assert max_abs(twirled[3].amplitudes - expected_z) <= 1e-12
 
 
-# the bell(0,0) corrections, I, X, Z, iY, on outcomes 000..011
-ONE_EBIT_CORRECTIONS = {0: IDENTITY, 1: PAULI_X, 2: PAULI_Z, 3: 1j * PAULI_Y}
+# the bell(0,0) corrections, I, X, Z, -iY, on outcomes 000..011
+ONE_EBIT_CORRECTIONS = {0: IDENTITY, 1: PAULI_X, 2: PAULI_Z, 3: -1j * PAULI_Y}
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -726,11 +733,7 @@ def frame_builds(draw):
     and GHZ corrections over a one-ebit state of 3 to 8 qubits, (U_sender (x) V_B)|0...0>|Phi+>."""
     kind = draw(st.sampled_from(["w_like", "basis_from_S", "one_ebit"]))
     if kind == "one_ebit":
-        n, seed = draw(st.integers(3, 8)), draw(SEEDS)
-        base = np.zeros(2**n, dtype=complex)
-        base[0] = base[3] = 1.0 / SQRT2
-        local = np.kron(haar_random_unitary(2 ** (n - 1), seed), haar_random_unitary(2, seed + 1))
-        shared = PureState(n, local @ base)
+        shared = one_ebit_shared(draw(st.integers(3, 8)), draw(SEEDS))
         return (lambda: ghz_protocol(shared)), LIVE_GHZ
     params = WLikeParams(*draw(ANGLES))
     if kind == "w_like":
@@ -789,10 +792,10 @@ def test_coefficients_are_bitwise_those_of_scale_and_deviation():
     assert dead > 0
 
 
-def per_outcome_live_rows(shared, live, s):
-    """_protocol_from_corrections's live basis elements, one product (A (S† P_k)ᵀ)ᵀ per outcome k."""
+def per_outcome_live_rows(shared, corrections):
+    """_protocol_from_corrections's live basis elements, one product (A conj(C_k))ᵀ per outcome k."""
     a = shared.amplitudes.reshape(-1, 2)
-    return np.reshape([(a @ (dagger(s) @ live[k]).T).T for k in sorted(live)], (len(live), -1))
+    return np.reshape([(a @ corrections[k].conj()).T for k in sorted(corrections)], (len(corrections), -1))
 
 
 @given(angles=ANGLES, s=st.one_of(st.sampled_from(NAMED_S), SEEDS.map(lambda seed: haar_random_unitary(2, seed))))
@@ -800,21 +803,22 @@ def test_live_rows_are_bitwise_the_per_outcome_products(angles, s):
     params = WLikeParams(*angles)
     shared = w_like_from_params(params)
     built = basis_from_S(params, s).basis.rows[:4]
-    assert built.tobytes() == per_outcome_live_rows(shared, dict(enumerate(protocols.SIGMA_BY_INDEX)), s).tobytes()
-    canonical = {0: IDENTITY, 1: PAULI_Z, 2: PAULI_X, 3: -1j * PAULI_Y}
+    products = {k: sigma @ s for k, sigma in enumerate(protocols.SIGMA_BY_INDEX)}
+    assert built.tobytes() == per_outcome_live_rows(shared, products).tobytes()
+    canonical = {0: IDENTITY, 1: PAULI_Z, 2: PAULI_X, 3: 1j * PAULI_Y}
     built = w_like_protocol(params).basis.rows[:4]
-    assert built.tobytes() == per_outcome_live_rows(shared, canonical, IDENTITY).tobytes()
+    assert built.tobytes() == per_outcome_live_rows(shared, canonical).tobytes()
 
 
 @pytest.mark.parametrize("spec", ["ghz", "bell(0,0)", "bell(0,1)", "bell(1,0)", "bell(1,1)"])
 def test_canonical_live_rows_are_bitwise_the_per_outcome_products(spec):
     shared = make_named_state(spec)
     if spec == "ghz":
-        protocol, live = ghz_protocol(shared), {0: IDENTITY, 1: PAULI_Z, 4: PAULI_X, 5: -1j * PAULI_Y}
+        protocol, live = ghz_protocol(shared), {0: IDENTITY, 1: PAULI_Z, 4: PAULI_X, 5: 1j * PAULI_Y}
     else:
         protocol, live = bell_protocol(shared), ONE_EBIT_CORRECTIONS
     built = protocol.basis.rows[sorted(live)]
-    assert built.tobytes() == per_outcome_live_rows(shared, live, IDENTITY).tobytes()
+    assert built.tobytes() == per_outcome_live_rows(shared, live).tobytes()
 
 
 # ---------------------------------------------------------------- per-branch reference
