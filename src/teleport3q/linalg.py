@@ -22,7 +22,6 @@ __all__ = [
 ]
 
 ATOL = 1e-10
-PIVOT_TOL = 1e-8
 # An array whose entries are all below this in magnitude is numerically zero.
 ZERO_ATOL = 1e-12
 
@@ -160,30 +159,20 @@ def schmidt_decompose(amplitudes: np.ndarray, cut_qubits: Sequence[int]) -> tupl
     return np.linalg.svd(matrix, full_matrices=False)
 
 
-def complete_orthonormal(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Extend orthonormal rows to a full orthonormal basis of C^dim.
+def frame(a: np.ndarray) -> np.ndarray:
+    """The left singular vectors of a (d, r) matrix past its first r, as rows, from one full SVD:
+    an orthonormal basis of the complement of a's column space, each row orthogonal to every column."""
+    return np.linalg.svd(a)[0][:, a.shape[1] :].T
 
-    Candidates are the computational-basis kets taken in index order, so the
-    completion is reproducible without any randomness; a candidate whose
-    residual norm is at most PIVOT_TOL is skipped. Each accepted vector is
-    orthogonalized twice; a single Gram-Schmidt pass loses digits when the
-    pivot norm is small.
-    """
-    basis = [np.asarray(r, dtype=complex) for r in np.atleast_2d(rows)] if np.size(rows) else []
-    for k in range(dim):
-        if len(basis) == dim:
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[k] = 1.0
-        for _ in range(2):
-            for b in basis:
-                v = v - np.vdot(b, v) * b
-        norm = float(np.linalg.norm(v))
-        if norm > PIVOT_TOL:
-            basis.append(v / norm)
-    if len(basis) != dim:
-        raise RuntimeError(f"could not complete basis: got {len(basis)} of {dim} vectors")
-    return np.array(basis)
+
+def complete_orthonormal(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Extend orthonormal rows (a stack, a single 1-D row or none) to a basis of C^dim: the rows,
+    with their bits, then frame(rows.T), the builders' rule. No rows complete to the identity;
+    rows of another width raise ValueError, and a non-finite row numpy's LinAlgError."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=complex)) if np.size(rows) else np.zeros((0, dim), dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] != dim or len(rows) > dim:
+        raise ValueError(f"expected at most {dim} rows of length {dim}, got shape {rows.shape}")
+    return np.concatenate([rows, frame(rows.T)])
 
 
 def closest_unitary(t: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .linalg import (
     as_int,
     closest_unitary,
     dagger,
+    frame,
     is_unitary,
     isometry_deviation,
     qubit_count,
@@ -338,8 +339,8 @@ def _protocol_from_corrections(shared: PureState, live: dict[int, np.ndarray]) -
     elements are then orthonormal and T_k = C_k/2. Every other outcome is dead
     and corrected by I. The live elements span C^2 (x) range(A), A = shared as
     (2**(n-1), 2) rows, so the dead elements complete the basis as |j> (x) f
-    for the left singular vectors f of A past its first two: j = 0 on the
-    first half of the dead outcomes, j = 1 on the rest, each in f's order.
+    for the rows f of frame(A): j = 0 on the first half of the dead outcomes,
+    j = 1 on the rest, each in f's order.
     The one-ebit gate: live rows orthonormal within ZERO_ATOL, with the dead
     ones orthonormal and orthogonal to them to rounding, are stored
     unchecked; any others go to MeasurementBasis, which checks them.
@@ -356,9 +357,8 @@ def _protocol_from_corrections(shared: PureState, live: dict[int, np.ndarray]) -
     rows = np.zeros((dim, 2, dim // 2), dtype=complex)
     rows[keys] = halves
     if dead := [k for k in range(dim) if k not in live]:
-        frame = np.linalg.svd(cut)[0][:, 2:].T
-        rows[dead[: len(frame)], 0] = frame
-        rows[dead[len(frame) :], 1] = frame
+        f = frame(cut)
+        rows[dead[: len(f)], 0] = rows[dead[len(f) :], 1] = f
     rows = rows.reshape(dim, dim)
     basis = trusted(MeasurementBasis, rows=rows) if orthonormal else MeasurementBasis(rows)
     # Paulis or basis_from_S's checked products

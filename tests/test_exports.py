@@ -1,7 +1,10 @@
 """The export contract: each module's `__all__` is the one list of what `teleport3q` exports."""
 
+import ast
 import inspect
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +35,22 @@ def test_package_exports_exactly_its_all():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(teleport3q.__all__) - {"__version__"}
+
+
+TOLERANCE = re.compile(r"[A-Z_]*(TOL|FLOOR|BAND|DEFECT)")
+
+
+def test_readme_tolerance_table_lists_exactly_the_tolerance_constants():
+    """README's "Conventions" table has one `module.NAME | value` row per tolerance constant that
+    linalg, protocols or feasibility assigns itself (not an import), with that constant's value."""
+    defined = {}
+    for module in (linalg, protocols, feasibility):
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and TOLERANCE.fullmatch(target.id):
+                        defined[f"{module.__name__.split('.')[-1]}.{target.id}"] = getattr(module, target.id)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^  \| `(\w+\.\w+)` \| ([^|]+) \|", readme, re.MULTILINE)
+    assert {name: float(value) for name, value in rows} == defined
+    assert len(rows) == len(defined)

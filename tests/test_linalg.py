@@ -301,10 +301,25 @@ def test_completion_keeps_the_rows_and_is_orthonormal(case):
 
 
 def test_completion_of_a_non_finite_row_fails():
-    # NaN reaches every projection of the loop
+    # the frame's SVD does not converge on NaN
     rows = np.zeros((1, 4), dtype=complex)
     rows[0, 0] = np.nan
-    with pytest.raises(RuntimeError, match="got 1 of 4 vectors"):
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        complete_orthonormal(rows, 4)
+
+
+def test_completion_takes_one_row_or_none():
+    row = np.array([1.0, 1.0j, 0.0, 0.0]) / np.sqrt(2.0)
+    full = complete_orthonormal(row, 4)
+    assert full.shape == (4, 4) and full[0].tobytes() == row.tobytes()
+    assert isometry_deviation(full.T) <= 1e-15
+    assert complete_orthonormal(np.zeros((0, 4)), 4).tobytes() == np.eye(4, dtype=complex).tobytes()
+    assert complete_orthonormal([], 4).tobytes() == np.eye(4, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("rows", [np.eye(2), np.eye(8)[:1], np.eye(4)[[0, 1, 2, 3, 0]], np.zeros((1, 2, 4))])
+def test_completion_rejects_rows_of_another_shape(rows):
+    with pytest.raises(ValueError, match=r"expected at most 4 rows of length 4, got shape"):
         complete_orthonormal(rows, 4)
 
 

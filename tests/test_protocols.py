@@ -792,6 +792,29 @@ def test_coefficients_are_bitwise_those_of_scale_and_deviation():
     assert dead > 0
 
 
+def computational_protocol(amplitude_2):
+    """Amplitude 1 on |000> and `amplitude_2` on |010> under the computational basis with identity
+    corrections: outcome 1's branch weight is amplitude_2 ** 2, with no rounding in between."""
+    amps = np.zeros(8, dtype=complex)
+    amps[0], amps[2] = 1.0, amplitude_2
+    return TeleportProtocol(PureState(3, amps), MeasurementBasis(np.eye(8)), np.array([IDENTITY] * 8))
+
+
+def test_a_branch_exactly_at_the_floor_is_dead():
+    # 1e-12 * 1e-12 == 1e-24 exactly, so outcome 1's probability is PROB_FLOOR
+    result = run_teleport(PureState(1, np.array([1.0, 0.0])), computational_protocol(1e-12))
+    assert result.outcomes[1].probability == PROB_FLOOR
+    assert result.outcomes[1].branch_fidelity is None
+
+
+def test_a_coefficient_exactly_at_the_floor_is_zero():
+    # 1.414213562373095e-12 squared is exactly 2e-24, so outcome 1's scale is exactly PROB_FLOOR
+    protocol = computational_protocol(1.414213562373095e-12)
+    ops = branch_tensor(protocol.basis.rows, protocol.shared.amplitudes)
+    assert scale_and_deviation(ops)[0][1] == PROB_FLOOR
+    assert protocol.coefficients[1] == 0.0
+
+
 def per_outcome_live_rows(shared, corrections):
     """_protocol_from_corrections's live basis elements, one product (A conj(C_k))ᵀ per outcome k."""
     a = shared.amplitudes.reshape(-1, 2)

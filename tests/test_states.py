@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from teleport3q import cli, states
 from teleport3q.feasibility import componentwise_disentangler, schmidt_disentangler
-from teleport3q.linalg import haar_random_unitary, max_abs
+from teleport3q.linalg import ATOL, haar_random_unitary, max_abs
 from teleport3q.protocols import MeasurementBasis, basis_from_S, bell_protocol, ghz_protocol, w_like_protocol
 from teleport3q.states import (
     DensityMatrix,
@@ -48,6 +48,13 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.eye(2))
     with pytest.raises(ValueError, match="eigenvalue"):
         DensityMatrix(1, np.diag([1.5, -0.5]))
+
+
+def test_density_matrix_accepts_hermiticity_and_trace_exactly_at_atol():
+    # m - m† is 1e-10j on the diagonal and tr m - 1 is 1e-10j, both exactly ATOL in magnitude
+    m = np.diag([0.5 + 0.5e-10j, 0.5 + 0.5e-10j])
+    assert max_abs(m - m.conj().T) == ATOL and abs(np.trace(m) - 1.0) == ATOL
+    assert DensityMatrix(1, m).matrix.tobytes() == m.tobytes()
 
 
 @pytest.mark.parametrize(
