@@ -1,6 +1,6 @@
 """Verification toolkit for two-party quantum teleportation over shared states whose last qubit is the receiver's."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from . import feasibility, linalg, protocols, states
 from .linalg import *

@@ -332,7 +332,7 @@ def cmd_scan(args) -> tuple[int, str]:
 
 def cmd_basis_gen(args) -> tuple[int, str]:
     protocol = basis_from_S(_parse_w_like_params(args.params), _parse_s_operator(args.s_operator))
-    return EXIT_OK, dumps_canonical(protocol_to_jsonable(protocol))
+    return EXIT_OK, dumps_canonical(protocol_to_jsonable(protocol), round_trip=True)
 
 
 def _add_state_options(parser: argparse.ArgumentParser) -> None:

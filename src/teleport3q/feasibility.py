@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ZERO_ATOL, complex_gaussians, dagger, haar_from_gaussians
+from .linalg import ZERO_ATOL, dagger, haar_isometries
 from .protocols import (
-    MeasurementBasis, branch_tensor, check_basis_qubits, check_tolerance, check_trials,
-    diagonal_deviation, scale_and_deviation,
+    MeasurementBasis, branch_tensor, check_basis_qubits, check_tolerance, check_trials, scale_and_deviation,
 )
 from .states import DensityMatrix, PureState, entanglement_entropy, trusted
 
@@ -37,18 +36,11 @@ __all__ = [
 
 BLOCH_TOL = 5e-10  # one ebit: the receiver's Bloch length g is at most this; the sum rule's bound is twice it
 SCAN_TOL = 1e-8
-# Trials per batched kernel call in haar_scan, at most. A scan draws and screens every chunk in one workspace
-# (see _branch_verdicts), so a chunk allocates only its Cholesky factor, small temporaries and its open trials'
-# QR arrays; with it 128-trial chunks are faster than 64 (ROADMAP "Aim 1" lists the measured alternatives).
-# A scan's tracemalloc peak does not grow with its trials and stays below SCAN_PEAK_BYTES for 3 and 4 qubits.
+# Trials per batched kernel call in haar_scan (see _branch_verdicts). A chunk holds a few (count, d, 4) arrays,
+# so a scan's tracemalloc peak does not grow with its trials and stays below SCAN_PEAK_BYTES for 3 and 4 qubits:
+# the 20 000-trial W peaks, 0.377 and 0.707 MB with numpy 2.4.6, plus about 15%.
 SCAN_CHUNK = 128
-SCAN_PEAK_BYTES = {3: 1_200_000, 4: 3_900_000}
-# The bytes a scan's chunk may hold (see _scan_chunk); SCAN_CHUNK trials fit it up to 7 qubits, 34 at 8.
-SCAN_BUDGET_BYTES = 256 * 10**6
-# haar_scan's screen rules a trial out when its diagonal deviation exceeds the tolerance by more than
-# SCREEN_BAND on every branch and its screen defect is below SCREEN_DEFECT; the exact path decides the rest.
-SCREEN_BAND = 1e-6
-SCREEN_DEFECT = 1e-9
+SCAN_PEAK_BYTES = {3: 440_000, 4: 820_000}
 
 
 @dataclass(frozen=True)
@@ -187,79 +179,24 @@ def schmidt_disentangler(shared: PureState) -> SchmidtDisentangler:
     )
 
 
-def _write_amplitude_gram(stack: np.ndarray, gram: np.ndarray) -> None:
-    """Write V†V + I4, the one block of a screen's Gram stack that depends on V = stack[..., d:] alone
-    and so is every trial's (see _screen), into gram[:, d:, d:]."""
-    dim = stack.shape[1]
-    v = stack[0, :, dim:]
-    gram[:, dim:, dim:] = dagger(v) @ v + np.eye(4)
-
-
-def _screen(stack: np.ndarray, conj: np.ndarray, gram: np.ndarray, floor: float) -> np.ndarray:
-    """The open trials, a (count,) bool mask, of a stack [z | V] (count, d, d + 4): z a chunk's
-    Gaussians, V[j d/2 + s, 2b + j] = A[s, b] for A the amplitudes as a (d/2, 2) matrix. With L the
-    Cholesky factor of [z | V]†[z | V] + (0 ⊕ I4), L[d:, :d]† = U†V holds the branch operators of z's
-    Mezzadri-phased Haar unitary U, and the defect is the largest deviation from I of L[d:, d:], which
-    is I exactly (README, "scan"). A trial is ruled out, and fails, when its diagonal_deviation exceeds
-    `floor` on every branch and its defect is below SCREEN_DEFECT; every other trial is open.
-    `gram` (count, d + 4, d + 4) holds _write_amplitude_gram's block. Its lower blocks z†z and V†z
-    and `conj` (the stack's shape) are overwritten; the Cholesky reads only the lower triangle, so
-    the strict upper block gram[:, :d, d:] is neither written nor read. Raises LinAlgError if a
-    Cholesky fails."""
-    count, dim = stack.shape[:2]
-    # the whole contiguous stack conjugates faster than its strided z block alone
-    np.matmul(np.conjugate(stack, out=conj).swapaxes(-1, -2), stack[..., :dim], out=gram[..., :dim])
-    factor = np.linalg.cholesky(gram)
-    # the view holds conj(T_k), whose bound is T_k's bit for bit: conjugation flips signs only
-    ops = factor[:, dim:, :dim].swapaxes(-1, -2).reshape(count, dim, 2, 2)
-    defects = np.abs(factor[:, dim:, dim:] - np.eye(4)).max(axis=(-2, -1))
-    # a NaN fails both compares, so its trial stays open
-    return ~(diagonal_deviation(ops) > floor).all(axis=-1) | ~(defects < SCREEN_DEFECT)
-
-
-def _scan_chunk(dim: int) -> int:
-    """Trials per chunk of a scan over dim amplitudes: SCAN_CHUNK, or as many, at least one, as fit
-    SCAN_BUDGET_BYTES. A trial holds 2d(d + 4) + (d + 4)**2 complex numbers of the workspace, d = dim, then
-    the screen's Cholesky factor, (d + 4)**2, and the exact path's QR arrays, 3d**2 + d (the copy of z that
-    LAPACK factors, Q, R and the reflectors' scales). The factor is freed before QR runs; counting both
-    leaves room for the small temporaries."""
-    per_trial = 16 * (2 * dim * (dim + 4) + 2 * (dim + 4) ** 2 + 3 * dim**2 + dim)
-    return max(1, min(SCAN_CHUNK, SCAN_BUDGET_BYTES // per_trial))
-
-
 def _branch_verdicts(shared: PureState, trials: int, seed: int, inject: MeasurementBasis | None, tol: float):
-    """Per chunk of haar_scan's trials, each trial's branch verdicts at `tol`, a (count, d) bool array."""
+    """Per chunk of haar_scan's trials, each trial's branch verdicts at `tol`, a (count, d) bool array.
+    With A the amplitudes as a (d/2, 2) matrix, V[j d/2 + s, 2b + j] = A[s, b] is d x 4, and row k of
+    U†V holds branch_tensor's T_k[b, j] at 2b + j for the basis whose element k is column k of U. One
+    thin SVD V = Q S W† per scan gives U†V = (U†Q)(S W†), and U†Q is drawn as a Haar isometry."""
     dim = 2**shared.n_qubits
-    chunk_trials = _scan_chunk(dim)
-    size = min(chunk_trials, trials)
+    v = np.zeros((dim, 4), dtype=complex)
+    v[: dim // 2, 0::2] = v[dim // 2 :, 1::2] = shared.amplitudes.reshape(-1, 2)
+    _, s, wh = np.linalg.svd(v, full_matrices=False)
+    right = s[:, None] * wh
     rng = np.random.default_rng(seed)
-    # the workspace: one buffer carved into the stack [z | V] (see _screen), its conjugate and the Gram
-    # stack; as separate buffers, malloc trimmed them at each short scan's end and faulted them back in
-    # at the next. Per chunk the conjugate's part holds the normals, the conjugate, then the open trials.
-    shapes = ((size, dim, dim + 4), (size, dim, dim + 4), (size, dim + 4, dim + 4))
-    sizes = [math.prod(shape) for shape in shapes]
-    parts = np.split(np.zeros(sum(sizes), dtype=complex), np.cumsum(sizes[:-1]))
-    stack, conj, gram = (part.reshape(shape) for part, shape in zip(parts, shapes))
-    spare = parts[1][: size * dim * dim].reshape(size, dim, dim)
-    normals = spare.view(float).reshape(size, 2, dim, dim)
-    stack[:, : dim // 2, dim::2] = stack[:, dim // 2 :, dim + 1 :: 2] = shared.amplitudes.reshape(-1, 2)
-    _write_amplitude_gram(stack, gram)
-    for start in range(0, trials, chunk_trials):
-        count, injected = min(chunk_trials, trials - start), inject is not None and start == 0
-        chunk = complex_gaussians(rng, stack[:count, :, :dim], normals[:count])
-        try:
-            exact = _screen(stack[:count], conj[:count], gram[:count], tol + SCREEN_BAND)
-        except np.linalg.LinAlgError:
-            exact = np.ones(count, dtype=bool)
-        exact[0] |= injected
-        verdicts = np.zeros((count, dim), dtype=bool)
-        if exact.any():
-            z = np.compress(exact, chunk, axis=0, out=spare[: np.count_nonzero(exact)])
-            # basis element k is column k of the unitary
-            rows = haar_from_gaussians(z).swapaxes(-1, -2)
-            if injected:
-                rows[0] = inject.rows
-            verdicts[exact] = scale_and_deviation(branch_tensor(rows, shared.amplitudes))[1] <= tol
+    for start in range(0, trials, SCAN_CHUNK):
+        count = min(SCAN_CHUNK, trials - start)
+        ops = (haar_isometries(rng, count, dim, len(s)) @ right).reshape(count, dim, 2, 2)
+        if inject is not None and start == 0:
+            ops[0] = branch_tensor(inject.rows, shared.amplitudes)
+        verdicts = scale_and_deviation(ops)[1] <= tol
+        del ops  # else the next chunk's draw runs beside this chunk's operators
         yield verdicts
 
 
@@ -272,24 +209,22 @@ def haar_scan(
 ) -> ScanResult:
     """Feasibility search over Haar-random measurement bases.
 
-    Trial i measures in the i-th Haar unitary drawn in sequence from default_rng(seed), so trial 0 is
-    haar_random_unitary(dim, seed), the basis `haar:seed` names, and the result does not depend on
-    the chunk size. When `inject` is given its rows overwrite trial 0's drawn basis, a positive control;
+    A trial measures in a Haar unitary U, whose branch operators are the rows of U†V (see
+    _branch_verdicts); for Haar U, U†Q is a Haar d x 4 isometry, Q being V's thin-SVD frame, so trial i
+    draws only that isometry, the i-th from default_rng(seed), and the result does not depend on the
+    chunk size. When `inject` is given its branch operators overwrite trial 0's, a positive control;
     trial 0's Gaussians are still drawn, so every other trial keeps its draw. The scan tolerance is
     looser than construction tolerances because random bases miss by O(1), not by rounding.
 
-    Trials run in chunks of SCAN_CHUNK, fewer above 7 qubits (see _scan_chunk), each drawn by one
-    standard_normal call and screened by one batched Cholesky (see _screen) in a workspace allocated
-    once per scan. The screen only rules trials out (see SCREEN_BAND); every other trial and the
-    injected trial 0 is decided on the exact path, haar_unitaries' QR rows bit for bit and their
-    closed-form verdicts. Nothing is re-checked: QR rows are orthonormal to a few ulps (a test pins
-    it), and the checked `inject` and `shared` give complete branch families.
-    `tol` is checked, and so is, before any draw, that an injected basis acts on as many qubits as `shared`.
+    Trials run in chunks of SCAN_CHUNK, each drawn by one standard_normal call and decided on one path:
+    its branch operators and their closed-form verdicts. Nothing is re-checked: QR columns are
+    orthonormal to a few ulps (a test pins it), and the checked `inject` and `shared` give complete
+    branch families. `tol` is checked, and so is, before any draw, that an injected basis acts on as
+    many qubits as `shared`.
 
     One stream cannot be split: a Gaussian takes a varying number of the generator's words, so trial
-    i's draw needs the ones before it (keyed per-trial streams allowed a split, but every trial ran
-    15-37% slower, and 2 forked processes on 2 CPUs 0.96-2.0 times as fast as one). At most 2**32
-    trials are taken, which bounds the run time (about 8.4 hours for W at 7 us per trial).
+    i's draw needs the ones before it. At most 2**32 trials are taken, which bounds the run time
+    (about 4.5 hours for W at 3.8 us per trial).
     """
     trials = check_trials(trials)
     tol = check_tolerance(tol)

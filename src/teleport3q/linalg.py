@@ -86,43 +86,26 @@ def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool | np.ndarray:
     return bool(unitary) if unitary.ndim == 0 else unitary
 
 
-def haar_unitaries(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Stack of `count` Haar dim x dim unitaries, the next ones in `rng`'s stream: unitary i draws,
-    within one standard_normal call, its real then its imaginary part, so it is the unitary a
-    one-at-a-time draw would give. The stack is laid out column by column, so its swapaxes(-1, -2),
-    the basis rows, is C-ordered without a copy."""
-    return haar_from_gaussians(complex_gaussians(rng, np.empty((count, dim, dim), dtype=complex)))
-
-
-def complex_gaussians(rng: np.random.Generator, out: np.ndarray, normals: np.ndarray | None = None) -> np.ndarray:
-    """`out`, a (count, dim, dim) complex array or view, filled with the next (re + 1j im) / sqrt(2).
-    The real normals are drawn into `normals`, a C-contiguous float (count, 2, dim, dim) array, when
-    one is given, and into a new array otherwise; the bits are the same."""
-    count, dim = out.shape[:2]
-    parts = rng.standard_normal((count, 2, dim, dim), out=normals)
+def haar_isometries(rng: np.random.Generator, count: int, dim: int, cols: int) -> np.ndarray:
+    """Stack of `count` Haar dim x cols isometries, cols <= dim, the next ones in `rng`'s stream; with
+    cols = dim, Haar unitaries. Isometry i is the Mezzadri-phased QR factor (Mezzadri, Notices AMS 54,
+    592 (2007)) of (re + 1j im) / sqrt(2), its real then its imaginary part drawn within one
+    standard_normal call, so it is the isometry a one-at-a-time draw would give."""
+    parts = rng.standard_normal((count, 2, dim, cols))
+    z = np.empty((count, dim, cols), dtype=complex)
     # without complex temporaries: numpy divides by the complex sqrt(2) + 0j as Smith's method does,
     # scaling each part by 1 / (sqrt(2) + 0 * 0); the bits agree for every part but -0.0 (p = 2**-52)
     scale = 1.0 / (np.sqrt(2.0) + 0.0 * 0.0)
-    np.multiply(parts[:, 0], scale, out=out.real)
-    np.multiply(parts[:, 1], scale, out=out.imag)
-    return out
-
-
-def haar_from_gaussians(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries of a stack of complex Gaussians z, each factored alone; z is overwritten with their rows."""
-    # QR of a complex Gaussian is not Haar until the R diagonal phases are
-    # absorbed into Q (Mezzadri construction).
+    np.multiply(parts[:, 0], scale, out=z.real)
+    np.multiply(parts[:, 1], scale, out=z.imag)
+    # QR of a complex Gaussian is not Haar until the R diagonal phases are absorbed into Q
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    phases = d / np.abs(d)
-    del r, d
-    # z takes the rows: row k is column k of q times its phase
-    np.multiply(q.swapaxes(-1, -2), phases[..., :, None], out=z)
-    return z.swapaxes(-1, -2)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _haar_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return haar_unitaries(rng, 1, dim)[0]
+    return haar_isometries(rng, 1, dim, dim)[0]
 
 
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:

@@ -145,18 +145,6 @@ def scale_and_deviation(ops) -> tuple[np.ndarray, np.ndarray]:
     return scale, np.maximum(deviation, np.maximum(off_diagonal[0], off_diagonal[1]))
 
 
-def diagonal_deviation(ops) -> np.ndarray:
-    """The largest diagonal term of scale_and_deviation's deviation of each 2x2 operator of a stack
-    (..., 2, 2), so a lower bound on that deviation, from the weights w = |T|^2 alone. With
-    a = w00 - w11 and b = w10 - w01 the four diagonal terms are |a + b| / 2 and |a - b| / 2, and the
-    larger is (|a| + |b|) / 2. A NaN entry gives a NaN, without a RuntimeWarning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = ops.real**2 + ops.imag**2
-        a = weights[..., 0, 0] - weights[..., 1, 1]
-        b = weights[..., 1, 0] - weights[..., 0, 1]
-        return (np.abs(a) + np.abs(b)) / 2.0
-
-
 @dataclass(frozen=True)
 class MeasurementBasis:
     """Full orthonormal basis on the measured register, one row per outcome.

@@ -2,13 +2,15 @@
 
 The `*_to_jsonable` functions build trees of plain Python values at full
 precision; only the encoder, `dumps_canonical`, decides their bytes. It sorts
-keys and rounds every float to 12 significant digits as it writes it, so
-identical inputs serialize to identical bytes.
+keys and rounds every float of a report to 12 significant digits as it writes
+it, and writes every float of a file that is read back, a protocol, as its
+shortest round trip, so identical inputs serialize to identical bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -214,24 +216,29 @@ def _float_text(x: float) -> str:
     raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
 
 
-def _write_json(obj, indent: str, out: list) -> None:
-    """Append to `out` the text of obj, its floats rounded by round12; `indent`
+def _repr_text(x: float) -> str:
+    """float.__repr__(x), the shortest round trip of x, -0.0 as 0.0; a non-finite x fails as in _float_text."""
+    return float.__repr__(x + 0.0) if -math.inf < x < math.inf else _float_text(x)
+
+
+def _write_json(obj, indent: str, out: list, number=_float_text) -> None:
+    """Append to `out` the text of obj, each float written by `number`; `indent`
     is a newline and the indentation of obj's own level."""
     kind = type(obj)
     if kind is float:  # first: floats are most of every payload
-        out.append(_float_text(obj))
+        out.append(number(obj))
     elif kind is list or isinstance(obj, list):
         if not obj:
             out.append("[]")
             return
         inner = indent + "  "
         if len(obj) == 2 and type(obj[0]) is float and type(obj[1]) is float:  # an [re, im] pair
-            out.append(f"[{inner}{_float_text(obj[0])},{inner}{_float_text(obj[1])}{indent}]")
+            out.append(f"[{inner}{number(obj[0])},{inner}{number(obj[1])}{indent}]")
             return
         separator, comma = "[" + inner, "," + inner
         for item in obj:
             out.append(separator)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, number)
             separator = comma
         out.append(indent + "]")
     elif kind is dict or isinstance(obj, dict):
@@ -245,11 +252,11 @@ def _write_json(obj, indent: str, out: list) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {key.__class__.__name__}")
             out.append(separator + encode_basestring_ascii(key) + ": ")
-            _write_json(value, inner, out)
+            _write_json(value, inner, out, number)
             separator = comma
         out.append(indent + "}")
     elif isinstance(obj, float):
-        out.append(_float_text(obj))
+        out.append(number(obj))
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -264,18 +271,19 @@ def _write_json(obj, indent: str, out: list) -> None:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
-def dumps_canonical(obj) -> str:
+def dumps_canonical(obj, round_trip: bool = False) -> str:
     """The one place that decides JSON bytes: sorted keys, an indent of 2,
-    every float rounded to 12 significant digits, and a closing newline.
+    every float rounded to 12 significant digits, and a closing newline; with
+    `round_trip`, for a file that is read back, every float in full instead.
 
     `obj` is a tree of str-keyed dicts, lists, str, bool, None, int and finite
-    float; the text is json.dumps(obj with round12 applied to each float,
-    sort_keys=True, indent=2) + "\n", written in one pass. A non-finite float
+    float; the text is json.dumps(obj with round12, or with `round_trip` x + 0.0,
+    applied to each float x, sort_keys=True, indent=2) + "\n", written in one pass. A non-finite float
     is a ValueError and anything else (a tuple, a non-str key, a numpy integer)
     a TypeError; no CLI payload holds either. A container that holds itself
     recurses until RecursionError."""
     out: list[str] = []
-    _write_json(obj, "\n", out)
+    _write_json(obj, "\n", out, _repr_text if round_trip else _float_text)
     out.append("\n")
     return "".join(out)
 

@@ -19,7 +19,7 @@ from teleport3q.linalg import ATOL, haar_random_unitary
 from teleport3q.serialize import (
     MAX_QUBITS, _cut, _echo, dumps_canonical, protocol_to_jsonable, round12, state_to_jsonable
 )
-from teleport3q.states import make_named_state
+from teleport3q.states import WLikeParams, make_named_state
 
 HALF_PI = "1.5707963267948966"
 BASIS_GEN_PROTOCOL = Path(__file__).parent / "golden" / "inputs" / "basis_gen_protocol.json"
@@ -161,7 +161,8 @@ def test_basis_gen_identity_matches_canonical(tmp_path):
     assert gen.returncode == 0
     data = json.loads(gen.stdout)
     assert len(data["basisElements"]) == 8
-    assert data["coefficients"][:4] == [0.5, 0.5, 0.5, 0.5]
+    # written in full: the built coefficients, 0.5 to rounding
+    assert data["coefficients"][:4] == pytest.approx([0.5] * 4, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -958,7 +959,7 @@ def test_state_file_amplitudes_must_be_number_pairs(tmp_path, entry):
 def test_scan_trials_capped_to_bound_run_time(monkeypatch, capsys):
     # in process, with the Haar draw removed: a scan that started fails at once
     # instead of running for a day
-    monkeypatch.setattr(feasibility, "complex_gaussians", None)
+    monkeypatch.setattr(feasibility, "haar_isometries", None)
     with pytest.raises(SystemExit) as exc:
         cli.main(["scan", "--shared", "w", "--trials", str(2**32 + 1)])
     assert exc.value.code == 2
@@ -1041,7 +1042,9 @@ SEED = st.integers(0, 2**32)
 
 @given(angles=st.tuples(ANGLE, ANGLE, ANGLE), theta=ANGLE, s_seed=SEED, basis_seed=SEED)
 @example(angles=(math.pi / 4, 0.0, 0.0), theta=1.0, s_seed=0, basis_seed=42)
-def test_every_json_float_carries_12_significant_digits(angles, theta, s_seed, basis_seed):
+def test_every_report_float_carries_12_significant_digits(angles, theta, s_seed, basis_seed):
+    """Every float of a teleport, scan or analyze report is rounded to 12 digits; basis-gen writes a
+    file that is read back, so its floats are the built protocol's in full."""
     params = ",".join(repr(a) for a in angles)
     shared = f"--shared=w-like:{params}"
     s = [[[z.real, z.imag] for z in row] for row in haar_random_unitary(2, s_seed).tolist()]
@@ -1053,8 +1056,10 @@ def test_every_json_float_carries_12_significant_digits(angles, theta, s_seed, b
         ]),
         _json_stdout(["scan", shared, "--trials", "3", "--inject-known-basis", "--format", "json"]),
         _json_stdout(["analyze", shared, "--scan-trials", "2"]),
-        _json_stdout(["basis-gen", f"--params={params}", f"--S={json.dumps(s)}"]),
     ]
     floats = [x for document in documents for x in _json_floats(document)]
     assert len(floats) > 100
     assert all(round12(x) == x for x in floats)
+    written = _json_stdout(["basis-gen", f"--params={params}", f"--S={json.dumps(s)}"])
+    built = protocols.basis_from_S(WLikeParams(*angles), haar_random_unitary(2, s_seed))
+    assert written == json.loads(json.dumps(protocol_to_jsonable(built)))

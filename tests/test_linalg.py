@@ -10,10 +10,9 @@ from teleport3q.linalg import (
     ZERO_ATOL,
     closest_unitary,
     complete_orthonormal,
-    complex_gaussians,
     dagger,
+    haar_isometries,
     haar_random_unitary,
-    haar_unitaries,
     is_unitary,
     isometry_deviation,
     max_abs,
@@ -87,7 +86,7 @@ def test_isometry_deviation_matches_the_max_abs_definition(dim):
     # sqrt(re^2 + im^2) against numpy's abs (hypot), on matrices far from and near unitary
     rng = np.random.default_rng(dim)
     gaussian = rng.standard_normal((300, dim, dim)) + 1j * rng.standard_normal((300, dim, dim))
-    for stack in (gaussian, haar_unitaries(rng, 300, dim)):
+    for stack in (gaussian, haar_isometries(rng, 300, dim, dim)):
         reference = np.abs(dagger(stack) @ stack - np.eye(dim)).max(axis=(-2, -1))
         deviation = isometry_deviation(stack)
         assert deviation.shape == reference.shape
@@ -124,28 +123,17 @@ def test_haar_draw_order_is_real_then_imaginary(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 8])
-def test_haar_unitaries_continue_one_stream(dim):
-    """A stack of draws is the same unitaries, bit for bit, as one draw at a
-    time from the same generator, however the stream is split."""
-    one_at_a_time = np.random.default_rng(5)
-    singles = np.stack([haar_unitaries(one_at_a_time, 1, dim)[0] for _ in range(20)])
+def test_haar_isometries_continue_one_stream(dim):
+    """A stack of draws is the same isometries, bit for bit, as one draw at a
+    time from the same generator, however the stream is split; with as many
+    columns as rows, the first is haar_random_unitary's."""
+    for cols in sorted({min(4, dim), dim}):
+        one_at_a_time = np.random.default_rng(5)
+        singles = np.stack([haar_isometries(one_at_a_time, 1, dim, cols)[0] for _ in range(20)])
+        rng = np.random.default_rng(5)
+        stacked = np.concatenate([haar_isometries(rng, count, dim, cols) for count in (7, 1, 12)])
+        assert stacked.tobytes() == singles.tobytes()
     assert singles[0].tobytes() == haar_random_unitary(dim, 5).tobytes()
-    rng = np.random.default_rng(5)
-    stacked = np.concatenate([haar_unitaries(rng, count, dim) for count in (7, 1, 12)])
-    assert stacked.tobytes() == singles.tobytes()
-
-
-@pytest.mark.parametrize("dim", [2, 8])
-def test_complex_gaussians_drawn_into_a_given_buffer_keep_their_bits(dim):
-    """Normals drawn into a caller's buffer, or into a prefix of it as a scan's
-    last chunk does, give the Gaussians and the stream of a fresh draw."""
-    fresh, buffered = np.random.default_rng(9), np.random.default_rng(9)
-    normals = np.full((16, 2, dim, dim), np.nan)
-    for count in (16, 5, 16):
-        expected, drawn = (np.empty((count, dim, dim), dtype=complex) for _ in range(2))
-        complex_gaussians(fresh, expected)
-        complex_gaussians(buffered, drawn, normals[:count])
-        assert drawn.tobytes() == expected.tobytes()
 
 
 def test_haar_unitary_many_seeds():
@@ -275,7 +263,7 @@ def partial_bases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = rng.permutation(dim)[:support]
     rows = np.zeros((count, dim), dtype=complex)
-    rows[:, columns] = haar_unitaries(rng, 1, support)[0][:count]
+    rows[:, columns] = haar_isometries(rng, 1, support, support)[0][:count]
     rows[:, columns] += noise * (rng.standard_normal((count, support)) + 1j * rng.standard_normal((count, support)))
     return rows, dim
 

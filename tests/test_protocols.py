@@ -1,6 +1,5 @@
 import math
 import re
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +33,6 @@ from teleport3q.protocols import (
     bell_protocol,
     branch_operators,
     branch_tensor,
-    diagonal_deviation,
     ghz_protocol,
     protocol_from_basis,
     run_teleport,
@@ -270,44 +268,6 @@ def test_scale_and_deviation_bitwise_equals_the_reduction_form(parts):
     ref_scale, ref_deviation = reduced_scale_and_deviation(ops)
     assert scale.tobytes() == ref_scale.tobytes()
     assert deviation.tobytes() == ref_deviation.tobytes()
-
-
-def largest_diagonal_term(w: np.ndarray) -> Fraction:
-    """The largest diagonal entry magnitude of T†T - scale I and TT† - scale I, exactly, from the
-    weights w = |T|^2 of one operator as scale_and_deviation rounds them."""
-    (w00, w01), (w10, w11) = ((Fraction(x) for x in row) for row in w.tolist())
-    scale = (w00 + w01 + w10 + w11) / 2
-    return max(abs(w00 + w10 - scale), abs(w01 + w11 - scale), abs(w00 + w01 - scale), abs(w10 + w11 - scale))
-
-
-@given(
-    parts=st.one_of(
-        st.builds(gaussian_parts, st.integers(0, 2**32 - 1), LEADS),
-        LEADS.flatmap(lambda lead: arrays(np.float64, lead + (2, 2, 2), elements=OPERATOR_PARTS)),
-    )
-)
-@example(parts=np.zeros((1, 2, 2, 2)))
-@example(parts=np.array([[[[1e100, -1e-100], [3e-160, 0.0]], [[-0.0, 1e100], [1e99, 5e-324]]]]))
-@example(parts=np.array([[[[2.2e-162, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]))
-def test_diagonal_deviation_is_the_largest_diagonal_term_of_the_deviation(parts):
-    """(|w00 - w11| + |w01 - w10|) / 2 is within 4 eps sum(w) of the largest
-    diagonal term of scale_and_deviation's deviation, and so at most that
-    deviation plus 4 eps sum(w); a NaN entry gives a NaN. Below the normal
-    range the slack also takes one subnormal: halving w00 = 2**-1074 gives 0."""
-    ops = parts.view(complex)[..., 0]
-    bounds = diagonal_deviation(ops)
-    _, deviations = scale_and_deviation(ops)
-    weights = ops.real**2 + ops.imag**2
-    info = np.finfo(float)
-    slacks = 4 * info.eps * weights.sum(axis=(-2, -1)) + info.smallest_subnormal
-    flat = (bounds.reshape(-1).tolist(), deviations.reshape(-1).tolist(), slacks.reshape(-1).tolist())
-    for w, bound, deviation, slack in zip(weights.reshape(-1, 2, 2), *flat):
-        assert abs(Fraction(bound) - largest_diagonal_term(w)) <= Fraction(slack)
-        assert bound <= deviation + slack
-    for i, j in np.ndindex(2, 2):
-        poisoned = ops.copy()
-        poisoned[..., i, j] = np.nan
-        assert np.isnan(diagonal_deviation(poisoned)).all()
 
 
 @pytest.mark.parametrize("sigma", [np.zeros((2, 2)), IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, -1j * PAULI_Y])

@@ -5,12 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_cli
 from hypothesis import example, given, strategies as st
 
-from teleport3q import feasibility
-from teleport3q.feasibility import (
-    SCAN_BUDGET_BYTES, SCAN_CHUNK, SCAN_PEAK_BYTES, SCAN_TOL, build_feasibility_report, haar_scan,
-)
+from teleport3q.feasibility import SCAN_CHUNK, SCAN_TOL, build_feasibility_report, haar_scan
 from teleport3q.protocols import PROB_FLOOR, basis_from_S, run_teleport, w_like_protocol
 from teleport3q.serialize import (
     MAX_QUBITS,
@@ -68,9 +66,9 @@ def test_protocol_round_trip_preserves_perfection():
 
 
 def test_reloaded_basis_gen_dead_branches_stay_below_the_floor():
-    """A basis-gen file rounds its amplitudes to 12 digits, which lifts its dead branches (outcomes 100 to
-    111), exactly 0 in exact arithmetic, to probabilities of up to 9.69e-25 on these inputs: under
-    PROB_FLOOR = 1e-24, so the reloaded protocol still reports them dead."""
+    """A protocol file as 0.4.0 wrote it, its amplitudes rounded to 12 digits, still loads. The rounding
+    lifts its dead branches (outcomes 100 to 111), exactly 0 in exact arithmetic, to probabilities of
+    up to 9.69e-25 on these inputs: under PROB_FLOOR = 1e-24, so the reloaded protocol reports them dead."""
     rng = np.random.default_rng(0)
     messages = [haar_random_state(1, seed) for seed in range(5)]
     dead = []
@@ -81,6 +79,55 @@ def test_reloaded_basis_gen_dead_branches_stay_below_the_floor():
             loaded = protocol_from_jsonable(json.loads(text))
             dead += [o.probability for psi in messages for o in run_teleport(psi, loaded).outcomes[4:]]
     assert max(dead) < PROB_FLOOR
+
+
+def outcome_bits(result):
+    """Each outcome's label, probability bits and liveness, and the total fidelity's bits."""
+    outcomes = [(o.label, float(o.probability).hex(), o.branch_fidelity is None) for o in result.outcomes]
+    return outcomes, float(result.total_fidelity).hex()
+
+
+PINNED_PARAMS = (2.45460152355, 0.300068645173, 1.59584366122)
+
+
+@given(
+    angles=st.tuples(*[st.floats(-2 * math.pi, 2 * math.pi)] * 3),
+    s_seed=st.one_of(st.none(), st.integers(0, 2**32)),
+    message_seed=st.integers(0, 2**32),
+)
+@example(angles=PINNED_PARAMS, s_seed=None, message_seed=0)
+def test_a_reloaded_protocol_runs_as_the_protocol_it_was_written_from(angles, s_seed, message_seed):
+    """A basis-gen file writes every float in full, so the loaded protocol runs outcome by outcome as
+    the built one: the same liveness and the same probability bits (S = H when s_seed is None)."""
+    s = HADAMARD if s_seed is None else haar_random_unitary(2, s_seed)
+    protocol = basis_from_S(WLikeParams(*angles), s)
+    loaded = protocol_from_jsonable(json.loads(dumps_canonical(protocol_to_jsonable(protocol), round_trip=True)))
+    psi = haar_random_state(1, message_seed)
+    assert outcome_bits(run_teleport(psi, loaded)) == outcome_bits(run_teleport(psi, protocol))
+
+
+def test_the_pinned_basis_gen_file_keeps_outcome_100_dead(tmp_path):
+    """Written with 12-digit amplitudes, this protocol's outcome 100 reloaded at probability 1.06e-24,
+    above PROB_FLOOR, and printed a fidelity; written in full it reloads at the built 7.5e-33 and prints -."""
+    path = tmp_path / "p.json"
+    params = ",".join(repr(a) for a in PINNED_PARAMS)
+    assert run_cli("basis-gen", "--params", params, "--S", "H", "--out", str(path)).returncode == 0
+    proc = run_cli("teleport", "--protocol-file", str(path), "--theta", "0", "--phi", "0")
+    assert proc.returncode == 0
+    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines() if line[:3] in ("100", "101")}
+    assert rows["100"][1] == "-" and float(rows["100"][0]) < 1e-32
+
+
+def test_round_trip_floats_are_their_shortest_repr():
+    """With round_trip each float is written as repr writes it, a zero of either sign as 0.0 and a
+    tiny negative with its sign; a non-finite float is refused as in the 12-digit form."""
+    values = [0.1 + 0.2, -0.0, 0.0, -5e-324, 1e16, 1.5e-7, 123.0, 2.45460152355]
+    text = dumps_canonical(values, round_trip=True)
+    assert json.loads(text) == [v + 0.0 for v in values]
+    assert "-0.0" not in text and "0.30000000000000004" in text and "-5e-324" in text
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dumps_canonical([bad], round_trip=True)
 
 
 def test_protocol_from_jsonable_reports_missing_fields():
@@ -285,53 +332,54 @@ CAP_BOUND_BYTES = 512 * 10**6
 
 
 def scan_trial_bytes(n_qubits: int) -> int:
-    """README's bytes per trial of a scan's chunk, 2d(d+4) + 2(d+4)² + 3d² + d complex numbers for d = 2**n:
-    the workspace, the screen's Cholesky factor and the exact path's QR arrays."""
-    d = 2**n_qubits
-    return (2 * d * (d + 4) + 2 * (d + 4) ** 2 + 3 * d**2 + d) * 16
-
-
-def scan_chunk(n_qubits: int) -> int:
-    return max(1, min(SCAN_CHUNK, SCAN_BUDGET_BYTES // scan_trial_bytes(n_qubits)))
+    """README's bytes per trial of a scan's chunk, 20d complex numbers for d = 2**n: five (d, 4) arrays
+    held at once while a trial's isometry is drawn (the normals, the Gaussians, the copy that QR factors,
+    Q and its phased columns); the branch operators and their verdicts, formed after the draw, hold less."""
+    return 20 * 2**n_qubits * 16
 
 
 def scan_bytes(n_qubits: int) -> int:
     """The bytes a scan over n qubits holds at most: one chunk's trials."""
-    return scan_chunk(n_qubits) * scan_trial_bytes(n_qubits)
+    return SCAN_CHUNK * scan_trial_bytes(n_qubits)
 
 
 def test_qubit_cap_bounds_the_scan_workspace_and_the_haar_draw():
     """Evaluated, never allocated: up to the cap a scan (README's formula) and the Gaussians of
-    haar_random_unitary (2·d² floats) stay under README's bound. The scan's chunk, not the cap, keeps
-    it there: SCAN_CHUNK trials fit the budget through 7 qubits, so no 3- or 4-qubit scan changed its
-    chunks, and 34 fit at 8, where 128 peaked at 814 MB."""
+    haar_random_unitary (2·d² floats) stay under README's bound. A scan draws d x 4 isometries, so
+    a chunk grows with d, not d², and SCAN_CHUNK trials at the cap take 10.5 MB."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert f"`nQubits` is at most {MAX_QUBITS}" in readme and f"{CAP_BOUND_BYTES // 10**6} MB" in readme
-    for n in range(3, MAX_QUBITS + 1):
-        assert feasibility._scan_chunk(2**n) == scan_chunk(n)
-        assert scan_bytes(n) < CAP_BOUND_BYTES
-    assert [scan_chunk(n) for n in (3, 4, 7, 8)] == [SCAN_CHUNK] * 3 + [34]
-    # the formula bounds the tracemalloc peaks the scan tests pin for 3 and 4 qubits
-    assert all(SCAN_PEAK_BYTES[n] < scan_bytes(n) for n in (3, 4))
+    assert all(scan_bytes(n) < CAP_BOUND_BYTES for n in range(3, MAX_QUBITS + 1))
+    assert scan_bytes(MAX_QUBITS) == 10_485_760
     assert 2 * (2**MAX_QUBITS) ** 2 * 8 < CAP_BOUND_BYTES
     assert MAX_QUBITS >= 6  # W⊗W
 
 
-def test_a_six_qubit_scan_peaks_under_the_formula():
-    """The tracemalloc peak of a one-chunk W_6 scan, 37 MB at SCAN_TOL and 53 MB at 0.3, where every
-    trial takes QR, stays under the formula's 62 MB; the workspace alone is 27 MB."""
-    amplitudes = np.zeros(2**6, dtype=complex)
-    amplitudes[[2**k for k in range(6)]] = 6**-0.5
-    shared = PureState(6, amplitudes)
+def one_chunk_scan_peaks(n_qubits: int) -> list[int]:
+    """The tracemalloc peaks of a one-chunk W_n scan at SCAN_TOL and at 0.3."""
+    amplitudes = np.zeros(2**n_qubits, dtype=complex)
+    amplitudes[[2**k for k in range(n_qubits)]] = n_qubits**-0.5
+    shared = PureState(n_qubits, amplitudes)
+    peaks = []
     for tol in (SCAN_TOL, 0.3):
         haar_scan(shared, 1, 0, tol=tol)  # numpy's first calls build caches
         tracemalloc.start()
         try:
             haar_scan(shared, SCAN_CHUNK, 1, tol=tol)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak < scan_bytes(6), tol
+    return peaks
+
+
+def test_a_six_qubit_scan_peaks_under_the_formula():
+    """2.50 MB at both tolerances, against the formula's 2.62 MB."""
+    assert all(peak < scan_bytes(6) for peak in one_chunk_scan_peaks(6))
+
+
+def test_a_scan_at_the_qubit_cap_peaks_under_the_formula():
+    """10.0 MB at both tolerances, against the formula's 10.5 MB."""
+    assert all(peak < scan_bytes(MAX_QUBITS) for peak in one_chunk_scan_peaks(MAX_QUBITS))
 
 
 def test_the_qubit_cap_holds_at_the_json_boundary_only():
