@@ -37,10 +37,9 @@ __all__ = [
 BLOCH_TOL = 5e-10  # one ebit: the receiver's Bloch length g is at most this; the sum rule's bound is twice it
 SCAN_TOL = 1e-8
 # Trials per batched kernel call in haar_scan (see _branch_verdicts). A chunk holds a few (count, d, 4) arrays,
-# so a scan's tracemalloc peak does not grow with its trials and stays below SCAN_PEAK_BYTES for 3 and 4 qubits:
-# the 20 000-trial W peaks, 0.377 and 0.707 MB with numpy 2.4.6, plus about 15%.
+# so a scan's tracemalloc peak does not grow with its trials: 0.319 and 0.632 MB for 20 000 W trials at 3 and
+# 4 qubits with numpy 2.4.6, which tests/test_feasibility.py bounds.
 SCAN_CHUNK = 128
-SCAN_PEAK_BYTES = {3: 440_000, 4: 820_000}
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def _branch_verdicts(shared: PureState, trials: int, seed: int, inject: Measurem
     rng = np.random.default_rng(seed)
     for start in range(0, trials, SCAN_CHUNK):
         count = min(SCAN_CHUNK, trials - start)
-        ops = (haar_isometries(rng, count, dim, len(s)) @ right).reshape(count, dim, 2, 2)
+        ops = (haar_isometries(rng, count, dim, len(s)).reshape(-1, len(s)) @ right).reshape(count, dim, 2, 2)
         if inject is not None and start == 0:
             ops[0] = branch_tensor(inject.rows, shared.amplitudes)
         verdicts = scale_and_deviation(ops)[1] <= tol
@@ -224,7 +223,7 @@ def haar_scan(
 
     One stream cannot be split: a Gaussian takes a varying number of the generator's words, so trial
     i's draw needs the ones before it. At most 2**32 trials are taken, which bounds the run time
-    (about 4.5 hours for W at 3.8 us per trial).
+    (about 4.3 hours for W at 3.6 us per trial).
     """
     trials = check_trials(trials)
     tol = check_tolerance(tol)
@@ -232,7 +231,7 @@ def haar_scan(
         check_basis_qubits(inject, shared)
     feasible_count = max_passing = 0
     for verdicts in _branch_verdicts(shared, trials, seed, inject, tol):
-        passing = np.count_nonzero(verdicts, axis=-1)
+        passing = verdicts.sum(axis=-1)
         feasible_count += int(np.count_nonzero(passing == verdicts.shape[-1]))
         max_passing = max(max_passing, int(passing.max()))
     return ScanResult(trials, feasible_count, max_passing, tol, inject is not None)

@@ -98,10 +98,11 @@ def haar_isometries(rng: np.random.Generator, count: int, dim: int, cols: int) -
     scale = 1.0 / (np.sqrt(2.0) + 0.0 * 0.0)
     np.multiply(parts[:, 0], scale, out=z.real)
     np.multiply(parts[:, 1], scale, out=z.imag)
+    del parts
     # QR of a complex Gaussian is not Haar until the R diagonal phases are absorbed into Q
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    return np.multiply(q, (d / np.abs(d))[..., None, :], out=q)
 
 
 def _haar_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -775,6 +775,33 @@ def test_a_coefficient_exactly_at_the_floor_is_zero():
     assert protocol.coefficients[1] == 0.0
 
 
+def test_a_basis_exactly_at_atol_is_orthonormal():
+    # the Gram matrix's off-diagonal entry is the stray one, exactly ATOL; a squared norm cannot sit on the edge
+    for stray, accepted in ((ATOL, True), (np.nextafter(ATOL, 1.0), False)):
+        rows = np.eye(2, dtype=complex)
+        rows[1, 0] = stray
+        assert isometry_deviation(rows.T) == stray
+        if accepted:
+            assert MeasurementBasis(rows).rows.tobytes() == rows.tobytes()
+        else:
+            with pytest.raises(ValueError, match="^basis is not orthonormal: Gram deviation 1.000e-10$"):
+                MeasurementBasis(rows)
+
+
+def test_a_correction_exactly_at_atol_is_unitary():
+    # u†u - I is [[0, stray], [stray, stray**2]] and 1 + stray**2 rounds to 1, so the deviation is the stray entry
+    bell = bell_protocol()
+    for stray, accepted in ((ATOL, True), (np.nextafter(ATOL, 1.0), False)):
+        corrections = bell.corrections.copy()
+        corrections[0] = [[1.0, stray], [0.0, 1.0]]
+        assert isometry_deviation(corrections[0]) == stray
+        if accepted:
+            assert TeleportProtocol(bell.shared, bell.basis, corrections).corrections.tobytes() == corrections.tobytes()
+        else:
+            with pytest.raises(ValueError, match="^correction 0 is not a 2x2 unitary$"):
+                TeleportProtocol(bell.shared, bell.basis, corrections)
+
+
 def per_outcome_live_rows(shared, corrections):
     """_protocol_from_corrections's live basis elements, one product (A conj(C_k))ᵀ per outcome k."""
     a = shared.amplitudes.reshape(-1, 2)

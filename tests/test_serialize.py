@@ -332,9 +332,10 @@ CAP_BOUND_BYTES = 512 * 10**6
 
 
 def scan_trial_bytes(n_qubits: int) -> int:
-    """README's bytes per trial of a scan's chunk, 20d complex numbers for d = 2**n: five (d, 4) arrays
-    held at once while a trial's isometry is drawn (the normals, the Gaussians, the copy that QR factors,
-    Q and its phased columns); the branch operators and their verdicts, formed after the draw, hold less."""
+    """README's bytes per trial of a scan's chunk, 20d complex numbers for d = 2**n: five (d, 4) arrays.
+    The draw holds about three at once (the Gaussians, the copy that QR factors, and Q, phased in
+    place); the verdicts, the peak, hold the branch operators and about 3.8 more in
+    scale_and_deviation's temporaries."""
     return 20 * 2**n_qubits * 16
 
 
