@@ -143,11 +143,8 @@ def _read_json(path: str, what: str):
     return _loads_json(text, f"{what} file {path!r}")
 
 
-def _resolve_state(
-    args, state_needed: bool = True
-) -> tuple[PureState | None, str, Callable[[], TeleportProtocol] | None]:
-    """Returns (state, label, canonical); canonical() builds the state's known perfect protocol, or is None.
-    A w-like state is None unless `state_needed`: w_like_protocol builds its own from the angles."""
+def _resolve_state(args) -> tuple[PureState, str, Callable[[], TeleportProtocol] | None]:
+    """Returns (state, label, canonical); canonical() builds the state's known perfect protocol, or is None."""
     if args.state_file and args.shared:
         raise ValueError("pass either --shared or --state-file, not both")
     if args.state_file:
@@ -158,7 +155,7 @@ def _resolve_state(
     lowered = spec.lower()
     if lowered.startswith("w-like:"):
         params = _parse_w_like_params(spec[len("w-like:"):])
-        return w_like_from_params(params) if state_needed else None, spec, partial(w_like_protocol, params)
+        return w_like_from_params(params), spec, partial(w_like_protocol, params)
     try:
         state = make_named_state(lowered)
     except ValueError:
@@ -190,7 +187,7 @@ def _resolve_protocol(args) -> tuple[TeleportProtocol, str]:
         if args.basis:
             raise ValueError("--protocol-file excludes --basis")
         return protocol_from_jsonable(_read_json(args.protocol_file, "protocol")), args.protocol_file
-    state, label, canonical = _resolve_state(args, state_needed=bool(args.basis))
+    state, label, canonical = _resolve_state(args)
     if args.basis:
         match = _HAAR_BASIS_RE.match(args.basis.strip())
         if not match:

@@ -10,6 +10,7 @@ receiver's qubit is always the last position.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, fields
 from functools import cache
@@ -150,16 +151,23 @@ class DensityMatrix:
 @dataclass(frozen=True)
 class WLikeParams:
     """Angles (radians) of the single-excitation family with a maximally mixed
-    receiver qubit; values are free reals, deliberately not range-normalized."""
+    receiver qubit; values are free reals, deliberately not range-normalized. Each is stored as a finite float:
+    the one check a W-like state gets, since w_like_from_params builds it unchecked."""
 
     gamma: float
     phi: float
     omega: float
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "phi", "omega"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for name, value in vars(self).items():
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            try:
+                angle = float(value) if real else math.nan
+            except OverflowError:  # an int or a Fraction beyond the float range
+                angle = math.inf
+            if not math.isfinite(angle):
+                raise ValueError(f"{name} must be finite" if real else f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, angle)
 
 
 def fidelity(a: PureState, b: PureState) -> float:
@@ -193,23 +201,16 @@ def make_named_state(name: str) -> PureState:
 
 
 def make_w_like(x: complex, y: complex, z: complex) -> PureState:
-    """Single-excitation 3-qubit state x|001> + y|010> + z|100>.
-
-    The weights must already be normalized: PureState rejects an unnormalized
-    input with the measured deviation rather than silently rescaling it.
-    """
-    amps = np.zeros(8, dtype=complex)
-    amps[1], amps[2], amps[4] = x, y, z
-    return PureState(3, amps)
+    """Single-excitation 3-qubit state x|001> + y|010> + z|100>, checked, since the weights come from the caller:
+    PureState rejects unnormalized ones with the measured deviation rather than silently rescaling them."""
+    return PureState(3, [0.0, x, y, 0.0, z, 0.0, 0.0, 0.0])
 
 
 def w_like_from_params(params: WLikeParams) -> PureState:
-    """W-like state with weights (1, e^{i phi} cos(gamma), e^{i omega} sin(gamma))/sqrt(2)."""
-    return make_w_like(
-        1.0 / _SQRT2,
-        np.exp(1j * params.phi) * math.cos(params.gamma) / _SQRT2,
-        np.exp(1j * params.omega) * math.sin(params.gamma) / _SQRT2,
-    )
+    """W-like state with weights (1, e^{i phi} cos(gamma), e^{i omega} sin(gamma))/sqrt(2), unit by construction."""
+    y = np.exp(1j * params.phi) * math.cos(params.gamma) / _SQRT2
+    z = np.exp(1j * params.omega) * math.sin(params.gamma) / _SQRT2
+    return trusted(PureState, n_qubits=3, amplitudes=[0.0, 1.0 / _SQRT2, y, 0.0, z, 0.0, 0.0, 0.0])
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

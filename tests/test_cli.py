@@ -19,7 +19,7 @@ from teleport3q.linalg import ATOL, haar_random_unitary
 from teleport3q.serialize import (
     MAX_QUBITS, _cut, _echo, dumps_canonical, protocol_to_jsonable, round12, state_to_jsonable
 )
-from teleport3q.states import WLikeParams, make_named_state
+from teleport3q.states import PureState, WLikeParams, make_named_state
 
 HALF_PI = "1.5707963267948966"
 BASIS_GEN_PROTOCOL = Path(__file__).parent / "golden" / "inputs" / "basis_gen_protocol.json"
@@ -221,6 +221,19 @@ def test_malformed_input_exits_2(tmp_path, edit, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+def test_a_protocol_file_coefficient_exactly_atol_off_loads(tmp_path, capsys):
+    """Outcome 4 of the basis-gen file is dead, its derived coefficient exactly 0.0, so the file's coefficient
+    differs from it by exactly the stray; the live ones differ by 3.8e-13."""
+    for stray, code in ((ATOL, 0), (np.nextafter(ATOL, 1.0), 2)):
+
+        def edit(data):
+            data["coefficients"][4] = stray
+
+        assert cli.main(["teleport", "--protocol-file", _protocol_file(tmp_path, edit), "--random"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: coefficients differ from the derived branch magnitudes [") if code else not err
 
 
 def _protocol_file(tmp_path, edit) -> str:
@@ -509,27 +522,32 @@ def test_canonical_protocol_is_built_over_the_resolved_state(spec):
 
 
 @pytest.mark.parametrize(
-    "argv, built",
+    "argv",
     [
-        (["teleport", "--theta", "1", "--expect-perfect"], 0),
-        (["teleport", "--theta", "1", "--basis", "haar:3"], 1),
-        (["scan", "--trials", "1", "--inject-known-basis"], 1),
-        (["analyze", "--scan-trials", "1"], 1),
+        ["teleport", "--theta", "1", "--expect-perfect"],
+        ["teleport", "--theta", "1", "--basis", "haar:3"],
+        ["scan", "--trials", "1", "--inject-known-basis"],
+        ["analyze", "--scan-trials", "1"],
     ],
+    ids=["teleport-canonical", "teleport-haar", "scan-inject", "analyze"],
 )
-def test_the_cli_builds_a_w_like_state_only_where_it_is_read(monkeypatch, capsys, argv, built):
-    """w_like_protocol builds the state of its angles itself, so a canonical teleport leaves it to
-    the builder; the Haar basis, the scan and analyze read the state the command resolved."""
+def test_the_cli_resolves_a_w_like_state_once(monkeypatch, capsys, argv):
+    """Every command resolves the state of its angles once, through trusted: WLikeParams is its one
+    check, and no PureState check runs (a canonical teleport's builder builds the state again)."""
     calls, build = [], cli.w_like_from_params
 
     def counted(params):
         calls.append(params)
         return build(params)
 
+    def refuse(self):
+        raise AssertionError("a PureState check ran")
+
     monkeypatch.setattr(cli, "w_like_from_params", counted)
+    monkeypatch.setattr(PureState, "__post_init__", refuse)
     assert cli.main([*argv, "--shared", "w-like:0.5,0.2,0.9"]) == 0
     capsys.readouterr()
-    assert len(calls) == built
+    assert calls == [WLikeParams(0.5, 0.2, 0.9)]
 
 
 def test_sampled_teleport_runs_the_protocol_once(monkeypatch, capsys):

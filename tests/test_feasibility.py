@@ -251,6 +251,23 @@ def test_state_only_routes_agree_and_flip_once_at_the_bloch_tolerance():
     assert lengths[flips[0]] <= feasibility.BLOCH_TOL < lengths[flips[0] + 1]
 
 
+def test_analyze_decides_a_bloch_length_exactly_at_the_tolerance(tmp_path, capsys):
+    """The receiver cut [[p, q], [q, p]] gives rho00 = rho11 exactly and rho01 = 2 fl(p q), so g = 4 fl(p q); an
+    ulp search over q found g = BLOCH_TOL and the next double. The sum rule's edge is out of reach: rows near 1
+    differ by a multiple of 2**-53, and 2 BLOCH_TOL is not one."""
+    assert Fraction(2 * feasibility.BLOCH_TOL) % Fraction(1, 2**53) != 0
+    p = math.sqrt(0.5)
+    for q, feasible in ((1.7677669529663686e-10, True), (1.7677669529663691e-10, False)):
+        state = PureState(3, [p, q, q, p, 0.0, 0.0, 0.0, 0.0])
+        g = feasibility._bloch_length(feasibility.bob_reduced_state(state))
+        assert g == (feasibility.BLOCH_TOL if feasible else np.nextafter(feasibility.BLOCH_TOL, 1.0))
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(state_to_jsonable(state)))
+        assert cli.main(["analyze", "--state-file", str(path), "--scan-trials", "1"]) == (0 if feasible else 1)
+        report = json.loads(capsys.readouterr().out)
+        assert (report["entropyVerdict"], report["sumRuleBalanced"]) == (feasible, True)
+
+
 def in_random_local_frames(state: PureState, seed: int) -> PureState:
     """The state under a Haar unitary on the sender pair and one on the receiver."""
     local = np.kron(haar_random_unitary(4, seed), haar_random_unitary(2, seed + 1))

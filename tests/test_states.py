@@ -2,11 +2,12 @@ import dataclasses
 import itertools
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from teleport3q import cli, states
 from teleport3q.feasibility import componentwise_disentangler, schmidt_disentangler
@@ -55,6 +56,18 @@ def test_density_matrix_accepts_hermiticity_and_trace_exactly_at_atol():
     m = np.diag([0.5 + 0.5e-10j, 0.5 + 0.5e-10j])
     assert max_abs(m - m.conj().T) == ATOL and abs(np.trace(m) - 1.0) == ATOL
     assert DensityMatrix(1, m).matrix.tobytes() == m.tobytes()
+
+
+def test_density_matrix_accepts_an_eigenvalue_exactly_at_minus_atol():
+    # a diagonal matrix's eigenvalues are its entries, and its trace (1 + ATOL) + low is 1 within ATOL
+    for low, accepted in ((-ATOL, True), (np.nextafter(-ATOL, -1.0), False)):
+        m = np.diag([1.0 + ATOL, low]).astype(complex)
+        assert np.linalg.eigvalsh(m).min() == low
+        if accepted:
+            assert DensityMatrix(1, m).matrix.tobytes() == m.tobytes()
+        else:
+            with pytest.raises(ValueError, match="^negative eigenvalue -1.000e-10 below -1e-10$"):
+                DensityMatrix(1, m)
 
 
 @pytest.mark.parametrize(
@@ -150,6 +163,39 @@ def test_w_like_params_gamma_zero():
     expected[1] = 1 / SQRT2
     expected[2] = np.exp(1j * phi) / SQRT2
     assert max_abs(state.amplitudes - expected) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "must be a real number, got True"),
+        ("0.5", "must be a real number, got '0.5'"),
+        (1j, "must be a real number, got 1j"),
+        (None, "must be a real number, got None"),
+        (np.array([0.5]), "must be a real number, got array([0.5])"),
+        (10**400, "must be finite"),
+        (-Fraction(10**400), "must be finite"),
+        (math.inf, "must be finite"),
+        (math.nan, "must be finite"),
+    ],
+    ids=["bool", "str", "complex", "None", "array", "int-past-floats", "fraction-past-floats", "inf", "nan"],
+)
+def test_w_like_params_reject_an_angle_that_is_not_a_finite_real(value, message):
+    """WLikeParams is the one check a W-like state gets, as check_tolerance is a tolerance's."""
+    for position, name in enumerate(("gamma", "phi", "omega")):
+        angles = [0.0, 0.0, 0.0]
+        angles[position] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {message}')}$"):
+            WLikeParams(*angles)
+
+
+@pytest.mark.parametrize("value", [1, np.int64(-2), np.float32(0.3), Fraction(1, 3), 10**300], ids=repr)
+def test_w_like_params_store_each_angle_as_a_float(value):
+    """So a float32 angle is not computed in single precision, which left its state 2.5e-8 off unit."""
+    params = WLikeParams(value, value, value)
+    assert [type(a) for a in vars(params).values()] == [float] * 3
+    assert params == WLikeParams(float(value), float(value), float(value))
+    rechecked(w_like_from_params(params))
 
 
 def test_partial_trace_w_receiver():
@@ -344,6 +390,19 @@ def test_bloch_qubits_store_the_public_constructors_bits(theta, phi):
     built = bloch_qubit(theta, phi)
     amps = np.array([math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)], dtype=complex)
     assert_same_store(built, PureState(1, amps))
+
+
+@given(angles=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+@example(angles=(0.0, -0.0, 1e300))
+@example(angles=(-0.0, 1e300, -1e300))
+@example(angles=(1e300, -1e300, 0.0))
+@example(angles=(-1e300, 0.0, -0.0))
+def test_w_like_states_store_the_public_constructors_bits(angles):
+    gamma, phi, omega = angles
+    built = w_like_from_params(WLikeParams(*angles))
+    y = np.exp(1j * phi) * math.cos(gamma) / SQRT2
+    z = np.exp(1j * omega) * math.sin(gamma) / SQRT2
+    assert_same_store(built, make_w_like(1 / SQRT2, y, z))
 
 
 @given(n_qubits=st.integers(1, 4), seed=SEEDS)
